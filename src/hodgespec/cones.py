@@ -29,6 +29,7 @@ from math import gcd
 from .lattice import rational_rank
 from .monclass import MonodromicClass
 from .series import TruncatedPoly
+from .spectra import _merge
 
 GE, GT, EQ = ">=", ">", "="
 _RELS = (GE, GT, EQ)
@@ -289,10 +290,9 @@ def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
         deg = dot(ell, point)
         if deg > n:
             continue
-        coef = MonodromicClass.lefschetz(0, -dot(nu, point))
-        cur = out.get(deg)
-        out[deg] = coef if cur is None else cur + coef
-    return TruncatedPoly(0, out)
+        e = -dot(nu, point)
+        _merge(out, deg, MonodromicClass._trusted(0, {((), e, e): 1}))
+    return TruncatedPoly._trusted(0, out)
 
 
 def series_limit(cone: Cone, ell, nu) -> int:

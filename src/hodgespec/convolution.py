@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .monclass import MonodromicClass, box
-from .spectra import _merge, mod1
+from .spectra import _merge
 
 
 def _collapse_key(a: Fraction, b: Fraction):
@@ -59,12 +59,11 @@ def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
     if not 1 <= i < j <= x.arity:
         raise ValueError(f"slot pair {pair} out of range for arity {x.arity}")
     out: dict = {}
-    for (evs, p, q), mult in x.terms():
-        a, b = evs[i - 1], evs[j - 1]
-        new_ev, dp, dq = _collapse_key(a, b)
-        rest = list(evs[: i - 1]) + [new_ev] + list(evs[i: j - 1]) + list(evs[j:])
-        _merge(out, (tuple(rest), p + dp, q + dq), mult)
-    return MonodromicClass(x.arity - 1, out)
+    for (evs, p, q), mult in x._terms.items():
+        new_ev, dp, dq = _collapse_key(evs[i - 1], evs[j - 1])
+        rest = evs[: i - 1] + (new_ev,) + evs[i: j - 1] + evs[j:]
+        _merge(out, (rest, p + dp, q + dq), mult)
+    return MonodromicClass._trusted(x.arity - 1, out)
 
 
 def convolve(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
@@ -100,10 +99,10 @@ def power_pushforward(x: MonodromicClass, slot: int, N: int) -> MonodromicClass:
     if N < 1:
         raise ValueError("N must be a positive integer")
     out: dict = {}
-    for (evs, p, q), mult in x.terms():
+    for (evs, p, q), mult in x._terms.items():
         b = evs[slot - 1]
         for j in range(N):
-            new = list(evs)
-            new[slot - 1] = mod1(Fraction(b + j, N))
-            _merge(out, (tuple(new), p, q), mult)
-    return MonodromicClass(x.arity, out)
+            # b < 1, so (b + j) / N is already a residue in [0, 1).
+            new = evs[: slot - 1] + ((b + j) / N,) + evs[slot:]
+            _merge(out, (new, p, q), mult)
+    return MonodromicClass._trusted(x.arity, out)

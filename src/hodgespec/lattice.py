@@ -27,13 +27,15 @@ def mat_vec(A, v):
     return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q by Gaussian elimination on a fraction copy."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
+def _row_reduce(m, ncols: int):
+    """Gauss-Jordan elimination in place on the first ncols columns of the
+    Fraction matrix m; returns the pivot columns, one per rank step.
+
+    Later columns (an augmented right-hand side) are carried along.
+    """
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
@@ -44,8 +46,14 @@ def rational_rank(rows) -> int:
             if r != rank and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on a fraction copy."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_row_reduce(m, len(m[0]) if m else 0))
 
 
 def rational_solve(rows, rhs):
@@ -55,24 +63,9 @@ def rational_solve(rows, rhs):
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(nr)]
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        pivot = next((r for r in range(rank, nr) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(nr):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nr):
-        if aug[r][nc]:
-            return None
+    pivots = _row_reduce(aug, nc)
+    if any(aug[r][nc] for r in range(len(pivots), nr)):
+        return None
     x = [Fraction(0)] * nc
     for r, col in enumerate(pivots):
         x[col] = aug[r][nc]
@@ -119,13 +112,6 @@ def smith_normal_form(rows):
             row[i] += k * row[j]
         Vinv[j] = [a - k * b for a, b in zip(Vinv[j], Vinv[i])]
 
-    def negate_col(i):
-        for row in M:
-            row[i] = -row[i]
-        for row in V:
-            row[i] = -row[i]
-        Vinv[i] = [-a for a in Vinv[i]]
-
     def smallest_nonzero(t):
         best = None
         for i in range(t, nr):
@@ -134,14 +120,7 @@ def smith_normal_form(rows):
                     best = (i, j)
         return best
 
-    t = 0
-    while t < min(nr, nc):
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        swap_rows(t, i)
-        swap_cols(t, j)
+    def reduce_pivot(t):
         # Reduce the pivot row and column until the pivot divides everything
         # it meets; each pass strictly shrinks |pivot| so this terminates.
         while True:
@@ -164,6 +143,16 @@ def smith_normal_form(rows):
                 break
         if M[t][t] < 0:
             negate_row(t)
+
+    t = 0
+    while t < min(nr, nc):
+        pos = smallest_nonzero(t)
+        if pos is None:
+            break
+        i, j = pos
+        swap_rows(t, i)
+        swap_cols(t, j)
+        reduce_pivot(t)
         t += 1
 
     # Enforce the divisibility chain d_k | d_{k+1}.
@@ -172,27 +161,7 @@ def smith_normal_form(rows):
         a, b = M[k][k], M[k + 1][k + 1]
         if a and b % a != 0:
             add_col(k, k + 1, 1)  # puts b into column k at row k+1
-            # Re-run the local reduction from position k.
-            while True:
-                dirty = False
-                for r in range(k + 1, nr):
-                    if M[r][k]:
-                        q = M[r][k] // M[k][k]
-                        add_row(r, k, -q)
-                        if M[r][k]:
-                            swap_rows(k, r)
-                            dirty = True
-                for c in range(k + 1, nc):
-                    if M[k][c]:
-                        q = M[k][c] // M[k][k]
-                        add_col(c, k, -q)
-                        if M[k][c]:
-                            swap_cols(k, c)
-                            dirty = True
-                if not dirty:
-                    break
-            if M[k][k] < 0:
-                negate_row(k)
+            reduce_pivot(k)  # re-run the local reduction from position k
             k = max(k - 1, 0)
         else:
             k += 1
@@ -204,15 +173,20 @@ def smith_normal_form(rows):
     return M, U, V, Vinv
 
 
+def snf_divisors(D):
+    """Nonzero diagonal entries of a Smith normal form D; their number is the
+    rank."""
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
+
+
 def elementary_divisors(rows):
     """Nonzero diagonal entries of the Smith normal form."""
-    D, _, _, _ = smith_normal_form(rows)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
+    return snf_divisors(smith_normal_form(rows)[0])
 
 
 def integer_kernel_basis(rows):
     """Z-basis of the integer kernel {v : rows * v = 0}, as column vectors."""
     D, _, V, _ = smith_normal_form(rows)
     nc = len(V)
-    rank = len(elementary_divisors(rows))
+    rank = len(snf_divisors(D))
     return [[V[i][j] for i in range(nc)] for j in range(rank, nc)]

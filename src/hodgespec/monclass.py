@@ -23,33 +23,42 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .lattice import (
-    elementary_divisors,
-    rational_rank,
-    rational_solve,
-    smith_normal_form,
+from .lattice import rational_solve, smith_normal_form, snf_divisors
+from .spectra import (
+    BiSpectrum,
+    Spectrum,
+    _add_mod1,
+    _ArityMap,
+    _items,
+    _merge,
+    _render_frac,
+    _render_terms,
+    frac,
+    mod1,
 )
-from .spectra import BiSpectrum, Spectrum, _merge, _render_frac, frac, mod1
 
 
-class MonodromicClass:
+class MonodromicClass(_ArityMap):
     """Z-combination of (eigenvalue tuple, p, q) monomials of a fixed arity."""
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ()
 
     def __init__(self, arity: int, terms: Mapping | Iterable = ()):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         self.arity = arity
         data: dict[tuple, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, mult in items:
-            evs, p, q = key
+        for (evs, p, q), mult in _items(terms):
             evs = tuple(mod1(e) for e in evs)
             if len(evs) != arity:
                 raise ValueError(f"eigenvalue tuple {evs} has wrong arity (want {arity})")
             _merge(data, (evs, int(p), int(q)), int(mult))
         self._terms = data
+
+    @staticmethod
+    def _key_mul(k1, k2):
+        (e1, p1, q1), (e2, p2, q2) = k1, k2
+        return tuple(map(_add_mod1, e1, e2)), p1 + p2, q1 + q2
 
     @classmethod
     def zero(cls, arity: int) -> "MonodromicClass":
@@ -68,56 +77,9 @@ class MonodromicClass:
         """L^n for any integer n; the inverse has bidegree (-1, -1)."""
         return cls.monomial(arity, (0,) * arity, power, power)
 
-    def terms(self):
-        return tuple(sorted(self._terms.items()))
-
     def coefficient(self, evs, p, q) -> int:
         key = (tuple(mod1(e) for e in evs), int(p), int(q))
         return self._terms.get(key, 0)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, MonodromicClass):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self._terms.items())))
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "MonodromicClass") -> "MonodromicClass":
-        self._check(other)
-        out = dict(self._terms)
-        for key, mult in other._terms.items():
-            _merge(out, key, mult)
-        return MonodromicClass(self.arity, out)
-
-    def __sub__(self, other: "MonodromicClass") -> "MonodromicClass":
-        return self + (-other)
-
-    def __neg__(self) -> "MonodromicClass":
-        return MonodromicClass(self.arity, {k: -m for k, m in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MonodromicClass(self.arity, {k: m * other for k, m in self._terms.items()})
-        if not isinstance(other, MonodromicClass):
-            return NotImplemented
-        self._check(other)
-        out: dict[tuple, int] = {}
-        for (e1, p1, q1), m1 in self._terms.items():
-            for (e2, p2, q2), m2 in other._terms.items():
-                evs = tuple(mod1(a + b) for a, b in zip(e1, e2))
-                _merge(out, (evs, p1 + p2, q1 + q2), m1 * m2)
-        return MonodromicClass(self.arity, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, n: int) -> "MonodromicClass":
         if n < 0:
@@ -132,8 +94,6 @@ class MonodromicClass:
             evs, p, q = key
             evs_str = ",".join(_render_frac(e) for e in evs)
             return f"({evs_str};{p},{q})"
-
-        from .spectra import _render_terms
 
         return _render_terms(self.terms(), mono)
 
@@ -154,8 +114,8 @@ def embed(x: MonodromicClass, arity: int, slots) -> MonodromicClass:
         new = [Fraction(0)] * arity
         for s, e in zip(slots, evs):
             new[s - 1] = e
-        _merge(out, (tuple(new), p, q), mult)
-    return MonodromicClass(arity, out)
+        out[(tuple(new), p, q)] = mult  # distinct slots: keys stay distinct
+    return MonodromicClass._trusted(arity, out)
 
 
 def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
@@ -164,7 +124,7 @@ def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
     for (e1, p1, q1), m1 in x._terms.items():
         for (e2, p2, q2), m2 in y._terms.items():
             _merge(out, (e1 + e2, p1 + p2, q1 + q2), m1 * m2)
-    return MonodromicClass(x.arity + y.arity, out)
+    return MonodromicClass._trusted(x.arity + y.arity, out)
 
 
 def hodge_spectrum(x: MonodromicClass) -> Spectrum:
@@ -179,7 +139,7 @@ def hodge_spectrum(x: MonodromicClass) -> Spectrum:
     out: dict[Fraction, int] = {}
     for ((a,), p, _q), mult in x._terms.items():
         _merge(out, a + p, mult)
-    return Spectrum(out)
+    return Spectrum._trusted(out)
 
 
 def hodge_spectrum2(x: MonodromicClass) -> BiSpectrum:
@@ -189,7 +149,7 @@ def hodge_spectrum2(x: MonodromicClass) -> BiSpectrum:
     out: dict[tuple, int] = {}
     for ((a, b), p, _q), mult in x._terms.items():
         _merge(out, (a, b, p), mult)
-    return BiSpectrum(out)
+    return BiSpectrum._trusted(out)
 
 
 def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
@@ -216,7 +176,9 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     for j in range(m):
         if all(M[i][j] == 0 for i in range(r)):
             raise ValueError(f"column {j} of the exponent matrix is zero")
-    if rational_rank(M) != r:
+    D, _U, _V, Vinv = smith_normal_form(M)
+    divisors = snf_divisors(D)
+    if len(divisors) != r:
         raise ValueError("exponent matrix is rank deficient")
 
     if thetas is None:
@@ -235,8 +197,6 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
             ]:
                 raise ValueError("supplied theta is not a solution")
 
-    _D, _U, _V, Vinv = smith_normal_form(M)
-    divisors = elementary_divisors(M)
     # Torsion characters of Z^m / rows: in the V-coordinates they are the
     # tuples (c_1..c_r, 0..0) with 0 <= c_i < d_i; back in the standard
     # basis the character is (c, 0) * Vinv.
@@ -247,6 +207,6 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
             mod1(sum(chi[j] * thetas[i][j] for j in range(m))) for i in range(r)
         )
         _merge(result, (evs, 0, 0), 1)
-    cls = MonodromicClass(r, result)
+    cls = MonodromicClass._trusted(r, result)
     torus = MonodromicClass.lefschetz(r) - MonodromicClass.unit(r)
     return cls * torus ** (m - r)

@@ -42,9 +42,10 @@ JSON schema (UTF-8, exact field names)::
                 ...],
      "zero_locus_nearby": [[[num,den], p, q, mult], ...]}   # optional
 
-``Nf`` defaults to 0.  For arity-1 data the ``Nf`` field carries the
-boundary multiplicities used by ``multiplicity_ratio`` and the open
-variant.  Explicit cover entries list the eigenvalue fractions (one
+Every number is a JSON integer (true/false, 1.5 and "1" are rejected) and
+every ``den`` is positive.  ``Nf`` defaults to 0.  For arity-1 data the
+``Nf`` field carries the boundary multiplicities used by
+``multiplicity_ratio`` and the open variant.  Explicit cover entries list the eigenvalue fractions (one
 [num, den] pair per function) followed by p, q, mult.  The optional
 ``zero_locus_nearby`` (joint data only) is the arity-1 class, in the second
 monodromy slot, of the nearby cycles of g on the zero locus of f over the
@@ -342,13 +343,22 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(value, path: str, positive: bool = False) -> int:
+    """A JSON integer field, strictly: bool, float and str are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, "expected integer")
+    if positive and value <= 0:
+        raise SchemaError(path, "must be a positive integer")
+    return value
+
+
 def _class0_from_json(entries, path: str) -> MonodromicClass:
     terms = []
     for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{path}[{i}]", "expected [p, q, mult]")
-        p, q, mult = entry
-        terms.append((((), int(p), int(q)), int(mult)))
+        p, q, mult = (_json_int(v, f"{path}[{i}][{k}]") for k, v in enumerate(entry))
+        terms.append((((), p, q), mult))
     return MonodromicClass(0, terms)
 
 
@@ -364,9 +374,13 @@ def _classr_from_json(entries, arity: int, path: str) -> MonodromicClass:
             pair = entry[j]
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected [num, den]")
-            evs.append(Fraction(int(pair[0]), int(pair[1])))
-        p, q, mult = entry[arity:]
-        terms.append(((tuple(evs), int(p), int(q)), int(mult)))
+            num = _json_int(pair[0], f"{path}[{i}][{j}][0]")
+            den = _json_int(pair[1], f"{path}[{i}][{j}][1]", positive=True)
+            evs.append(Fraction(num, den))
+        p, q, mult = (
+            _json_int(entry[k], f"{path}[{i}][{k}]") for k in range(arity, arity + 3)
+        )
+        terms.append(((tuple(evs), p, q), mult))
     return MonodromicClass(arity, terms)
 
 
@@ -394,14 +408,14 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         if "id" not in raw or not isinstance(raw["id"], str):
             raise SchemaError(path + ".id", "expected string")
         for fieldname in ("Nf", "Ng", "nu"):
-            if fieldname in raw and (isinstance(raw[fieldname], bool) or not isinstance(raw[fieldname], int)):
-                raise SchemaError(path + "." + fieldname, "expected integer")
+            if fieldname in raw:
+                _json_int(raw[fieldname], f"{path}.{fieldname}")
         if "nu" not in raw:
             raise SchemaError(path + ".nu", "missing required field")
         if "Ng" not in raw:
             raise SchemaError(path + ".Ng", "missing required field")
         comps.append(
-            Component(raw["id"], int(raw.get("Nf", 0)), int(raw["Ng"]), int(raw["nu"]))
+            Component(raw["id"], raw.get("Nf", 0), raw["Ng"], raw["nu"])
         )
     strata = []
     for i, raw in enumerate(need("strata", list)):

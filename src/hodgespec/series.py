@@ -16,121 +16,84 @@ products, for which that is the defining formula.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .monclass import MonodromicClass
+from .spectra import _ArityMap, _items, _merge
 
 
-class TruncatedPoly:
+class TruncatedPoly(_ArityMap):
     """Polynomial in T of bounded degree with monodromic-class coefficients."""
 
-    __slots__ = ("arity", "_coeffs")
+    __slots__ = ()
+    _key_mul = staticmethod(add)
 
     def __init__(self, arity: int, coeffs: Mapping[int, MonodromicClass] | Iterable = ()):
         self.arity = arity
         data: dict[int, MonodromicClass] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for n, c in items:
+        for n, c in _items(coeffs):
             if c.arity != arity:
                 raise ValueError("coefficient arity mismatch")
             if n < 0:
                 raise ValueError("negative T-degree")
-            if c:
-                cur = data.get(n)
-                total = c if cur is None else cur + c
-                if total:
-                    data[n] = total
-                else:
-                    data.pop(n, None)
-        self._coeffs = data
+            _merge(data, n, c)
+        self._terms = data
 
     @classmethod
     def zero(cls, arity: int) -> "TruncatedPoly":
         return cls(arity)
 
     def coefficient(self, n: int) -> MonodromicClass:
-        return self._coeffs.get(n, MonodromicClass.zero(self.arity))
+        return self._terms.get(n, MonodromicClass.zero(self.arity))
 
     def degrees(self):
-        return sorted(self._coeffs)
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self.arity == other.arity and self._coeffs == other._coeffs
-
-    def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        out = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            cur = out.get(n)
-            total = c if cur is None else cur + c
-            if total:
-                out[n] = total
-            else:
-                out.pop(n, None)
-        return TruncatedPoly(self.arity, out)
-
-    def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "TruncatedPoly":
-        return TruncatedPoly(self.arity, {n: c * k for n, c in self._coeffs.items()})
+        return sorted(self._terms)
 
     def mul_truncated(self, other: "TruncatedPoly", bound: int) -> "TruncatedPoly":
+        """Product with every degree above bound dropped."""
+        self._check(other)
         out: dict[int, MonodromicClass] = {}
-        for n1, c1 in self._coeffs.items():
-            for n2, c2 in other._coeffs.items():
-                if n1 + n2 > bound:
-                    continue
-                prod = c1 * c2
-                cur = out.get(n1 + n2)
-                out[n1 + n2] = prod if cur is None else cur + prod
-        return TruncatedPoly(self.arity, out)
+        for n1, c1 in self._terms.items():
+            for n2, c2 in other._terms.items():
+                if n1 + n2 <= bound:
+                    _merge(out, n1 + n2, c1 * c2)
+        return self._like(out)
 
     def render(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "0"
-        parts = []
-        for n in self.degrees():
-            parts.append(f"({self._coeffs[n].render()})*T^{n}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TruncatedPoly({self.render()})"
+        return " + ".join(f"({c.render()})*T^{n}" for n, c in self.terms())
 
 
-class RationalSeries:
+class RationalSeries(_ArityMap):
     """Finite combination of generator products with class coefficients.
 
     Terms are keyed by the multiset of generator indices (e, j), stored as a
-    sorted tuple; like terms are combined on construction.
+    sorted tuple; like terms are combined on construction.  Integers and
+    classes of the same arity act as scalars.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ()
+    _scalars = (int, MonodromicClass)
 
     def __init__(self, arity: int, terms: Mapping | Iterable = ()):
         self.arity = arity
         data: dict[tuple, MonodromicClass] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for factors, coef in items:
+        for factors, coef in _items(terms):
             factors = tuple(sorted((int(e), int(j)) for e, j in factors))
             for _e, j in factors:
                 if j < 1:
                     raise ValueError("generator T-weight must be >= 1")
             if coef.arity != arity:
                 raise ValueError("coefficient arity mismatch")
-            if not coef:
-                continue
-            cur = data.get(factors)
-            total = coef if cur is None else cur + coef
-            if total:
-                data[factors] = total
-            else:
-                data.pop(factors, None)
+            _merge(data, factors, coef)
         self._terms = data
+
+    @staticmethod
+    def _key_mul(f1, f2):
+        return tuple(sorted(f1 + f2))
 
     @classmethod
     def zero(cls, arity: int) -> "RationalSeries":
@@ -145,55 +108,6 @@ class RationalSeries:
         """The series L^e T^j / (1 - L^e T^j) with unit coefficient."""
         return cls(arity, [(((e, j),), MonodromicClass.unit(arity))])
 
-    def terms(self):
-        return tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        self._check(other)
-        out = dict(self._terms)
-        for factors, coef in other._terms.items():
-            cur = out.get(factors)
-            total = coef if cur is None else cur + coef
-            if total:
-                out[factors] = total
-            else:
-                out.pop(factors, None)
-        return RationalSeries(self.arity, out)
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "RationalSeries":
-        """Multiply every coefficient by an integer or a class of equal arity."""
-        return RationalSeries(self.arity, {f: c * k for f, c in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, MonodromicClass)):
-            return self.scale(other)
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        self._check(other)
-        out: list = []
-        for f1, c1 in self._terms.items():
-            for f2, c2 in other._terms.items():
-                out.append((f1 + f2, c1 * c2))
-        return RationalSeries(self.arity, out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def limit(self) -> MonodromicClass:
         """Value at T -> infinity: each generator factor contributes -1."""
         total = MonodromicClass.zero(self.arity)
@@ -205,17 +119,16 @@ class RationalSeries:
         """Exact power-series expansion through degree n in T."""
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
-        total = TruncatedPoly.zero(self.arity)
+        arity = self.arity
+        zeros = (Fraction(0),) * arity
+        total = TruncatedPoly._trusted(arity, {})
         for factors, coef in self._terms.items():
-            poly = TruncatedPoly(self.arity, {0: coef})
+            poly = TruncatedPoly._trusted(arity, {0: coef})
             for e, j in factors:
-                gen = TruncatedPoly(
-                    self.arity,
-                    {
-                        j * m: MonodromicClass.lefschetz(self.arity, e * m)
-                        for m in range(1, n // j + 1)
-                    },
-                )
+                gen = TruncatedPoly._trusted(arity, {
+                    j * m: MonodromicClass._trusted(arity, {(zeros, e * m, e * m): 1})
+                    for m in range(1, n // j + 1)
+                })
                 poly = poly.mul_truncated(gen, n)
                 if not poly:
                     break
@@ -230,6 +143,3 @@ class RationalSeries:
             gens = "*".join(f"p({e},{j})" for e, j in factors) or "1"
             parts.append(f"({coef.render()})*{gens}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"RationalSeries({self.render()})"

@@ -1,4 +1,17 @@
-"""Exact spectrum rings.
+"""Exact spectrum rings and the sparse group-ring core shared by every ring.
+
+Every ring in the package -- spectra, bispectra, monodromic classes and the
+two series types -- is a finitely supported map from a canonical key (a
+monomial of its grading) to a nonzero coefficient.  ``_SparseMap`` holds that
+map and implements the ring once: sums, negation, scaling, the product
+through the subclass's key product, equality, hashing and the sorted term
+list.  ``_ArityMap`` adds a fixed arity that operands must share.
+
+One rule keeps the keys canonical without normalising them twice: only the
+public constructors normalise (``frac``, ``mod1``, ``int``).  A result whose
+keys are canonical by construction -- a ring operation, a morphism such as
+``fold_bispectrum`` -- is wrapped as is by the trusted constructor
+``_trusted``.
 
 A spectrum here is a finitely supported integer combination of monomials
 ``t^a`` with rational exponent ``a``, i.e. an element of the group ring of
@@ -16,6 +29,7 @@ compare one- and two-monodromy spectra.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
 Frac = Fraction
@@ -37,8 +51,20 @@ def mod1(x: FracLike) -> Fraction:
     return frac(x) % 1
 
 
-def _merge(into: dict, key, mult: int) -> None:
-    new = into.get(key, 0) + mult
+def _add_mod1(a: Fraction, b: Fraction) -> Fraction:
+    """Sum of two canonical residues, reduced back into [0, 1)."""
+    s = a + b
+    return s - 1 if s >= 1 else s
+
+
+def _items(terms):
+    return terms.items() if isinstance(terms, Mapping) else terms
+
+
+def _merge(into: dict, key, coef) -> None:
+    """Add coef to the coefficient of key, dropping the key at zero."""
+    cur = into.get(key)
+    new = coef if cur is None else cur + coef
     if new:
         into[key] = new
     else:
@@ -66,19 +92,129 @@ def _render_terms(items, monomial_str) -> str:
     return "".join(parts)
 
 
-class Spectrum:
-    """Finitely supported Z-combination of monomials t^a, a rational.
+class _SparseMap:
+    """Group-ring element: ``_terms`` maps canonical keys to nonzero
+    coefficients (integers, or classes for the series types).
 
-    Multiplication follows t^a * t^b = t^(a+b); zero multiplicities are
-    never stored, so equality is equality of term maps.
+    A subclass supplies its public constructor (the only place its keys are
+    normalised), ``_key_mul`` (the product of two keys, canonical when both
+    are) and ``render``.  ``_scalars`` lists the types ``*`` treats as
+    coefficient scalars.
     """
 
     __slots__ = ("_terms",)
+    _scalars: tuple = (int,)
+
+    @classmethod
+    def _trusted(cls, terms: dict):
+        """Wrap a dict of canonical keys and nonzero coefficients as is."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    def _like(self, terms: dict):
+        return self._trusted(terms)
+
+    def _check(self, other) -> None:
+        pass
+
+    def terms(self):
+        """Term list sorted by ascending key."""
+        return tuple(sorted(self._terms.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self._terms)
+        for key, coef in other._terms.items():
+            _merge(out, key, coef)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def scale(self, k):
+        """Multiply every coefficient by a scalar."""
+        return self._like({key: v for key, c in self._terms.items() if (v := c * k)})
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        key_mul = self._key_mul
+        out: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                _merge(out, key_mul(k1, k2), c1 * c2)
+        return self._like(out)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class _ArityMap(_SparseMap):
+    """Sparse map of a fixed arity; sums and products need equal arities
+    (ValueError otherwise), and maps of different arities are unequal."""
+
+    __slots__ = ("arity",)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict):
+        out = object.__new__(cls)
+        out.arity = arity
+        out._terms = terms
+        return out
+
+    def _like(self, terms: dict):
+        return self._trusted(self.arity, terms)
+
+    def _check(self, other) -> None:
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.arity == other.arity and self._terms == other._terms
+
+    # Defining __eq__ clears the inherited hash.
+    __hash__ = _SparseMap.__hash__
+
+
+class Spectrum(_SparseMap):
+    """Finitely supported Z-combination of monomials t^a, a rational.
+
+    Multiplication follows t^a * t^b = t^(a+b); zero multiplicities are
+    never stored, so equality is equality of term maps.  A spectrum also
+    compares equal to the integer n when it is n * t^0.
+    """
+
+    __slots__ = ()
+    _key_mul = staticmethod(add)
 
     def __init__(self, terms: Mapping[FracLike, int] | Iterable = ()):
         data: dict[Fraction, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, mult in items:
+        for exp, mult in _items(terms):
             _merge(data, frac(exp), int(mult))
         self._terms = data
 
@@ -94,10 +230,6 @@ class Spectrum:
     def monomial(cls, exponent: FracLike, mult: int = 1) -> "Spectrum":
         return cls([(exponent, mult)])
 
-    def terms(self):
-        """Term list sorted by ascending exponent."""
-        return tuple(sorted(self._terms.items()))
-
     def coefficient(self, exponent: FracLike) -> int:
         return self._terms.get(frac(exponent), 0)
 
@@ -105,70 +237,38 @@ class Spectrum:
         """Sum of multiplicities (the virtual rank)."""
         return sum(self._terms.values())
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self == Spectrum.monomial(0, other) if other else not self._terms
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == ({Fraction(0): other} if other else {})
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "Spectrum") -> "Spectrum":
-        out = dict(self._terms)
-        for exp, mult in other._terms.items():
-            _merge(out, exp, mult)
-        return Spectrum(out)
-
-    def __sub__(self, other: "Spectrum") -> "Spectrum":
-        return self + (-other)
-
-    def __neg__(self) -> "Spectrum":
-        return Spectrum({e: -m for e, m in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Spectrum({e: m * other for e, m in self._terms.items()})
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        out: dict[Fraction, int] = {}
-        for e1, m1 in self._terms.items():
-            for e2, m2 in other._terms.items():
-                _merge(out, e1 + e2, m1 * m2)
-        return Spectrum(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __hash__ = _SparseMap.__hash__
 
     def render(self) -> str:
         """Canonical text form: ascending exponents, `mult*t^(num/den)` terms,
         `1*` and `/1` omitted, joined with ` + ` / ` - `."""
         return _render_terms(self.terms(), lambda e: f"t^({_render_frac(e)})")
 
-    def __repr__(self):
-        return f"Spectrum({self.render()})"
 
-
-class BiSpectrum:
+class BiSpectrum(_SparseMap):
     """Z-combination of monomials t^a u^b v^c with a, b residues mod 1.
 
     The grading group is (Q/Z)^2 x Z; monomials multiply by componentwise
     addition, with the residues reduced eagerly so term keys are canonical.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | Iterable = ()):
         data: dict[tuple, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, mult in items:
-            a, b, c = key
+        for (a, b, c), mult in _items(terms):
             _merge(data, (mod1(a), mod1(b), int(c)), int(mult))
         self._terms = data
+
+    @staticmethod
+    def _key_mul(k1, k2):
+        (a1, b1, c1), (a2, b2, c2) = k1, k2
+        return _add_mod1(a1, a2), _add_mod1(b1, b2), c1 + c2
 
     @classmethod
     def zero(cls) -> "BiSpectrum":
@@ -182,48 +282,8 @@ class BiSpectrum:
     def monomial(cls, a: FracLike, b: FracLike, c: int, mult: int = 1) -> "BiSpectrum":
         return cls([((a, b, c), mult)])
 
-    def terms(self):
-        return tuple(sorted(self._terms.items()))
-
     def coefficient(self, a: FracLike, b: FracLike, c: int) -> int:
         return self._terms.get((mod1(a), mod1(b), int(c)), 0)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSpectrum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "BiSpectrum") -> "BiSpectrum":
-        out = dict(self._terms)
-        for key, mult in other._terms.items():
-            _merge(out, key, mult)
-        return BiSpectrum(out)
-
-    def __sub__(self, other: "BiSpectrum") -> "BiSpectrum":
-        return self + (-other)
-
-    def __neg__(self) -> "BiSpectrum":
-        return BiSpectrum({k: -m for k, m in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return BiSpectrum({k: m * other for k, m in self._terms.items()})
-        if not isinstance(other, BiSpectrum):
-            return NotImplemented
-        out: dict[tuple, int] = {}
-        for (a1, b1, c1), m1 in self._terms.items():
-            for (a2, b2, c2), m2 in other._terms.items():
-                _merge(out, (mod1(a1 + a2), mod1(b1 + b2), c1 + c2), m1 * m2)
-        return BiSpectrum(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def render(self) -> str:
         def mono(key):
@@ -231,9 +291,6 @@ class BiSpectrum:
             return f"t^({_render_frac(a)})*u^({_render_frac(b)})*v^({c})"
 
         return _render_terms(self.terms(), mono)
-
-    def __repr__(self):
-        return f"BiSpectrum({self.render()})"
 
 
 def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
@@ -247,15 +304,15 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
         raise ValueError("N must be a positive integer")
     out: dict[Fraction, int] = {}
     for (a, b, c), mult in x._terms.items():
-        _merge(out, a + Fraction(b, 1) / N + c, mult)
-    return Spectrum(out)
+        _merge(out, a + b / N + c, mult)
+    return Spectrum._trusted(out)
 
 
 def geometric_factor(m: int) -> Spectrum:
     """The exact expansion (1 - t) / (1 - t^(1/m)) = sum_{i<m} t^(i/m)."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return Spectrum([(Fraction(i, m), 1) for i in range(m)])
+    return Spectrum._trusted({Fraction(i, m): 1 for i in range(m)})
 
 
 def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:

@@ -123,6 +123,30 @@ def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--datum", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # Class entries take strict integers: no bool, float or str, and den > 0.
+    x2 = json.loads((FIXTURES / "x2.json").read_text(encoding="utf-8"))
+    for entry, field in (([0, 0, 1.5], "[0][2]"), (["a", 0, 1], "[0][0]"), ([0, True, 1], "[0][1]")):
+        x2["strata"][0]["base_class"] = [entry]
+        bad_base = tmp_path / "bad_base.json"
+        bad_base.write_text(json.dumps(x2), encoding="utf-8")
+        code, _, err = run(capsys, "spectrum", "--datum", str(bad_base))
+        assert code == 2
+        assert f"strata[0].base_class{field}: expected integer" in err
+
+    for entry, field in (
+        ([[1, 0], 0, 0, 1], "[0][0][1]: must be a positive integer"),
+        ([[1, -2], 0, 0, 1], "[0][0][1]: must be a positive integer"),
+        ([[1, 2], 0, 0, 1.5], "[0][3]: expected integer"),
+        ([["1", 2], 0, 0, 1], "[0][0][0]: expected integer"),
+    ):
+        bad_class = tmp_path / "bad_class.json"
+        bad_class.write_text(json.dumps([entry]), encoding="utf-8")
+        code, _, err = run(
+            capsys, "convolve", "--left", str(bad_class), "--right", str(FIXTURES / "class_x3.json")
+        )
+        assert code == 2
+        assert f"bad_class.json{field}" in err
+
 
 def test_shipped_fixture_files_match_builders():
     shipped = {p.name for p in FIXTURES.glob("*.json")}

@@ -39,6 +39,7 @@ def test_arity_mismatch():
         MC.unit(1) * MC.unit(2)
     with pytest.raises(ValueError):
         MC.unit(1) + MC.unit(2)
+    assert MC.zero(1) != MC.zero(2)
 
 
 def test_box_examples():

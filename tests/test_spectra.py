@@ -24,6 +24,7 @@ def test_exponent_addition():
 def test_cancellation():
     assert t(F(1, 2)) + (-1) * t(F(1, 2)) == Spectrum.zero()
     assert not (t(1) - t(1))
+    assert t(1) - t(1) == 0 and 3 * Spectrum.one() == 3 != t(1)
 
 
 def test_difference_of_squares():
