@@ -1,11 +1,17 @@
 import random
+from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
+from hodgespec import cones
 from hodgespec.cones import (
     Cone,
     dot,
     euler_char,
+    extremum,
+    feasible,
     form_positive_on_closure,
     kernel_cone,
     lattice_series,
@@ -129,3 +135,212 @@ def test_cone_membership():
 def test_dimension_bound():
     with pytest.raises(ValueError):
         Cone(7)
+
+
+def test_dimension_and_coefficients_are_strict_integers():
+    for n in (-1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="dimension"):
+            Cone(n)
+    assert Cone(0).constraints == ()
+    assert Cone(2, (((Fraction(4, 2), -1), ">="),)).constraints == (((2, -1), ">="),)
+    for bad in (1.5, 2.0, True, "1", Fraction(1, 2), None):
+        with pytest.raises(ValueError, match="constraint 1"):
+            Cone(2, (((1, 1), ">"), ((bad, -1), ">=")))
+        with pytest.raises(ValueError, match="constraint 0"):
+            kernel_cone(2, [(bad, -1)])
+        with pytest.raises(ValueError, match="row 1"):
+            stays_bounded(2, [(1, -1), (-1, bad)], (1, 0), (0, 1))
+        with pytest.raises(ValueError, match="num_form"):
+            stays_bounded(2, [], (bad, 0), (1, 1))
+        with pytest.raises(ValueError, match="den_form"):
+            stays_bounded(2, [], (1, 0), (1, bad))
+        for cone in (Cone(2), Cone(2, (((-1, -1), ">="),))):
+            with pytest.raises(ValueError, match="ell"):
+                lattice_series(cone, (1, bad), (1, 1), 3)
+            with pytest.raises(ValueError, match="nu"):
+                series_limit(cone, (1, 1), (bad, 1))
+            with pytest.raises(ValueError, match="form"):
+                form_positive_on_closure(cone, (bad, 1))
+    with pytest.raises(ValueError, match="constraint 0"):
+        Cone(2, (((1, 1, 1), ">="),))
+    with pytest.raises(ValueError, match="constraint 0"):
+        Cone(2, (((1, 1), "<"),))
+
+
+def test_one_emptiness_test_per_series_call(monkeypatch):
+    calls = []
+    original = Cone.is_empty
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Cone, "is_empty", counting)
+    full, empty = Cone(2), Cone(2, (((-1, -1), ">="),))
+    for cone in (full, empty):
+        for run in (lambda: lattice_series(cone, (1, 1), (1, 1), 3),
+                    lambda: series_limit(cone, (1, 1), (1, 1))):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+    # Non-positive forms raise on a nonempty cone and pass on an empty one.
+    with pytest.raises(ValueError, match="form nu"):
+        lattice_series(full, (1, 1), (1, 0), 3)
+    with pytest.raises(ValueError, match="form ell"):
+        series_limit(full, (0, 1), (1, 1))
+    assert lattice_series(empty, (1, -1), (0, 0), 3) == TP.zero(0)
+    assert series_limit(empty, (1, -1), (0, 0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the 2^k sign-cell enumeration over Fraction
+# Fourier-Motzkin elimination, with its own rank.  It shares no code with
+# hodgespec.cones, so euler_char, feasible and extremum are checked against
+# an independent computation rather than through themselves.
+# ---------------------------------------------------------------------------
+
+
+def _ref_normalize(con):
+    coeffs, const, rel = con
+    scale = 1
+    for v in (*coeffs, const):
+        d = Fraction(v).denominator
+        scale = scale * d // gcd(scale, d)
+    ints = [int(Fraction(v) * scale) for v in (*coeffs, const)]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return (tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]), rel)
+
+
+def _ref_eliminate(cons, k):
+    def drop(con):
+        coeffs, const, rel = con
+        return (coeffs[:k] + coeffs[k + 1:], const, rel)
+
+    for idx, (coeffs, const, rel) in enumerate(cons):
+        if rel == "=" and coeffs[k]:
+            out = []
+            for j, (c2, b2, r2) in enumerate(cons):
+                if j != idx:
+                    f = c2[k] / coeffs[k]
+                    out.append((tuple(x - f * y for x, y in zip(c2, coeffs)), b2 - f * const, r2))
+            return [drop(c) for c in out]
+    lowers = [c for c in cons if c[0][k] > 0]
+    uppers = [c for c in cons if c[0][k] < 0]
+    rest = [c for c in cons if c[0][k] == 0]
+    for cl, bl, rl in lowers:
+        for cu, bu, ru in uppers:
+            a, b = cl[k], -cu[k]
+            rest.append((tuple(a * x + b * y for x, y in zip(cu, cl)), a * bu + b * bl,
+                         ">" if ">" in (rl, ru) else ">="))
+    return [drop(c) for c in rest]
+
+
+def _ref_project(cons, nvars):
+    cons = [_ref_normalize(c) for c in cons]
+    for k in range(nvars - 1, -1, -1):
+        cons = list(dict.fromkeys(_ref_normalize(c) for c in _ref_eliminate(cons, k)))
+    return cons
+
+
+def ref_feasible(cons, nvars):
+    holds = {">=": lambda v: v >= 0, ">": lambda v: v > 0, "=": lambda v: v == 0}
+    return all(holds[rel](const) for _c, const, rel in _ref_project(cons, nvars))
+
+
+def ref_extremum(obj, cons, nvars, maximize):
+    ext = [(tuple(c) + (Fraction(0),), Fraction(b), rel) for c, b, rel in cons]
+    ext.append((tuple(-Fraction(c) for c in obj) + (Fraction(1),), Fraction(0), "="))
+    best = None
+    for (a,), const, rel in _ref_project(ext, nvars):
+        if rel == "=":
+            if a:
+                return -const / a
+        elif a and (a < 0) == maximize:
+            bound = -const / a
+            best = bound if best is None else (min if maximize else max)(best, bound)
+    return best
+
+
+def ref_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def ref_euler_char(n, constraints):
+    options = [(">", "=") if rel == ">=" else (rel,) for _c, rel in constraints]
+    total = 0
+    for signs in product(*options):
+        sys = [(tuple(Fraction(int(i == j)) for j in range(n)), Fraction(0), ">") for i in range(n)]
+        sys += [(tuple(map(Fraction, c)), Fraction(0), s) for (c, _r), s in zip(constraints, signs)]
+        if ref_feasible(sys, n):
+            total += (-1) ** (n - ref_rank([c for (c, _r), s in zip(constraints, signs) if s == "="]))
+    return total
+
+
+def test_euler_char_matches_sign_cell_enumeration():
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(300):
+        n = 1 + trial % 5
+        cons = tuple(
+            (tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice((">=", ">=", ">", "=")))
+            for _ in range(rng.randint(0, 6 if n < 5 else 4))
+        )
+        want = ref_euler_char(n, cons)
+        assert euler_char(Cone(n, cons)) == want, (n, cons)
+        seen.add((Cone(n, cons).is_empty(), bool(cons)))
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
+def test_feasible_and_extremum_match_fraction_elimination():
+    rng = random.Random(37)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cons = [(tuple(frac() for _ in range(n)), frac(), rng.choice((">=", ">", "=")))
+                for _ in range(rng.randint(0, 6))]
+        ok = ref_feasible(cons, n)
+        verdicts.add(ok)
+        assert feasible(cons, n) == ok, cons
+        if ok:
+            obj = tuple(frac() for _ in range(n))
+            for maximize in (True, False):
+                got = extremum(obj, cons, n, maximize)
+                assert got == ref_extremum(obj, cons, n, maximize), (obj, cons, maximize)
+                assert got is None or type(got) is Fraction
+    assert verdicts == {True, False}
+
+
+def test_euler_char_reaches_feasible_through_the_module(monkeypatch):
+    calls = []
+    original = cones.feasible
+
+    def counting(cons, nvars):
+        calls.append(len(cons))
+        return original(cons, nvars)
+
+    monkeypatch.setattr(cones, "feasible", counting)
+    # y - x > 0 leaves neither sign x - y > 0 nor x - y = 0, so the search
+    # stops after the root and those two children; the sign cells of the
+    # four later hyperplanes are never visited.
+    later = (((1, 0), ">="), ((0, 1), ">="), ((1, 1), ">="), ((2, -1), ">="))
+    cone = Cone(2, (((-1, 1), ">"), ((1, -1), ">=")) + later)
+    assert euler_char(cone) == ref_euler_char(2, cone.constraints) == 0
+    assert calls == [3, 4, 4]
