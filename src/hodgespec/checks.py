@@ -37,8 +37,7 @@ from .series import RationalSeries
 from .spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor
 from .workbench import (
     TransversalBranch,
-    cusp_datum,
-    d_curve_datum,
+    fixture_datum,
     iterated_vanishing,
     monomial_datum,
     product_joint_datum,
@@ -46,8 +45,6 @@ from .workbench import (
     rederive_all,
     steenbrink_check,
     steenbrink_conjecture_rhs,
-    x2y_datum,
-    x2y_y_joint_datum,
 )
 
 DEFAULT_SEED = 20250801
@@ -444,18 +441,23 @@ def run_steenbrink(seed=DEFAULT_SEED):
 
     ok = True
     for a in range(2, 9):
-        datum = monomial_datum((a,))
+        datum = fixture_datum(f"x{a}")
         sp = hodge_spectrum(vanishing_cycles(datum))
         ok &= sp == Spectrum([(Fraction(k, a), 1) for k in range(1, a)])
         ok &= zeta_series(datum).expand(30) == jet_count_zeta((a,), 30)
     out.append(CheckResult("x^a family: spectrum formula and jet-count oracle, a = 2..8", ok))
 
     ok = True
-    for datum in (monomial_datum((2, 3)), monomial_datum((1, 1)), cusp_datum(), d_curve_datum(3)):
+    for datum in (
+        monomial_datum((2, 3)),
+        monomial_datum((1, 1)),
+        fixture_datum("cusp"),
+        fixture_datum("d_curve_N3"),
+    ):
         ok &= nearby_cycles(datum) == zeta_series(datum).limit() * (-1)
     out.append(CheckResult("nearby class equals minus the zeta limit on fixtures", ok))
 
-    cusp_sp = hodge_spectrum(vanishing_cycles(cusp_datum()))
+    cusp_sp = hodge_spectrum(vanishing_cycles(fixture_datum("cusp")))
     ok = cusp_sp == quasihomogeneous_spectrum((2, 3)) == Spectrum(
         [(Fraction(5, 6), 1), (Fraction(7, 6), 1)]
     )
@@ -469,19 +471,19 @@ def run_steenbrink(seed=DEFAULT_SEED):
         ok &= sp == quasihomogeneous_spectrum(exps)
     out.append(CheckResult("join spectrum is permutation invariant", ok))
 
-    sp_f = hodge_spectrum(vanishing_cycles(x2y_datum()))
-    joint = x2y_y_joint_datum()
+    phi_f = vanishing_cycles(fixture_datum("x2y"))
+    sp_f = hodge_spectrum(phi_f)
+    joint = fixture_datum("x2y_y_joint")
     phi_iter = iterated_vanishing(joint)
     threshold = multiplicity_ratio(joint)
     ok = threshold == 1
     branch = TransversalBranch(pairs=((Fraction(1, 2), Fraction(1, 2)),), e=1, m=1)
     for N in (3, 4, 5):
-        sp_fg = hodge_spectrum(vanishing_cycles(d_curve_datum(N)))
+        phi_fg = vanishing_cycles(fixture_datum(f"d_curve_N{N}"))
+        sp_fg = hodge_spectrum(phi_fg)
         report = steenbrink_check(sp_f, sp_fg, phi_iter, N, threshold)
         ok &= report.equal and report.hypothesis_ok
         ok &= sp_fg - sp_f == steenbrink_conjecture_rhs([branch], N)
-        phi_f = vanishing_cycles(x2y_datum())
-        phi_fg = vanishing_cycles(d_curve_datum(N))
         ok &= phi_f - phi_fg == collapse_pair(power_pushforward(phi_iter, 2, N))
     out.append(
         CheckResult(

@@ -227,10 +227,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError, OSError) as exc:
+        # OSError: a shipped fixture file or a --write target is unreachable.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,10 +23,6 @@ def mat_mul(A, B):
     ]
 
 
-def mat_vec(A, v):
-    return [sum(A[i][k] * v[k] for k in range(len(v))) for i in range(len(A))]
-
-
 def _row_reduce(m, ncols: int):
     """Gauss-Jordan elimination in place on the first ncols columns of the
     Fraction matrix m; returns the pivot columns, one per rank step.

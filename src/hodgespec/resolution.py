@@ -352,9 +352,15 @@ def _json_int(value, path: str, positive: bool = False) -> int:
     return value
 
 
+def _json_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected a list")
+    return value
+
+
 def _class0_from_json(entries, path: str) -> MonodromicClass:
     terms = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_json_list(entries, path)):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SchemaError(f"{path}[{i}]", "expected [p, q, mult]")
         p, q, mult = (_json_int(v, f"{path}[{i}][{k}]") for k, v in enumerate(entry))
@@ -364,7 +370,7 @@ def _class0_from_json(entries, path: str) -> MonodromicClass:
 
 def _classr_from_json(entries, arity: int, path: str) -> MonodromicClass:
     terms = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_json_list(entries, path)):
         if not (isinstance(entry, list) and len(entry) == arity + 3):
             raise SchemaError(
                 f"{path}[{i}]", f"expected {arity} [num,den] pairs then p, q, mult"
@@ -424,6 +430,9 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
             raise SchemaError(path, "expected object")
         if "components" not in raw or not isinstance(raw["components"], list):
             raise SchemaError(path + ".components", "expected list of component ids")
+        for j, cid in enumerate(raw["components"]):
+            if not isinstance(cid, str):
+                raise SchemaError(f"{path}.components[{j}]", "expected string")
         cover = raw.get("cover", "split")
         base = None
         explicit = None

@@ -32,8 +32,6 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
-Frac = Fraction
-
 FracLike = Union[Fraction, int, str, Tuple[int, int]]
 
 

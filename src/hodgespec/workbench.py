@@ -1,10 +1,15 @@
 """Fixture library, join/perturbation combiners, and identity verifiers.
 
 The fixtures are standard plane-curve and monomial singularity data whose
-resolution combinatorics were derived by hand from point blowups; every
-shipped number carries a provenance note and, where feasible, a rederive
-hook that recomputes it from a brute-force oracle (jet counting, cyclic
-cover classes, root-of-unity fiber enumeration).
+resolution combinatorics were derived by hand from point blowups.  That
+data lives only in ``fixtures/*.json`` at the root of the checkout and is
+read through ``fixture_datum``; this module holds what is said about it:
+each fixture's provenance note, its expected spectrum, and, where
+feasible, a rederive hook that recomputes the shipped numbers from a
+brute-force oracle (jet counting, cyclic cover classes, root-of-unity
+fiber enumeration).  The parametric generators (``monomial_datum``,
+``smooth_point_datum``, ``product_joint_datum``) compute their data from
+their arguments.
 
 The verifiers compare, exactly, the spectrum jump between a function and
 its power perturbations against the two closed forms: the folded spectrum
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .convolution import collapse_pair
@@ -27,6 +33,7 @@ from .resolution import (
     Stratum,
     iterated_nearby,
     jet_count_zeta,
+    load_datum,
     vanishing_cycles,
     zeta_series,
 )
@@ -161,15 +168,16 @@ class Fixture:
     rederive: Optional[Callable[[], list]] = None
 
 
-def _class0(*terms) -> MonodromicClass:
-    return MonodromicClass(0, [(((), p, q), m) for (p, q, m) in terms])
+# The hand-derived resolution data ships only as JSON, next to ``src/``.
+FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
 
 
-_BASE_POINT = _class0((0, 0, 1))
-_BASE_LINE = _class0((1, 1, 1))                      # affine line
-_BASE_GM = _class0((1, 1, 1), (0, 0, -1))            # once-punctured line
-_BASE_P1_MINUS_2 = _BASE_GM
-_BASE_P1_MINUS_3 = _class0((1, 1, 1), (0, 0, -2))
+def fixture_datum(name: str) -> ResolutionDatum:
+    """The shipped datum ``fixtures/<name>.json``."""
+    return load_datum(str(FIXTURE_DIR / f"{name}.json"))
+
+
+_BASE_POINT = MonodromicClass.unit(0)
 
 
 def monomial_datum(exponents: Sequence[int]) -> ResolutionDatum:
@@ -185,133 +193,6 @@ def smooth_point_datum() -> ResolutionDatum:
     """A reduced smooth hypersurface germ: one component, multiplicity 1."""
     comps = (Component("z", 0, 1, 1),)
     return ResolutionDatum(1, True, ("g",), comps, (Stratum(("z",), base=_BASE_POINT),))
-
-
-def x2y_datum() -> ResolutionDatum:
-    """Normal-crossing datum of x^2 y on the plane, local at the origin."""
-    comps = (Component("cx", 0, 2, 1), Component("cy", 0, 1, 1))
-    stratum = Stratum(("cx", "cy"), base=_BASE_POINT)
-    return ResolutionDatum(2, True, ("g",), comps, (stratum,))
-
-
-def cusp_datum() -> ResolutionDatum:
-    """Embedded resolution of the cusp x^2 + y^3 (three point blowups).
-
-    Exceptional curves with (multiplicity, discrepancy) = (2,2), (3,3),
-    (6,5); the last one meets the other two and the strict transform.  Its
-    open stratum is a thrice-punctured rational curve whose degree-6 cover
-    is connected, so the stratum class is supplied explicitly from the
-    cyclic-cover rule with crossing multiplicities (2, 3, 1).
-    """
-    comps = (
-        Component("e1", 0, 2, 2),
-        Component("e2", 0, 3, 3),
-        Component("e3", 0, 6, 5),
-        Component("c", 0, 1, 1),
-    )
-    strata = (
-        Stratum(("e1",), base=_BASE_LINE),
-        Stratum(("e2",), base=_BASE_LINE),
-        Stratum(("e3",), explicit=stratum_cover_class(6, (2, 3, 1))),
-        Stratum(("e1", "e3"), base=_BASE_POINT),
-        Stratum(("e2", "e3"), base=_BASE_POINT),
-        Stratum(("e3", "c"), base=_BASE_POINT),
-    )
-    return ResolutionDatum(2, True, ("g",), comps, strata)
-
-
-def d_curve_datum(N: int) -> ResolutionDatum:
-    """Embedded resolution of y (x^2 + y^(N-1)), local at the origin.
-
-    These are the power perturbations x^2 y + y^N; the dual graphs come
-    from point blowups (one for N = 3, two for N = 2 and 5, three for
-    N = 4) and non-split covers over the rational strata are supplied from
-    the cyclic-cover rule.
-    """
-    if N == 2:
-        # y(y + x^2): exceptional (2,2) and (4,3); the second meets
-        # everything else.
-        comps = (
-            Component("e1", 0, 2, 2),
-            Component("e2", 0, 4, 3),
-            Component("line", 0, 1, 1),
-            Component("br", 0, 1, 1),
-        )
-        strata = (
-            Stratum(("e1",), base=_BASE_LINE),
-            Stratum(("e2",), explicit=stratum_cover_class(4, (2, 1, 1))),
-            Stratum(("e1", "e2"), base=_BASE_POINT),
-            Stratum(("e2", "line"), base=_BASE_POINT),
-            Stratum(("e2", "br"), base=_BASE_POINT),
-        )
-    elif N == 3:
-        # y(x^2 + y^2): three transverse lines; one blowup.
-        comps = (
-            Component("e1", 0, 3, 2),
-            Component("line", 0, 1, 1),
-            Component("brp", 0, 1, 1),
-            Component("brm", 0, 1, 1),
-        )
-        strata = (
-            Stratum(("e1",), explicit=stratum_cover_class(3, (1, 1, 1))),
-            Stratum(("e1", "line"), base=_BASE_POINT),
-            Stratum(("e1", "brp"), base=_BASE_POINT),
-            Stratum(("e1", "brm"), base=_BASE_POINT),
-        )
-    elif N == 4:
-        # y(x^2 + y^3): exceptional chain (3,2), (4,3), (8,5).
-        comps = (
-            Component("e1", 0, 3, 2),
-            Component("e2", 0, 4, 3),
-            Component("e3", 0, 8, 5),
-            Component("line", 0, 1, 1),
-            Component("c", 0, 1, 1),
-        )
-        strata = (
-            Stratum(("e1",), explicit=stratum_cover_class(3, (1, 8))),
-            Stratum(("e2",), base=_BASE_LINE),
-            Stratum(("e3",), explicit=stratum_cover_class(8, (3, 4, 1))),
-            Stratum(("e1", "line"), base=_BASE_POINT),
-            Stratum(("e1", "e3"), base=_BASE_POINT),
-            Stratum(("e2", "e3"), base=_BASE_POINT),
-            Stratum(("e3", "c"), base=_BASE_POINT),
-        )
-    elif N == 5:
-        # y(x^2 + y^4): exceptional (3,2) and (5,3); two tangent branches
-        # separate at the second blowup.
-        comps = (
-            Component("e1", 0, 3, 2),
-            Component("e2", 0, 5, 3),
-            Component("line", 0, 1, 1),
-            Component("cp", 0, 1, 1),
-            Component("cm", 0, 1, 1),
-        )
-        strata = (
-            Stratum(("e1",), explicit=stratum_cover_class(3, (1, 5))),
-            Stratum(("e2",), explicit=stratum_cover_class(5, (3, 1, 1))),
-            Stratum(("e1", "line"), base=_BASE_POINT),
-            Stratum(("e1", "e2"), base=_BASE_POINT),
-            Stratum(("e2", "cp"), base=_BASE_POINT),
-            Stratum(("e2", "cm"), base=_BASE_POINT),
-        )
-    else:
-        raise ValueError("d_curve_datum is shipped for N in 2..5")
-    return ResolutionDatum(2, True, ("g",), comps, strata)
-
-
-def x2y_y_joint_datum() -> ResolutionDatum:
-    """Joint datum for the pair (x^2 y, y), local at the origin.
-
-    The zero locus of the first function is two smooth transverse lines;
-    the second function restricts to a coordinate on one and vanishes on
-    the other, so its nearby class on that locus over the origin is the
-    unit (recorded in zero_locus_nearby).
-    """
-    comps = (Component("cx", 2, 0, 1), Component("cy", 1, 1, 1))
-    stratum = Stratum(("cx", "cy"), base=_BASE_POINT)
-    return ResolutionDatum(
-        2, True, ("f", "g"), comps, (stratum,), zero_locus_nearby=MonodromicClass.unit(1)
-    )
 
 
 def product_joint_datum(a: int, b: int) -> ResolutionDatum:
@@ -345,7 +226,7 @@ _D_SPECTRA = {
 
 def _rederive_monomial(a: int):
     def run():
-        datum = monomial_datum((a,))
+        datum = fixture_datum(f"x{a}")
         results = []
         results.append(
             (
@@ -365,7 +246,7 @@ def _rederive_monomial(a: int):
 
 
 def _rederive_cusp():
-    datum = cusp_datum()
+    datum = fixture_datum("cusp")
     results = []
     results.append(
         (
@@ -392,7 +273,7 @@ def _rederive_cusp():
 
 def _rederive_d_curve(N: int):
     def run():
-        datum = d_curve_datum(N)
+        datum = fixture_datum(f"d_curve_N{N}")
         results = []
         for st in datum.strata:
             if st.explicit is None:
@@ -419,7 +300,7 @@ def _rederive_d_curve(N: int):
 
 
 def _rederive_joint():
-    joint = x2y_y_joint_datum()
+    joint = fixture_datum("x2y_y_joint")
     got = iterated_nearby(joint)
     bf = torus_fiber_bruteforce([[2, 1], [0, 1]])
     ok = bf is not None
@@ -437,7 +318,7 @@ def fixtures() -> list:
         out.append(
             Fixture(
                 name=f"x^{a}",
-                datum=monomial_datum((a,)),
+                datum=fixture_datum(f"x{a}"),
                 provenance=(
                     "identity resolution of the one-variable power; expected spectrum "
                     "sum of t^(k/a) derived from the root-of-unity fiber and verified "
@@ -450,7 +331,7 @@ def fixtures() -> list:
     out.append(
         Fixture(
             name="x2y",
-            datum=x2y_datum(),
+            datum=fixture_datum("x2y"),
             provenance=(
                 "normal-crossing pair of a double and a simple line; nearby class "
                 "1 - L by the connected-fiber computation, spectrum t; consistent "
@@ -462,7 +343,7 @@ def fixtures() -> list:
     out.append(
         Fixture(
             name="cusp",
-            datum=cusp_datum(),
+            datum=fixture_datum("cusp"),
             provenance=(
                 "three point blowups of x^2 + y^3; multiplicities (2,3,6), "
                 "discrepancies (2,3,5); connected degree-6 cover over the central "
@@ -474,11 +355,14 @@ def fixtures() -> list:
             rederive=_rederive_cusp,
         )
     )
+    # Point blowups of y(x^2 + y^(N-1)): one for N = 3 (three transverse
+    # lines), two for N = 2 and 5, three for N = 4 (exceptional chain with
+    # (multiplicity, discrepancy) = (3,2), (4,3), (8,5)).
     for N in (2, 3, 4, 5):
         out.append(
             Fixture(
                 name=f"d_curve_N{N}",
-                datum=d_curve_datum(N),
+                datum=fixture_datum(f"d_curve_N{N}"),
                 provenance=(
                     f"embedded resolution of y(x^2 + y^{N-1}) by point blowups; "
                     "covers over rational strata from the cyclic-cover rule; the "
@@ -493,7 +377,7 @@ def fixtures() -> list:
     out.append(
         Fixture(
             name="x2y_y_joint",
-            datum=x2y_y_joint_datum(),
+            datum=fixture_datum("x2y_y_joint"),
             provenance=(
                 "joint normal-crossing datum of (x^2 y, y); zero_locus_nearby is "
                 "the unit: the zero locus is two smooth lines, the second function "

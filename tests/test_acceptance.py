@@ -25,15 +25,11 @@ from hodgespec.resolution import (
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor
 from hodgespec.workbench import (
     TransversalBranch,
-    cusp_datum,
-    d_curve_datum,
+    fixture_datum,
     iterated_vanishing,
-    monomial_datum,
     quasihomogeneous_spectrum,
     steenbrink_check,
     steenbrink_conjecture_rhs,
-    x2y_datum,
-    x2y_y_joint_datum,
 )
 
 t = Spectrum.monomial
@@ -67,7 +63,7 @@ def test_criterion_1_power_family():
     with criterion(1, "x^a family, a = 2..8: spectrum formula and jet-count oracle"):
         start = time.perf_counter()
         for a in range(2, 9):
-            datum = monomial_datum((a,))
+            datum = fixture_datum(f"x{a}")
             spectrum = hodge_spectrum(vanishing_cycles(datum))
             assert spectrum == Spectrum([(F(k, a), 1) for k in range(1, a)])
             assert zeta_series(datum).expand(30) == jet_count_zeta((a,), 30)
@@ -77,7 +73,7 @@ def test_criterion_1_power_family():
 
 def test_criterion_2_cusp_cross_validation():
     with criterion(2, "cusp: resolution pipeline equals the join pipeline"):
-        engine = hodge_spectrum(vanishing_cycles(cusp_datum()))
+        engine = hodge_spectrum(vanishing_cycles(fixture_datum("cusp")))
         join = quasihomogeneous_spectrum((2, 3))
         assert engine == join == t(F(5, 6)) + t(F(7, 6))
 
@@ -157,13 +153,13 @@ def test_criterion_6_cone_suite():
 
 def test_criterion_7_steenbrink_end_to_end():
     with criterion(7, "power perturbations of x^2 y: spectrum jump equals both closed forms"):
-        sp_f = hodge_spectrum(vanishing_cycles(x2y_datum()))
-        joint = x2y_y_joint_datum()
+        sp_f = hodge_spectrum(vanishing_cycles(fixture_datum("x2y")))
+        joint = fixture_datum("x2y_y_joint")
         phi_iter = iterated_vanishing(joint)
         threshold = multiplicity_ratio(joint)
         branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1, m=1)
         for N in (3, 4, 5):
-            sp_fg = hodge_spectrum(vanishing_cycles(d_curve_datum(N)))
+            sp_fg = hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}")))
             # transversal-data route
             assert sp_fg - sp_f == steenbrink_conjecture_rhs([branch], N)
             # folded iterated-class route, in the conjecture's orientation

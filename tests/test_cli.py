@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from hodgespec import workbench
 from hodgespec.cli import main
 from hodgespec.resolution import datum_to_dict, load_datum
 from hodgespec.workbench import fixtures
@@ -147,15 +148,49 @@ def test_input_errors(capsys, tmp_path):
         assert code == 2
         assert f"bad_class.json{field}" in err
 
+    # A class field that is not a list, and a stratum component id that is
+    # not a string, name their field path instead of raising a TypeError.
+    def shipped(name):
+        return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
+    base, explicit, ids, joint = (shipped(n) for n in ("x2.json",) * 3 + ("x2y_y_joint.json",))
+    base["strata"][0]["base_class"] = 5
+    del explicit["strata"][0]["base_class"]
+    explicit["strata"][0]["cover"] = {"explicit": 5}
+    ids["strata"][0]["components"] = [["x1"]]
+    joint["zero_locus_nearby"] = 5
+    for command, flag, data, message in (
+        ("spectrum", "--datum", base, "strata[0].base_class: expected a list"),
+        ("spectrum", "--datum", explicit, "strata[0].cover.explicit: expected a list"),
+        ("iterated", "--joint", joint, "zero_locus_nearby: expected a list"),
+        ("spectrum", "--datum", ids, "strata[0].components[0]: expected string"),
+    ):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(capsys, command, flag, str(malformed))
+        assert code == 2
+        assert message in err
+
+
+def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):
+    # An installed copy outside a checkout has no fixtures/ next to src/.
+    monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path / "missing")
+    for argv in (("fixtures",), ("check", "--suite", "steenbrink")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "missing" in err and "x2.json" in err
+
 
 def test_shipped_fixture_files_match_builders():
+    # Every registered fixture has its file, every file is in canonical
+    # form, and every file is a registered fixture or a class file.
     shipped = {p.name for p in FIXTURES.glob("*.json")}
-    for fx in fixtures():
-        name = fx.name.replace("^", "") + ".json"
-        assert name in shipped, f"fixture file {name} not shipped"
+    registered = {fx.name.replace("^", "") + ".json" for fx in fixtures()}
+    assert registered <= shipped, registered - shipped
+    assert shipped - registered <= {"class_x2.json", "class_x3.json"}
+    for name in registered:
         on_disk = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
-        assert on_disk == datum_to_dict(fx.datum), name
-        assert load_datum(str(FIXTURES / name)) == fx.datum
+        assert on_disk == datum_to_dict(load_datum(str(FIXTURES / name))), name
 
 
 def test_fixture_write_roundtrip(capsys, tmp_path):

@@ -22,11 +22,10 @@ from hodgespec.resolution import (
 )
 from hodgespec.series import RationalSeries as RS
 from hodgespec.workbench import (
+    fixture_datum,
     monomial_datum,
     product_joint_datum,
     smooth_point_datum,
-    x2y_datum,
-    x2y_y_joint_datum,
 )
 
 mono = MC.monomial
@@ -138,7 +137,7 @@ def test_iterated_transverse_pair():
 
 
 def test_iterated_x2y_y():
-    got = iterated_nearby(x2y_y_joint_datum())
+    got = iterated_nearby(fixture_datum("x2y_y_joint"))
     assert got == mono(2, (0, 0), 0, 0) + mono(2, (F(1, 2), F(1, 2)), 0, 0)
 
 
@@ -162,8 +161,8 @@ def test_iterated_product_type_is_box():
 def test_schema_roundtrip():
     for datum in (
         monomial_datum((3,)),
-        x2y_datum(),
-        x2y_y_joint_datum(),
+        fixture_datum("x2y"),
+        fixture_datum("x2y_y_joint"),
         product_joint_datum(2, 3),
     ):
         again = datum_from_dict(json.loads(json.dumps(datum_to_dict(datum))))

@@ -1,7 +1,10 @@
+import json
+import shutil
 from fractions import Fraction as F
 
 import pytest
 
+from hodgespec import workbench
 from hodgespec.convolution import collapse_pair, power_pushforward
 from hodgespec.monclass import MonodromicClass as MC, hodge_spectrum
 from hodgespec.oracles import p1_cover_class, stratum_cover_class
@@ -9,8 +12,7 @@ from hodgespec.resolution import multiplicity_ratio, vanishing_cycles
 from hodgespec.spectra import Spectrum
 from hodgespec.workbench import (
     TransversalBranch,
-    cusp_datum,
-    d_curve_datum,
+    fixture_datum,
     fixtures,
     iterated_vanishing,
     one_variable_vanishing,
@@ -18,8 +20,6 @@ from hodgespec.workbench import (
     steenbrink_check,
     steenbrink_conjecture_rhs,
     thom_sebastiani,
-    x2y_datum,
-    x2y_y_joint_datum,
 )
 
 t = Spectrum.monomial
@@ -49,7 +49,7 @@ def test_quasihomogeneous_spectrum():
 
 
 def test_cusp_two_pipelines():
-    engine = hodge_spectrum(vanishing_cycles(cusp_datum()))
+    engine = hodge_spectrum(vanishing_cycles(fixture_datum("cusp")))
     join = quasihomogeneous_spectrum((2, 3))
     assert engine == join == t(F(5, 6)) + t(F(7, 6))
 
@@ -62,13 +62,71 @@ def test_d_curve_spectra():
         5: t(F(3, 5)) + t(F(4, 5)) + 2 * t(1) + t(F(6, 5)) + t(F(7, 5)),
     }
     for N, spectrum in expected.items():
-        assert hodge_spectrum(vanishing_cycles(d_curve_datum(N))) == spectrum
-    with pytest.raises(ValueError):
-        d_curve_datum(6)
+        assert hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}"))) == spectrum
+    with pytest.raises(FileNotFoundError):
+        fixture_datum("d_curve_N6")
+
+
+def _weighted_homogeneous_spectrum(weights, basis):
+    """A Milnor-basis monomial prod x_i^(m_i) of a weighted-homogeneous
+    isolated germ contributes t^(sum (m_i + 1) w_i)."""
+    return Spectrum(
+        [(sum((m + 1) * w for m, w in zip(mono, weights)), 1) for mono in basis]
+    )
+
+
+def test_d_curve_spectra_match_weighted_homogeneous_formula():
+    # x^2 y + y^N has weights ((N-1)/(2N), 1/N) and Milnor basis
+    # 1, y, ..., y^(N-1), x.
+    registry = {fx.name: fx for fx in fixtures()}
+    for N in (2, 3, 4, 5):
+        weights = (F(N - 1, 2 * N), F(1, N))
+        basis = [(0, j) for j in range(N)] + [(1, 0)]
+        expect = _weighted_homogeneous_spectrum(weights, basis)
+        assert hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}"))) == expect
+        assert registry[f"d_curve_N{N}"].expected_spectrum == expect
+
+
+# Local isolated one-function fixtures: (dimension, Milnor number in closed
+# form).  x2y is left out because its singular locus is not isolated.
+LOCAL_ISOLATED = {
+    **{f"x{a}": (1, a - 1) for a in range(2, 9)},
+    "cusp": (2, 2),
+    **{f"d_curve_N{N}": (2, N + 1) for N in (2, 3, 4, 5)},
+}
+
+
+def test_local_isolated_fixture_invariants():
+    for name, (d, milnor) in LOCAL_ISOLATED.items():
+        datum = fixture_datum(name)
+        assert datum.dimension == d, name
+        sp = hodge_spectrum(vanishing_cycles(datum))
+        assert sp.mass() == milnor, name
+        for exponent, mult in sp.terms():
+            assert 0 < exponent < d, name
+            assert sp.coefficient(d - exponent) == mult, name
+
+
+def test_rederive_hooks_read_the_shipped_files(tmp_path, monkeypatch):
+    # Adding 1 to one multiplicity of a shipped explicit cover must make
+    # that fixture's rederive hook report a failure.
+    for source in workbench.FIXTURE_DIR.glob("*.json"):
+        shutil.copy(source, tmp_path)
+    monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path)
+    for name in ("cusp", "d_curve_N2", "d_curve_N3", "d_curve_N4", "d_curve_N5"):
+        path = tmp_path / f"{name}.json"
+        shipped = path.read_text(encoding="utf-8")
+        data = json.loads(shipped)
+        explicit = next(st["cover"]["explicit"] for st in data["strata"] if st["cover"] != "split")
+        explicit[0][-1] += 1
+        path.write_text(json.dumps(data), encoding="utf-8")
+        hook = next(fx.rederive for fx in fixtures() if fx.name == name)
+        assert not all(ok for _name, ok in hook()), name
+        path.write_text(shipped, encoding="utf-8")
 
 
 def test_iterated_vanishing_requires_correction():
-    joint = x2y_y_joint_datum()
+    joint = fixture_datum("x2y_y_joint")
     got = iterated_vanishing(joint)
     assert got == -mono(2, (F(1, 2), F(1, 2)), 0, 0)
     stripped = type(joint)(
@@ -79,34 +137,34 @@ def test_iterated_vanishing_requires_correction():
 
 
 def test_steenbrink_check_and_conjecture_rhs():
-    sp_f = hodge_spectrum(vanishing_cycles(x2y_datum()))
+    sp_f = hodge_spectrum(vanishing_cycles(fixture_datum("x2y")))
     assert sp_f == t(1)
-    joint = x2y_y_joint_datum()
+    joint = fixture_datum("x2y_y_joint")
     phi_iter = iterated_vanishing(joint)
     threshold = multiplicity_ratio(joint)
     assert threshold == 1
     branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1, m=1)
     for N in (2, 3, 4, 5):
-        sp_fg = hodge_spectrum(vanishing_cycles(d_curve_datum(N)))
+        sp_fg = hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}")))
         report = steenbrink_check(sp_f, sp_fg, phi_iter, N, threshold)
         assert report.hypothesis_ok and report.equal
         assert sp_fg - sp_f == steenbrink_conjecture_rhs([branch], N)
 
 
 def test_steenbrink_class_level_identity():
-    joint = x2y_y_joint_datum()
+    joint = fixture_datum("x2y_y_joint")
     phi_iter = iterated_vanishing(joint)
-    phi_f = vanishing_cycles(x2y_datum())
+    phi_f = vanishing_cycles(fixture_datum("x2y"))
     for N in (2, 3, 4, 5):
-        phi_fg = vanishing_cycles(d_curve_datum(N))
+        phi_fg = vanishing_cycles(fixture_datum(f"d_curve_N{N}"))
         assert phi_f - phi_fg == collapse_pair(power_pushforward(phi_iter, 2, N))
 
 
 def test_steenbrink_out_of_hypothesis_reported():
     # N = 1: the perturbed function is smooth at the origin, spectrum 0.
-    joint = x2y_y_joint_datum()
+    joint = fixture_datum("x2y_y_joint")
     report = steenbrink_check(
-        hodge_spectrum(vanishing_cycles(x2y_datum())),
+        hodge_spectrum(vanishing_cycles(fixture_datum("x2y"))),
         Spectrum.zero(),
         iterated_vanishing(joint),
         1,
@@ -131,7 +189,7 @@ def test_conjecture_rhs_examples():
 
 def test_stratum_cover_rule_degenerates_to_split():
     # Simply connected stratum: the cover rule reproduces base * fiber.
-    datum = cusp_datum()
+    datum = fixture_datum("cusp")
     assert datum.stratum_class(datum.strata[0], ("g",)) == stratum_cover_class(2, (6,))
     assert stratum_cover_class(4, (8,)) == MC.lefschetz(1) * MC(
         1, [(((F(k, 4),), 0, 0), 1) for k in range(4)]
