@@ -59,8 +59,6 @@ def _load_class1(path):
             data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
-    if not isinstance(data, list):
-        raise InputError(f"{path}: expected a JSON list of monomials")
     try:
         return _classr_from_json(data, 1, path)
     except (SchemaError, ValueError) as exc:

@@ -31,26 +31,23 @@ one monodromy slot: an eigenvalue residue b fans out to the N residues
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .monclass import MonodromicClass, box
-from .spectra import _merge
+from .spectra import Pair, _merge, _reduced
 
 
-def _collapse_key(a: Fraction, b: Fraction):
+def _collapse_key(a: Pair, b: Pair):
     """Table row for one residue pair: (new eigenvalue, dp, dq)."""
-    if a == 0 and b == 0:
-        return Fraction(0), 0, 0
-    if b == 0:
+    (an, ad), (bn, bd) = a, b
+    if bn == 0:  # also the (0, 0) row: a is then (0, 1)
         return a, 0, 0
-    if a == 0:
+    if an == 0:
         return b, 0, 0
-    s = a + b
-    if s == 1:
-        return Fraction(0), 1, 1
-    if s < 1:
-        return s, 0, 1
-    return s - 1, 1, 0
+    n, m = an * bd + bn * ad, ad * bd
+    if n == m:
+        return (0, 1), 1, 1
+    if n < m:
+        return _reduced(n, m), 0, 1
+    return _reduced(n - m, m), 1, 0
 
 
 def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
@@ -100,9 +97,9 @@ def power_pushforward(x: MonodromicClass, slot: int, N: int) -> MonodromicClass:
         raise ValueError("N must be a positive integer")
     out: dict = {}
     for (evs, p, q), mult in x._terms.items():
-        b = evs[slot - 1]
+        bn, bd = evs[slot - 1]
         for j in range(N):
             # b < 1, so (b + j) / N is already a residue in [0, 1).
-            new = evs[: slot - 1] + ((b + j) / N,) + evs[slot:]
+            new = evs[: slot - 1] + (_reduced(bn + j * bd, bd * N),) + evs[slot:]
             _merge(out, (new, p, q), mult)
     return MonodromicClass._trusted(x.arity, out)

@@ -3,7 +3,9 @@
 A class of arity k is a finitely supported Z-combination of monomials
 keyed by (eigenvalues, p, q): a k-tuple of rational residues in [0, 1)
 recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
-automorphisms, and a Hodge bidegree.  Multiplication is the group-ring
+automorphisms, and a Hodge bidegree.  Each residue is stored as a reduced
+int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
+``terms()`` returns them as Fractions.  Multiplication is the group-ring
 product (eigenvalues add mod 1, bidegrees add), which realizes the tensor
 product of Hodge structures with automorphisms.  The distinguished class
 ``L`` (all-zero eigenvalues, bidegree (1, 1)) is the Lefschetz motive; it
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .lattice import rational_solve, smith_normal_form, snf_divisors
@@ -31,11 +34,19 @@ from .spectra import (
     _ArityMap,
     _items,
     _merge,
+    _pair,
+    _reduced,
     _render_frac,
     _render_terms,
+    _to_frac,
     frac,
-    mod1,
 )
+
+
+# torus_fiber_class enumerates one character per element of the torsion
+# group of Z^m / rows, whose order is the product of the elementary
+# divisors; a larger group is refused up front instead of enumerated.
+MAX_TORUS_CHARACTERS = 250_000
 
 
 class MonodromicClass(_ArityMap):
@@ -49,9 +60,10 @@ class MonodromicClass(_ArityMap):
         self.arity = arity
         data: dict[tuple, int] = {}
         for (evs, p, q), mult in _items(terms):
-            evs = tuple(mod1(e) for e in evs)
+            evs = tuple(_pair(e, residue=True) for e in evs)
             if len(evs) != arity:
-                raise ValueError(f"eigenvalue tuple {evs} has wrong arity (want {arity})")
+                shown = tuple(map(_to_frac, evs))
+                raise ValueError(f"eigenvalue tuple {shown} has wrong arity (want {arity})")
             _merge(data, (evs, int(p), int(q)), int(mult))
         self._terms = data
 
@@ -59,6 +71,11 @@ class MonodromicClass(_ArityMap):
     def _key_mul(k1, k2):
         (e1, p1, q1), (e2, p2, q2) = k1, k2
         return tuple(map(_add_mod1, e1, e2)), p1 + p2, q1 + q2
+
+    @staticmethod
+    def _key_view(key):
+        evs, p, q = key
+        return tuple(map(_to_frac, evs)), p, q
 
     @classmethod
     def zero(cls, arity: int) -> "MonodromicClass":
@@ -78,7 +95,7 @@ class MonodromicClass(_ArityMap):
         return cls.monomial(arity, (0,) * arity, power, power)
 
     def coefficient(self, evs, p, q) -> int:
-        key = (tuple(mod1(e) for e in evs), int(p), int(q))
+        key = (tuple(_pair(e, residue=True) for e in evs), int(p), int(q))
         return self._terms.get(key, 0)
 
     def __pow__(self, n: int) -> "MonodromicClass":
@@ -111,7 +128,7 @@ def embed(x: MonodromicClass, arity: int, slots) -> MonodromicClass:
         raise ValueError("slots must be distinct and within range")
     out = {}
     for (evs, p, q), mult in x._terms.items():
-        new = [Fraction(0)] * arity
+        new = [(0, 1)] * arity
         for s, e in zip(slots, evs):
             new[s - 1] = e
         out[(tuple(new), p, q)] = mult  # distinct slots: keys stay distinct
@@ -136,9 +153,10 @@ def hodge_spectrum(x: MonodromicClass) -> Spectrum:
     """
     if x.arity != 1:
         raise ValueError("hodge_spectrum needs an arity-1 class")
-    out: dict[Fraction, int] = {}
-    for ((a,), p, _q), mult in x._terms.items():
-        _merge(out, a + p, mult)
+    out: dict[tuple, int] = {}
+    for (((n, d),), p, _q), mult in x._terms.items():
+        # n / d + p; already reduced, since gcd(n + p * d, d) = gcd(n, d).
+        _merge(out, (n + p * d, d), mult)
     return Spectrum._trusted(out)
 
 
@@ -166,7 +184,8 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
 
     which is independent of the solution choices: two solutions differ by a
     rational kernel vector, and torsion characters pair integrally with the
-    kernel.
+    kernel.  A torsion group of more than ``MAX_TORUS_CHARACTERS`` elements
+    raises ``ValueError``.
     """
     M = [list(map(int, row)) for row in rows]
     r = len(M)
@@ -180,6 +199,11 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     divisors = snf_divisors(D)
     if len(divisors) != r:
         raise ValueError("exponent matrix is rank deficient")
+    if prod(divisors) > MAX_TORUS_CHARACTERS:
+        raise ValueError(
+            f"torus fiber of {M} has {prod(divisors)} characters, "
+            f"more than MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS}"
+        )
 
     if thetas is None:
         thetas = []
@@ -199,12 +223,16 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
 
     # Torsion characters of Z^m / rows: in the V-coordinates they are the
     # tuples (c_1..c_r, 0..0) with 0 <= c_i < d_i; back in the standard
-    # basis the character is (c, 0) * Vinv.
+    # basis the character is (c, 0) * Vinv.  Theta i is written over one
+    # denominator, so an eigenvalue is an integer residue mod dens[i].
+    dens = [lcm(*(t.denominator for t in theta)) for theta in thetas]
+    nums = [[t.numerator * (den // t.denominator) for t in theta] for theta, den in zip(thetas, dens)]
     result: dict[tuple, int] = {}
     for cs in itertools.product(*(range(d) for d in divisors)):
         chi = [sum(cs[i] * Vinv[i][j] for i in range(len(cs))) for j in range(m)]
         evs = tuple(
-            mod1(sum(chi[j] * thetas[i][j] for j in range(m))) for i in range(r)
+            _reduced(sum(c * t for c, t in zip(chi, num_i)) % den, den)
+            for num_i, den in zip(nums, dens)
         )
         _merge(result, (evs, 0, 0), 1)
     cls = MonodromicClass._trusted(r, result)

@@ -16,7 +16,6 @@ products, for which that is the defining formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
@@ -120,7 +119,7 @@ class RationalSeries(_ArityMap):
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
         arity = self.arity
-        zeros = (Fraction(0),) * arity
+        zeros = ((0, 1),) * arity
         total = TruncatedPoly._trusted(arity, {})
         for factors, coef in self._terms.items():
             poly = TruncatedPoly._trusted(arity, {0: coef})

@@ -8,8 +8,8 @@ through the subclass's key product, equality, hashing and the sorted term
 list.  ``_ArityMap`` adds a fixed arity that operands must share.
 
 One rule keeps the keys canonical without normalising them twice: only the
-public constructors normalise (``frac``, ``mod1``, ``int``).  A result whose
-keys are canonical by construction -- a ring operation, a morphism such as
+public constructors normalise (``_pair``, ``int``).  A result whose keys
+are canonical by construction -- a ring operation, a morphism such as
 ``fold_bispectrum`` -- is wrapped as is by the trusted constructor
 ``_trusted``.
 
@@ -17,8 +17,16 @@ A spectrum here is a finitely supported integer combination of monomials
 ``t^a`` with rational exponent ``a``, i.e. an element of the group ring of
 (Q, +).  Its two-variable companion is graded by a pair of residues mod 1
 together with an integer: monomials ``t^a u^b v^c`` with ``a, b`` in
-Q/Z and ``c`` in Z.  All arithmetic is exact; exponents are
-``fractions.Fraction`` values kept in lowest terms.
+Q/Z and ``c`` in Z.  All arithmetic is exact.
+
+Inside a key every rational is stored as a reduced pair of ints
+``(num, den)``: ``den > 0`` and ``gcd(num, den) == 1``, and a residue mod 1
+also has ``0 <= num < den``.  Keys then hash and compare as plain ints.
+``_reduced`` makes the key pair of n / d with one ``math.gcd``;
+``_pair_add`` and ``_add_mod1`` add two keys through it.  The public API
+speaks ``Fraction``: constructors and ``coefficient`` take any
+``FracLike``, and ``terms()`` hands keys back as ``fractions.Fraction``
+values in ascending rational order.
 
 The folding maps between the two rings send ``t^a u^b v^c`` to
 ``t^{s(a) + s(b)/N + c}`` where ``s`` picks the canonical representative of
@@ -29,10 +37,13 @@ compare one- and two-monodromy spectra.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd
+from operator import itemgetter
 from typing import Iterable, Mapping, Tuple, Union
 
 FracLike = Union[Fraction, int, str, Tuple[int, int]]
+# A rational inside a ring key: (num, den), den > 0, gcd(num, den) == 1.
+Pair = Tuple[int, int]
 
 
 def frac(value: FracLike, den: int | None = None) -> Fraction:
@@ -49,10 +60,36 @@ def mod1(x: FracLike) -> Fraction:
     return frac(x) % 1
 
 
-def _add_mod1(a: Fraction, b: Fraction) -> Fraction:
-    """Sum of two canonical residues, reduced back into [0, 1)."""
-    s = a + b
-    return s - 1 if s >= 1 else s
+def _pair(value: FracLike, residue: bool = False) -> Pair:
+    """Reduced key pair of a FracLike; with ``residue``, of its residue mod 1
+    (still reduced: gcd(n mod d, d) = gcd(n, d))."""
+    x = value if isinstance(value, Fraction) else frac(value)
+    n, d = x.numerator, x.denominator
+    return (n % d if residue else n), d
+
+
+def _reduced(n: int, d: int) -> Pair:
+    """The key pair of n / d, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _pair_add(x: Pair, y: Pair) -> Pair:
+    """Sum of two reduced pairs, reduced."""
+    (a, b), (c, d) = x, y
+    return _reduced(a * d + c * b, b * d)
+
+
+def _add_mod1(x: Pair, y: Pair) -> Pair:
+    """Sum of two canonical residue pairs, reduced back into [0, 1)."""
+    (a, b), (c, d) = x, y
+    n, m = a * d + c * b, b * d
+    return _reduced(n - m if n >= m else n, m)
+
+
+def _to_frac(x: Pair) -> Fraction:
+    """The Fraction a key pair stands for."""
+    return Fraction(x[0], x[1])
 
 
 def _items(terms):
@@ -96,7 +133,8 @@ class _SparseMap:
 
     A subclass supplies its public constructor (the only place its keys are
     normalised), ``_key_mul`` (the product of two keys, canonical when both
-    are) and ``render``.  ``_scalars`` lists the types ``*`` treats as
+    are), ``_key_view`` (a stored key in its public form, for ``terms()``)
+    and ``render``.  ``_scalars`` lists the types ``*`` treats as
     coefficient scalars.
     """
 
@@ -116,9 +154,16 @@ class _SparseMap:
     def _check(self, other) -> None:
         pass
 
+    @staticmethod
+    def _key_view(key):
+        return key
+
     def terms(self):
-        """Term list sorted by ascending key."""
-        return tuple(sorted(self._terms.items()))
+        """Term list with keys in their public form, sorted by ascending key."""
+        view = self._key_view
+        # Keys are distinct, so the sort never needs to compare coefficients.
+        items = ((view(key), coef) for key, coef in self._terms.items())
+        return tuple(sorted(items, key=itemgetter(0)))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -208,12 +253,13 @@ class Spectrum(_SparseMap):
     """
 
     __slots__ = ()
-    _key_mul = staticmethod(add)
+    _key_mul = staticmethod(_pair_add)
+    _key_view = staticmethod(_to_frac)
 
     def __init__(self, terms: Mapping[FracLike, int] | Iterable = ()):
-        data: dict[Fraction, int] = {}
+        data: dict[Pair, int] = {}
         for exp, mult in _items(terms):
-            _merge(data, frac(exp), int(mult))
+            _merge(data, _pair(exp), int(mult))
         self._terms = data
 
     @classmethod
@@ -229,7 +275,7 @@ class Spectrum(_SparseMap):
         return cls([(exponent, mult)])
 
     def coefficient(self, exponent: FracLike) -> int:
-        return self._terms.get(frac(exponent), 0)
+        return self._terms.get(_pair(exponent), 0)
 
     def mass(self) -> int:
         """Sum of multiplicities (the virtual rank)."""
@@ -237,7 +283,7 @@ class Spectrum(_SparseMap):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self._terms == ({Fraction(0): other} if other else {})
+            return self._terms == ({_pair(0): other} if other else {})
         return super().__eq__(other)
 
     __hash__ = _SparseMap.__hash__
@@ -260,13 +306,18 @@ class BiSpectrum(_SparseMap):
     def __init__(self, terms: Mapping | Iterable = ()):
         data: dict[tuple, int] = {}
         for (a, b, c), mult in _items(terms):
-            _merge(data, (mod1(a), mod1(b), int(c)), int(mult))
+            _merge(data, (_pair(a, residue=True), _pair(b, residue=True), int(c)), int(mult))
         self._terms = data
 
     @staticmethod
     def _key_mul(k1, k2):
         (a1, b1, c1), (a2, b2, c2) = k1, k2
         return _add_mod1(a1, a2), _add_mod1(b1, b2), c1 + c2
+
+    @staticmethod
+    def _key_view(key):
+        a, b, c = key
+        return _to_frac(a), _to_frac(b), c
 
     @classmethod
     def zero(cls) -> "BiSpectrum":
@@ -281,7 +332,7 @@ class BiSpectrum(_SparseMap):
         return cls([((a, b, c), mult)])
 
     def coefficient(self, a: FracLike, b: FracLike, c: int) -> int:
-        return self._terms.get((mod1(a), mod1(b), int(c)), 0)
+        return self._terms.get((_pair(a, residue=True), _pair(b, residue=True), int(c)), 0)
 
     def render(self) -> str:
         def mono(key):
@@ -300,9 +351,10 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    out: dict[Fraction, int] = {}
-    for (a, b, c), mult in x._terms.items():
-        _merge(out, a + b / N + c, mult)
+    out: dict[Pair, int] = {}
+    for ((an, ad), (bn, bd), c), mult in x._terms.items():
+        den = ad * bd * N
+        _merge(out, _reduced(an * bd * N + bn * ad + c * den, den), mult)
     return Spectrum._trusted(out)
 
 
@@ -310,7 +362,7 @@ def geometric_factor(m: int) -> Spectrum:
     """The exact expansion (1 - t) / (1 - t^(1/m)) = sum_{i<m} t^(i/m)."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return Spectrum._trusted({Fraction(i, m): 1 for i in range(m)})
+    return Spectrum._trusted({_reduced(i, m): 1 for i in range(m)})
 
 
 def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
@@ -322,11 +374,13 @@ def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
     """
     if m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
-    gf = geometric_factor(m * N)
-    total = Spectrum.zero()
+    steps = geometric_factor(m * N)._terms
+    out: dict[Pair, int] = {}
     for alpha, beta in pairs:
         alpha, beta = frac(alpha), frac(beta)
         if not 0 <= beta < 1:
             raise ValueError(f"vertical residue {beta} outside [0, 1)")
-        total = total + Spectrum.monomial(alpha + Fraction(beta, m * N)) * gf
-    return total
+        shift = _pair(alpha + beta / (m * N))
+        for step in steps:
+            _merge(out, _pair_add(shift, step), 1)
+    return Spectrum._trusted(out)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from hodgespec import workbench
@@ -148,6 +149,15 @@ def test_input_errors(capsys, tmp_path):
         assert code == 2
         assert f"bad_class.json{field}" in err
 
+    # A class file must hold a JSON list; an object names the file.
+    object_class = tmp_path / "object_class.json"
+    object_class.write_text(json.dumps({"terms": [[[1, 2], 0, 0, 1]]}), encoding="utf-8")
+    code, _, err = run(
+        capsys, "convolve", "--left", str(object_class), "--right", str(FIXTURES / "class_x3.json")
+    )
+    assert code == 2
+    assert f"{object_class}: expected a list" in err
+
     # A class field that is not a list, and a stratum component id that is
     # not a string, name their field path instead of raising a TypeError.
     def shipped(name):
@@ -170,6 +180,20 @@ def test_input_errors(capsys, tmp_path):
         code, _, err = run(capsys, command, flag, str(malformed))
         assert code == 2
         assert message in err
+
+
+def test_oversized_torus_fiber_fails_fast(capsys, tmp_path):
+    # A split stratum of multiplicity 10^6 would enumerate 10^6 characters.
+    data = json.loads((FIXTURES / "x2.json").read_text(encoding="utf-8"))
+    data["components"][0]["Ng"] = 1000000
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (("spectrum", "--datum", str(huge)), ("zeta", "--datum", str(huge), "--truncate", "3")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "1000000 characters" in err and "MAX_TORUS_CHARACTERS" in err
 
 
 def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):

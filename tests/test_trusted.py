@@ -2,13 +2,19 @@
 
 Ring operations and the morphisms between rings wrap their term dicts
 without re-normalising them.  A non-canonical key (a residue outside
-[0, 1), an int where a Fraction belongs) would silently break equality, so
-every such result is rebuilt through its public constructor here and must
-come back with the same term map.
+[0, 1), an unreduced (num, den) pair, a Fraction where a pair belongs)
+would silently break equality, so every such result is rebuilt through its
+public constructor here and must come back with the same term map.
+
+The property tests at the end recompute every pair-keyed operation with
+plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
 """
 
 import random
 from fractions import Fraction as F
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
 
 from hodgespec.cones import GE, GT, Cone, lattice_series
 from hodgespec.convolution import collapse_pair, power_pushforward
@@ -24,13 +30,21 @@ from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor
 
 
+def _rational(x):
+    """A reduced key pair: int num and den, den > 0, gcd(num, den) == 1."""
+    return (
+        type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+        and x[1] > 0 and gcd(*x) == 1
+    )
+
+
 def _residue(x):
-    return type(x) is F and 0 <= x < 1
+    return _rational(x) and 0 <= x[0] < x[1]
 
 
 def _canonical_key(obj, key):
     if isinstance(obj, Spectrum):
-        return type(key) is F
+        return _rational(key)
     if isinstance(obj, BiSpectrum):
         a, b, c = key
         return _residue(a) and _residue(b) and type(c) is int
@@ -135,3 +149,133 @@ def test_trusted_results_are_canonical():
 
     cone = Cone(2, (((1, -1), GE), ((2, 1), GT)))
     assert_canonical(lattice_series(cone, (1, 2), (1, 1), 12))
+
+
+# ---------------------------------------------------------------------------
+# Pair keys against Fraction arithmetic.
+# ---------------------------------------------------------------------------
+#
+# The oracle works on ``terms()`` (Fraction keys) with plain Fraction key
+# arithmetic; ``_collapse_key`` below is the collapse table in Fractions.
+
+
+def _collapse_key(a, b):
+    if a == 0 and b == 0:
+        return F(0), 0, 0
+    if b == 0:
+        return a, 0, 0
+    if a == 0:
+        return b, 0, 0
+    s = a + b
+    if s == 1:
+        return F(0), 1, 1
+    if s < 1:
+        return s, 0, 1
+    return s - 1, 1, 0
+
+
+def _add_mod1(a, b):
+    s = a + b
+    return s - 1 if s >= 1 else s
+
+
+def _ref(pairs):
+    """Term map of (key, coefficient) pairs, like keys summed, zeros dropped."""
+    out = {}
+    for key, coef in pairs:
+        out[key] = out.get(key, 0) + coef
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(x, y, key_mul):
+    return _ref((key_mul(k1, k2), c1 * c2) for k1, c1 in x.terms() for k2, c2 in y.terms())
+
+
+def _same(obj, ref):
+    """obj holds canonical keys and its sorted terms() equal the oracle's."""
+    assert_canonical(obj)
+    assert obj.terms() == tuple(sorted(ref.items()))
+
+
+PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+DENS = st.integers(1, 60)
+RESIDUES = DENS.flatmap(lambda d: st.integers(0, d - 1).map(lambda n: F(n, d)))
+RATIONALS = st.builds(F, st.integers(-180, 180), DENS)
+SMALL = st.integers(-3, 3)
+
+
+def _eigentuples(arity):
+    plain = st.tuples(*[RESIDUES] * arity)
+    if arity < 2:
+        return plain
+    # Often make slots 1 and 2 sum to 1: the (0, 1, 1) row of the collapse
+    # table needs a + b == 1 exactly.
+    return st.one_of(plain, plain.map(lambda e: (e[0], (1 - e[0]) % 1) + e[2:]))
+
+
+def _classes(arity):
+    term = st.tuples(st.tuples(_eigentuples(arity), SMALL, SMALL), SMALL)
+    return st.lists(term, max_size=8).map(lambda terms: MC(arity, terms))
+
+
+SPECTRA = st.lists(st.tuples(RATIONALS, SMALL), max_size=8).map(Spectrum)
+BISPECTRA = st.lists(st.tuples(st.tuples(RESIDUES, RESIDUES, SMALL), SMALL), max_size=8).map(BiSpectrum)
+
+
+@PROPERTY
+@given(SPECTRA, SPECTRA)
+def test_spectrum_pair_keys_match_fractions(x, y):
+    _same(x + y, _ref((*x.terms(), *y.terms())))
+    _same(x * y, _ref_mul(x, y, lambda a, b: a + b))
+
+
+@PROPERTY
+@given(BISPECTRA, BISPECTRA, st.integers(1, 6))
+def test_bispectrum_pair_keys_match_fractions(x, y, N):
+    _same(x + y, _ref((*x.terms(), *y.terms())))
+    _same(x * y, _ref_mul(
+        x, y, lambda k1, k2: (_add_mod1(k1[0], k2[0]), _add_mod1(k1[1], k2[1]), k1[2] + k2[2])
+    ))
+    _same(fold_bispectrum(x, N), _ref((a + b / N + c, m) for (a, b, c), m in x.terms()))
+
+
+@PROPERTY
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(_classes(k), _classes(k))))
+def test_class_ring_pair_keys_match_fractions(xy):
+    x, y = xy
+    _same(x + y, _ref((*x.terms(), *y.terms())))
+    _same(x * y, _ref_mul(x, y, lambda k1, k2: (
+        tuple(map(_add_mod1, k1[0], k2[0])), k1[1] + k2[1], k1[2] + k2[2]
+    )))
+    _same(box(x, y), _ref_mul(x, y, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])))
+
+
+@PROPERTY
+@given(st.data())
+def test_collapse_and_pushforward_pair_keys_match_fractions(data):
+    arity = data.draw(st.integers(2, 3))
+    x = data.draw(_classes(arity))
+    i = data.draw(st.integers(1, arity - 1))
+    j = data.draw(st.integers(i + 1, arity))
+
+    def collapsed(evs, p, q):
+        new, dp, dq = _collapse_key(evs[i - 1], evs[j - 1])
+        return evs[: i - 1] + (new,) + evs[i: j - 1] + evs[j:], p + dp, q + dq
+
+    _same(collapse_pair(x, (i, j)), _ref((collapsed(*key), m) for key, m in x.terms()))
+
+    slot, N = data.draw(st.integers(1, arity)), data.draw(st.integers(1, 5))
+    _same(power_pushforward(x, slot, N), _ref(
+        ((evs[: slot - 1] + ((evs[slot - 1] + k) / N,) + evs[slot:], p, q), m)
+        for (evs, p, q), m in x.terms()
+        for k in range(N)
+    ))
+
+
+@PROPERTY
+@given(_classes(1), _classes(2), st.integers(1, 6))
+def test_hodge_spectra_pair_keys_match_fractions(x1, x2, N):
+    _same(hodge_spectrum(x1), _ref((a + p, m) for ((a,), p, _q), m in x1.terms()))
+    two = hodge_spectrum2(x2)
+    _same(two, _ref(((a, b, p), m) for ((a, b), p, _q), m in x2.terms()))
+    _same(fold_bispectrum(two, N), _ref((a + b / N + p, m) for ((a, b), p, _q), m in x2.terms()))

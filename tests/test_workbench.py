@@ -125,6 +125,22 @@ def test_rederive_hooks_read_the_shipped_files(tmp_path, monkeypatch):
         path.write_text(shipped, encoding="utf-8")
 
 
+def test_cusp_rederive_reads_the_dual_graph(tmp_path, monkeypatch):
+    # The cover checks find the curve strata and their crossings in the
+    # dual graph, so listing the strata in another order changes nothing.
+    for source in workbench.FIXTURE_DIR.glob("*.json"):
+        shutil.copy(source, tmp_path)
+    monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path)
+    hook = next(fx.rederive for fx in fixtures() if fx.name == "cusp")
+    shipped = hook()
+    assert len(shipped) == 3 and all(ok for _name, ok in shipped)
+    path = tmp_path / "cusp.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for order in (data["strata"][::-1], data["strata"][3:] + data["strata"][:3]):
+        path.write_text(json.dumps({**data, "strata": order}), encoding="utf-8")
+        assert hook() == shipped
+
+
 def test_iterated_vanishing_requires_correction():
     joint = fixture_datum("x2y_y_joint")
     got = iterated_vanishing(joint)
