@@ -29,6 +29,7 @@ files follow the schema documented in ``hodgespec.resolution``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -171,7 +172,10 @@ def _cmd_check(args):
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="hodgespec",
         description="Exact Hodge spectra of hypersurface singularities from resolution data.",

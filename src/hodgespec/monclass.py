@@ -5,7 +5,8 @@ keyed by (eigenvalues, p, q): a k-tuple of rational residues in [0, 1)
 recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
 automorphisms, and a Hodge bidegree.  Each residue is stored as a reduced
 int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
-``terms()`` returns them as Fractions.  Multiplication is the group-ring
+``terms()`` returns them as Fractions, and ``render`` sorts and formats the
+pairs without that view.  Multiplication is the group-ring
 product (eigenvalues add mod 1, bidegrees add), which realizes the tensor
 product of Hodge structures with automorphisms.  The distinguished class
 ``L`` (all-zero eigenvalues, bidegree (1, 1)) is the Lefschetz motive; it
@@ -36,7 +37,7 @@ from .spectra import (
     _merge,
     _pair,
     _reduced,
-    _render_frac,
+    _render_pair,
     _render_terms,
     _to_frac,
     frac,
@@ -77,6 +78,11 @@ class MonodromicClass(_ArityMap):
         evs, p, q = key
         return tuple(map(_to_frac, evs)), p, q
 
+    @staticmethod
+    def _key_slots(key):
+        evs, p, q = key
+        return (*evs, p, q)
+
     @classmethod
     def zero(cls, arity: int) -> "MonodromicClass":
         return cls(arity)
@@ -109,10 +115,10 @@ class MonodromicClass(_ArityMap):
     def render(self) -> str:
         def mono(key):
             evs, p, q = key
-            evs_str = ",".join(_render_frac(e) for e in evs)
+            evs_str = ",".join(map(_render_pair, evs))
             return f"({evs_str};{p},{q})"
 
-        return _render_terms(self.terms(), mono)
+        return _render_terms(self._sorted(), mono)
 
     def __repr__(self):
         return f"MonodromicClass({self.arity}, {self.render()})"

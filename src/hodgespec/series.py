@@ -5,7 +5,12 @@ with coefficients in a monodromic class ring of fixed arity.  The empty
 product is the constant term.  Two operations matter downstream:
 
 * ``expand(n)`` -- the exact truncated power-series expansion, using the
-  geometric expansion of each generator (sum over m >= 1 of L^(e m) T^(j m));
+  geometric expansion of each generator (sum over m >= 1 of L^(e m) T^(j m)).
+  A generator product only ever yields integer counts of monomials L^k T^d,
+  so it is expanded as a plain-int table keyed by (T-degree, L-power) and
+  each count scales a shifted copy of the term's coefficient; classes are
+  never multiplied or added.  ``TruncatedPoly.mul_truncated`` stays as the
+  independent route that checks multiplicativity;
 * ``limit()`` -- the value at T -> infinity, which sends each term to its
   coefficient times (-1)^(number of generator factors).
 
@@ -115,24 +120,44 @@ class RationalSeries(_ArityMap):
         return total
 
     def expand(self, n: int) -> TruncatedPoly:
-        """Exact power-series expansion through degree n in T."""
+        """Exact power-series expansion through degree n in T.
+
+        A product of generators L^e T^j / (1 - L^e T^j) contributes only
+        integer counts of monomials L^k T^d, so each term first builds that
+        product as a plain table {(d, k): count} with d <= n: start from
+        {(0, 0): 1} and, for each factor (e, j), shift every entry by
+        (j m, e m) for each m >= 1 that keeps d <= n.  The coefficient class
+        is then merged into degree d with its bidegrees raised by k and its
+        multiplicities scaled by the count; no class arithmetic is needed.
+        """
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
-        arity = self.arity
-        zeros = ((0, 1),) * arity
-        total = TruncatedPoly._trusted(arity, {})
+        out: dict[int, dict] = {}
         for factors, coef in self._terms.items():
-            poly = TruncatedPoly._trusted(arity, {0: coef})
+            table = {(0, 0): 1}
             for e, j in factors:
-                gen = TruncatedPoly._trusted(arity, {
-                    j * m: MonodromicClass._trusted(arity, {(zeros, e * m, e * m): 1})
-                    for m in range(1, n // j + 1)
-                })
-                poly = poly.mul_truncated(gen, n)
-                if not poly:
+                nxt: dict[tuple, int] = {}
+                for (d, k), count in table.items():
+                    for m in range(1, (n - d) // j + 1):
+                        key = (d + j * m, k + e * m)
+                        nxt[key] = nxt.get(key, 0) + count
+                table = nxt
+                if not table:
                     break
-            total = total + poly
-        return total
+            monomials = coef._terms.items()
+            for (d, k), count in table.items():
+                terms = out.setdefault(d, {})
+                for (evs, p, q), mult in monomials:
+                    key = (evs, p + k, q + k)
+                    new = terms.get(key, 0) + count * mult
+                    if new:
+                        terms[key] = new
+                    else:
+                        del terms[key]
+        arity = self.arity
+        return TruncatedPoly._trusted(arity, {
+            d: MonodromicClass._trusted(arity, terms) for d, terms in out.items() if terms
+        })
 
     def render(self) -> str:
         if not self._terms:

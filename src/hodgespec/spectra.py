@@ -28,6 +28,12 @@ speaks ``Fraction``: constructors and ``coefficient`` take any
 ``FracLike``, and ``terms()`` hands keys back as ``fractions.Fraction``
 values in ascending rational order.
 
+Sorting and rendering never build that ``Fraction`` view.  ``_sorted_items``
+orders the stored keys slot by slot on exact integers: an int slot by its
+value, a pair slot by ``num * (L // den)`` with L the lcm of the
+denominators that slot takes over the whole map, which orders the pairs as
+the rationals they stand for.  ``render`` formats the pairs as they are.
+
 The folding maps between the two rings send ``t^a u^b v^c`` to
 ``t^{s(a) + s(b)/N + c}`` where ``s`` picks the canonical representative of
 a residue in [0, 1); with ``N = 1`` this is the plain collapse used to
@@ -37,7 +43,7 @@ compare one- and two-monodromy spectra.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -106,10 +112,35 @@ def _merge(into: dict, key, coef) -> None:
         into.pop(key, None)
 
 
-def _render_frac(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def _sorted_items(terms: dict, slots=None) -> list:
+    """The (key, coef) items of a term dict in ascending key order.
+
+    Without ``slots`` the stored keys are compared as they are.  Otherwise
+    ``slots(key)`` flattens a key into a tuple of reduced pairs and ints of
+    fixed layout, and keys compare slot by slot as the rationals they stand
+    for: an int slot by its value, a pair slot (num, den) by the integer
+    num * (L // den), L the lcm of that slot's denominators over the dict.
+    """
+    items = list(terms.items())
+    if slots is None or not items:
+        items.sort(key=itemgetter(0))
+        return items
+    cols = []
+    for col in zip(*map(slots, terms)):
+        if type(col[0]) is tuple:
+            dens = {d for _n, d in col}
+            big = lcm(*dens)
+            scale = {d: big // d for d in dens}
+            col = [n * scale[d] for n, d in col]
+        cols.append(col)
+    ranks = cols[0] if len(cols) == 1 else zip(*cols)
+    # Distinct keys have distinct ranks, so the items are never compared.
+    return [item for _rank, item in sorted(zip(ranks, items))]
+
+
+def _render_pair(x: Pair) -> str:
+    n, d = x
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _render_terms(items, monomial_str) -> str:
@@ -133,13 +164,15 @@ class _SparseMap:
 
     A subclass supplies its public constructor (the only place its keys are
     normalised), ``_key_mul`` (the product of two keys, canonical when both
-    are), ``_key_view`` (a stored key in its public form, for ``terms()``)
-    and ``render``.  ``_scalars`` lists the types ``*`` treats as
-    coefficient scalars.
+    are), ``_key_view`` (a stored key in its public form, for ``terms()``),
+    ``_key_slots`` (a key flattened for ``_sorted_items``, when it holds
+    rational pairs) and ``render``.  ``_scalars`` lists the types ``*``
+    treats as coefficient scalars.
     """
 
     __slots__ = ("_terms",)
     _scalars: tuple = (int,)
+    _key_slots = None
 
     @classmethod
     def _trusted(cls, terms: dict):
@@ -158,12 +191,14 @@ class _SparseMap:
     def _key_view(key):
         return key
 
+    def _sorted(self) -> list:
+        """Stored (key, coef) items in ascending key order."""
+        return _sorted_items(self._terms, self._key_slots)
+
     def terms(self):
         """Term list with keys in their public form, sorted by ascending key."""
         view = self._key_view
-        # Keys are distinct, so the sort never needs to compare coefficients.
-        items = ((view(key), coef) for key, coef in self._terms.items())
-        return tuple(sorted(items, key=itemgetter(0)))
+        return tuple((view(key), coef) for key, coef in self._sorted())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -256,6 +291,10 @@ class Spectrum(_SparseMap):
     _key_mul = staticmethod(_pair_add)
     _key_view = staticmethod(_to_frac)
 
+    @staticmethod
+    def _key_slots(key):
+        return (key,)
+
     def __init__(self, terms: Mapping[FracLike, int] | Iterable = ()):
         data: dict[Pair, int] = {}
         for exp, mult in _items(terms):
@@ -291,7 +330,7 @@ class Spectrum(_SparseMap):
     def render(self) -> str:
         """Canonical text form: ascending exponents, `mult*t^(num/den)` terms,
         `1*` and `/1` omitted, joined with ` + ` / ` - `."""
-        return _render_terms(self.terms(), lambda e: f"t^({_render_frac(e)})")
+        return _render_terms(self._sorted(), lambda e: f"t^({_render_pair(e)})")
 
 
 class BiSpectrum(_SparseMap):
@@ -319,6 +358,10 @@ class BiSpectrum(_SparseMap):
         a, b, c = key
         return _to_frac(a), _to_frac(b), c
 
+    @staticmethod
+    def _key_slots(key):
+        return key
+
     @classmethod
     def zero(cls) -> "BiSpectrum":
         return cls()
@@ -337,9 +380,9 @@ class BiSpectrum(_SparseMap):
     def render(self) -> str:
         def mono(key):
             a, b, c = key
-            return f"t^({_render_frac(a)})*u^({_render_frac(b)})*v^({c})"
+            return f"t^({_render_pair(a)})*u^({_render_pair(b)})*v^({c})"
 
-        return _render_terms(self.terms(), mono)
+        return _render_terms(self._sorted(), mono)
 
 
 def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:

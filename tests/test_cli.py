@@ -2,8 +2,10 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from hodgespec import workbench
-from hodgespec.cli import main
+from hodgespec.cli import build_parser, main
 from hodgespec.resolution import datum_to_dict, load_datum
 from hodgespec.workbench import fixtures
 
@@ -14,6 +16,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cached_parser_survives_a_parse_error(capsys):
+    # main reuses one parser per process; a call that argparse rejects must
+    # leave it answering like a freshly built one.
+    argvs = (
+        ("ts", "--exponents", "3,4,5"),
+        ("spectrum", "--datum", str(FIXTURES / "cusp.json"), "--phi"),
+    )
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    with pytest.raises(SystemExit) as exc:
+        main(["ts", "--exponents"])
+    assert exc.value.code == 2
+    assert "--exponents" in capsys.readouterr().err
+    assert build_parser() is build_parser()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
 
 
 def test_spectrum_phi(capsys):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hodgespec.monclass import MonodromicClass
 from hodgespec.spectra import (
     BiSpectrum,
     Spectrum,
+    _render_terms,
     fold_bispectrum,
     frac,
     geometric_factor,
@@ -123,3 +127,58 @@ def test_render_format():
 def test_bispectrum_render():
     x = b(F(1, 2), F(1, 3), -1) - 2 * b(0, 0, 0)
     assert x.render() == "-2*t^(0)*u^(0)*v^(0) + t^(1/2)*u^(1/3)*v^(-1)"
+
+
+# ---------------------------------------------------------------------------
+# terms() and render() sort stored pairs on integer ranks; the reference
+# below sorts the Fraction view of the keys with Fraction comparisons.
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+DENS = st.integers(1, 60)
+RESIDUES = DENS.flatmap(lambda d: st.integers(0, d - 1).map(lambda n: F(n, d)))
+RATIONALS = st.builds(F, st.integers(-240, 240), DENS)
+MULTS = st.integers(-3, 3)
+
+
+def _fraction_sorted(x, view):
+    return tuple(sorted(((view(key), m) for key, m in x._terms.items()), key=itemgetter(0)))
+
+
+def _pool(data, values):
+    # Keys drawn from a few values per slot often share a slot and differ
+    # only in a later one.
+    return st.sampled_from(data.draw(st.lists(values, min_size=1, max_size=5)))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(RATIONALS, MULTS), max_size=40))
+def test_spectrum_sorts_like_fractions(terms):
+    x = Spectrum(terms)
+    ref = _fraction_sorted(x, lambda k: F(*k))
+    assert x.terms() == ref
+    assert x.render() == _render_terms(ref, lambda e: f"t^({e})")
+
+
+@PROPERTY
+@given(st.data())
+def test_bispectrum_sorts_like_fractions(data):
+    a, b = _pool(data, RESIDUES), _pool(data, RESIDUES)
+    x = BiSpectrum(data.draw(st.lists(st.tuples(st.tuples(a, b, st.integers(-9, 9)), MULTS), max_size=40)))
+    ref = _fraction_sorted(x, lambda k: (F(*k[0]), F(*k[1]), k[2]))
+    assert x.terms() == ref
+    assert x.render() == _render_terms(ref, lambda k: f"t^({k[0]})*u^({k[1]})*v^({k[2]})")
+
+
+@PROPERTY
+@given(st.data())
+def test_class_sorts_like_fractions(data):
+    arity = data.draw(st.integers(1, 3))
+    evs = st.tuples(*[_pool(data, RESIDUES) for _ in range(arity)])
+    p, q = _pool(data, st.integers(-9, 9)), st.integers(-9, 9)
+    x = MonodromicClass(arity, data.draw(st.lists(st.tuples(st.tuples(evs, p, q), MULTS), max_size=40)))
+    ref = _fraction_sorted(x, lambda k: (tuple(F(*e) for e in k[0]), k[1], k[2]))
+    assert x.terms() == ref
+    assert x.render() == _render_terms(
+        ref, lambda k: f"({','.join(map(str, k[0]))};{k[1]},{k[2]})"
+    )

@@ -8,13 +8,20 @@ from hodgespec import workbench
 from hodgespec.convolution import collapse_pair, power_pushforward
 from hodgespec.monclass import MonodromicClass as MC, hodge_spectrum
 from hodgespec.oracles import p1_cover_class, stratum_cover_class
-from hodgespec.resolution import multiplicity_ratio, vanishing_cycles
+from hodgespec.resolution import (
+    jet_count_zeta,
+    multiplicity_ratio,
+    nearby_cycles,
+    vanishing_cycles,
+    zeta_series,
+)
 from hodgespec.spectra import Spectrum
 from hodgespec.workbench import (
     TransversalBranch,
     fixture_datum,
     fixtures,
     iterated_vanishing,
+    monomial_datum,
     one_variable_vanishing,
     quasihomogeneous_spectrum,
     steenbrink_check,
@@ -139,6 +146,14 @@ def test_cusp_rederive_reads_the_dual_graph(tmp_path, monkeypatch):
     for order in (data["strata"][::-1], data["strata"][3:] + data["strata"][:3]):
         path.write_text(json.dumps({**data, "strata": order}), encoding="utf-8")
         assert hook() == shipped
+
+
+def test_x2y_matches_the_monomial_oracles():
+    # x^2 y in the plane: the jet count of (2, 1) and the generated
+    # identity-resolution datum do not read the shipped file.
+    datum = fixture_datum("x2y")
+    assert zeta_series(datum).expand(40) == jet_count_zeta((2, 1), 40)
+    assert nearby_cycles(datum) == nearby_cycles(monomial_datum((2, 1)))
 
 
 def test_iterated_vanishing_requires_correction():
