@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cones import Cone, euler_char, kernel_cone, lattice_series, series_limit, stays_bounded
 from .convolution import collapse_pair, collapse_triple, convolve, power_pushforward
-from .lattice import rational_rank, rational_solve
+from .lattice import integer_kernel_basis, rational_rank, rational_solve
 from .monclass import (
     MonodromicClass,
     box,
@@ -171,8 +171,6 @@ def run_rings(seed=DEFAULT_SEED):
             ):
                 M = cand
         base = [rational_solve(M, [1 if k == i else 0 for k in range(r)]) for i in range(r)]
-        from .lattice import integer_kernel_basis
-
         kernel = integer_kernel_basis(M)
         shifted = []
         for theta in base:

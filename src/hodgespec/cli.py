@@ -105,7 +105,11 @@ def _cmd_ts(args):
         raise InputError(f"--exponents: could not parse {args.exponents!r}")
     if not exponents or any(a < 1 for a in exponents):
         raise InputError("--exponents: need positive integers")
-    print(quasihomogeneous_spectrum(exponents).render())
+    try:
+        spectrum = quasihomogeneous_spectrum(exponents)
+    except ValueError as exc:
+        raise InputError(f"--exponents: {exc}")
+    print(spectrum.render())
     return 0
 
 

@@ -17,17 +17,20 @@ single monodromy, arity 2 two commuting monodromies.
 
 ``torus_fiber_class`` computes the class, with its monodromies, of the
 fiber at 1 of a monomial map (G_m)^m -> (G_m)^r given by an integer
-exponent matrix, assuming the ambient units are trivial (split case).
+exponent matrix, assuming the ambient units are trivial (split case).  It
+works on integers from the Smith normal form U M V = D alone: the torsion
+character c (0 <= c_k < d_k) has monodromy-i eigenvalue
+sum_k c_k U[k][i] / d_k mod 1, so no solution of M theta = e_i is needed,
+and a supplied theta gives the same numbers (see the function).
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, prod
 from typing import Iterable, Mapping
 
-from .lattice import rational_solve, smith_normal_form, snf_divisors
+from .lattice import smith_normal_form, snf_divisors
 from .spectra import (
     BiSpectrum,
     Spectrum,
@@ -186,12 +189,20 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     lattice), the result is
 
         (L - 1)^(m - r) * sum over torsion characters chi of X of the
-        monomial with eigenvalues (<chi, theta_i> mod 1) and bidegree (0,0),
+        monomial with eigenvalues (<chi, theta_i> mod 1) and bidegree (0,0).
 
-    which is independent of the solution choices: two solutions differ by a
-    rational kernel vector, and torsion characters pair integrally with the
-    kernel.  A torsion group of more than ``MAX_TORUS_CHARACTERS`` elements
-    raises ``ValueError``.
+    With U M V = D the Smith normal form (divisors d_1 | ... | d_r) the
+    torsion characters are chi = (c, 0) Vinv, 0 <= c_k < d_k, and
+    D (Vinv theta_i) = U e_i, so
+
+        <chi, theta_i> = sum_k c_k U[k][i] / d_k  (mod 1),
+
+    read off U without solving for any theta.  A supplied ``thetas`` is
+    checked to solve M theta = e_i and then enters as Vinv[k] . theta_i;
+    that pairing equals U[k][i] / d_k for every solution (two solutions
+    differ by a kernel vector, on which the first r rows of Vinv vanish),
+    so the result does not depend on the choice.  A torsion group of more
+    than ``MAX_TORUS_CHARACTERS`` elements raises ``ValueError``.
     """
     M = [list(map(int, row)) for row in rows]
     r = len(M)
@@ -201,7 +212,7 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     for j in range(m):
         if all(M[i][j] == 0 for i in range(r)):
             raise ValueError(f"column {j} of the exponent matrix is zero")
-    D, _U, _V, Vinv = smith_normal_form(M)
+    D, U, _V, Vinv = smith_normal_form(M)
     divisors = snf_divisors(D)
     if len(divisors) != r:
         raise ValueError("exponent matrix is rank deficient")
@@ -211,14 +222,11 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
             f"more than MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS}"
         )
 
+    # gens[k][i]: numerator over big = d_r of the eigenvalue the k-th
+    # cyclic generator of the torsion group gives monodromy i.
+    big = divisors[-1]
     if thetas is None:
-        thetas = []
-        for i in range(r):
-            rhs = [1 if k == i else 0 for k in range(r)]
-            sol = rational_solve(M, rhs)
-            if sol is None:  # impossible at full rank
-                raise ValueError("no rational solution for monodromy direction")
-            thetas.append(sol)
+        gens = [[U[k][i] * (big // d) % big for i in range(r)] for k, d in enumerate(divisors)]
     else:
         thetas = [[frac(t) for t in theta] for theta in thetas]
         for i, theta in enumerate(thetas):
@@ -226,21 +234,26 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
                 Fraction(1 if k == i else 0) for k in range(r)
             ]:
                 raise ValueError("supplied theta is not a solution")
+        gens = [
+            [int(sum(v * t for v, t in zip(Vinv[k], theta)) * big) % big for theta in thetas]
+            for k in range(r)
+        ]
 
-    # Torsion characters of Z^m / rows: in the V-coordinates they are the
-    # tuples (c_1..c_r, 0..0) with 0 <= c_i < d_i; back in the standard
-    # basis the character is (c, 0) * Vinv.  Theta i is written over one
-    # denominator, so an eigenvalue is an integer residue mod dens[i].
-    dens = [lcm(*(t.denominator for t in theta)) for theta in thetas]
-    nums = [[t.numerator * (den // t.denominator) for t in theta] for theta, den in zip(thetas, dens)]
-    result: dict[tuple, int] = {}
-    for cs in itertools.product(*(range(d) for d in divisors)):
-        chi = [sum(cs[i] * Vinv[i][j] for i in range(len(cs))) for j in range(m)]
-        evs = tuple(
-            _reduced(sum(c * t for c, t in zip(chi, num_i)) % den, den)
-            for num_i, den in zip(nums, dens)
-        )
-        _merge(result, (evs, 0, 0), 1)
-    cls = MonodromicClass._trusted(r, result)
-    torus = MonodromicClass.lefschetz(r) - MonodromicClass.unit(r)
-    return cls * torus ** (m - r)
+    # Walk Z/d_1 + ... + Z/d_r as r cyclic odometers: cols[i] lists the
+    # monodromy-i numerators of every character, in one shared order.
+    cols = [[0] for _ in range(r)]
+    for d, gen in zip(divisors, gens):
+        if d > 1:
+            cols = [[(a + c * g) % big for a in col for c in range(d)] for col, g in zip(cols, gen)]
+    reduced = [{n: _reduced(n, big) for n in set(col)} for col in cols]
+    # U is unimodular, so distinct characters have distinct eigenvalue
+    # tuples and every key below is new.  (L - 1)^e is the sum over j of
+    # (-1)^(e - j) C(e, j) L^j, an L^j shifting the bidegree by (j, j).
+    e = m - r
+    shifts = [(j, (-1) ** (e - j) * comb(e, j)) for j in range(e + 1)]
+    result = {
+        (evs, j, j): coef
+        for evs in zip(*(map(red.__getitem__, col) for red, col in zip(reduced, cols)))
+        for j, coef in shifts
+    }
+    return MonodromicClass._trusted(r, result)

@@ -21,7 +21,10 @@ The ingredients:
 * the equivariant-quotient bookkeeping that turns those tables into the
   collapse of a two-monodromy class;
 * a root-of-unity enumeration of torus fibers of monomial maps, an
-  independent route to ``torus_fiber_class``.
+  independent route to ``torus_fiber_class``: it solves M theta = e_i with
+  ``rational_solve``, which ``torus_fiber_class`` does not call (that reads
+  its eigenvalues off the Smith normal form), and pairs every root of
+  unity with those solutions in integer numerators mod the root order.
 """
 
 from __future__ import annotations
@@ -243,13 +246,17 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
             Q = _lcm(Q, entry.denominator)
     if Q > q_cap:
         return None
+    # Theta i scaled by Q is integral, so each eigenvalue is an integer
+    # numerator mod Q; Fractions are made once per distinct key.
+    scaled = [[int(t * Q) for t in theta] for theta in thetas]
     kernel = integer_kernel_basis(M)
-    eigen: dict[tuple, int] = {}
+    counts: dict[tuple, int] = {}
     for w in itertools.product(range(Q), repeat=m):
         if any(sum(wi * ki for wi, ki in zip(w, k)) % Q for k in kernel):
             continue
-        key = tuple(mod1(sum(Fraction(wi) * ti for wi, ti in zip(w, theta))) for theta in thetas)
-        eigen[key] = eigen.get(key, 0) + 1
+        key = tuple(sum(wi * ti for wi, ti in zip(w, theta)) % Q for theta in scaled)
+        counts[key] = counts.get(key, 0) + 1
+    eigen = {tuple(Fraction(n, Q) for n in key): count for key, count in counts.items()}
     ncomp = 1
     for d in divisors:
         ncomp *= d

@@ -54,12 +54,32 @@ def one_variable_vanishing(a: int) -> MonodromicClass:
     )
 
 
+# quasihomogeneous_spectrum joins left to right; the join that takes in the
+# first k exponents collapses a box product of prod(a_i - 1) terms over
+# them.  The largest the benchmark and tests reach is 23,040 terms
+# (5,7,9,11,13); this bound leaves a margin of about ten.  At 207,360 terms
+# (7,11,13,17,19) one call takes about 2 s and 130 MB.
+MAX_TS_TERMS = 250_000
+
+
 def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
     """Spectrum of x_1^(a_1) + ... + x_d^(a_d), by iterated joins of the
-    one-variable classes."""
+    one-variable classes.
+
+    A join that would hold more than ``MAX_TS_TERMS`` terms raises
+    ``ValueError`` before any join is computed.
+    """
     classes = [one_variable_vanishing(a) for a in exponents]
     if not classes:
         raise ValueError("need at least one exponent")
+    size = 1
+    for a in exponents:
+        size *= a - 1
+        if size > MAX_TS_TERMS:
+            raise ValueError(
+                f"exponents {','.join(map(str, exponents))} need a join of more than "
+                f"MAX_TS_TERMS = {MAX_TS_TERMS} terms"
+            )
     return hodge_spectrum(reduce(thom_sebastiani, classes))
 
 

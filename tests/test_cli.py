@@ -217,6 +217,20 @@ def test_oversized_torus_fiber_fails_fast(capsys, tmp_path):
         assert "1000000 characters" in err and "MAX_TORUS_CHARACTERS" in err
 
 
+def test_oversized_ts_fails_fast(capsys):
+    # 999^3, about 10^9 terms; a trailing 1 would zero the result only
+    # after the same joins.
+    for exponents in ("1000,1000,1000", "1000,1000,1000,1"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ts", "--exponents", exponents)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "--exponents" in err and "MAX_TS_TERMS" in err
+    # The largest tuple the benchmark and tests join stays under the bound.
+    assert workbench.MAX_TS_TERMS >= 4 * 6 * 8 * 10 * 12
+    assert run(capsys, "ts", "--exponents", "5,7,9,11,13")[0] == 0
+
+
 def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):
     # An installed copy outside a checkout has no fixtures/ next to src/.
     monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path / "missing")

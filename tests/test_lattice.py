@@ -19,6 +19,17 @@ def test_snf_pinned():
     assert elementary_divisors([[2, 3]]) == [1]
 
 
+def _det(A):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not A:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in A[1:]])
+        for j, a in enumerate(A[0])
+        if a
+    )
+
+
 def test_snf_random_properties():
     rng = random.Random(0)
     for _ in range(400):
@@ -27,6 +38,8 @@ def test_snf_random_properties():
         D, U, V, Vinv = smith_normal_form(M)
         assert mat_mul(mat_mul(U, M), V) == D
         assert mat_mul(V, Vinv) == identity(nc)
+        # torus_fiber_class reads eigenvalues off U, so U must be unimodular.
+        assert abs(_det(U)) == 1
         diag = [D[i][i] for i in range(min(nr, nc))]
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):

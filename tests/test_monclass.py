@@ -1,10 +1,21 @@
+import itertools
 import random
+import time
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
-from hodgespec.lattice import integer_kernel_basis, rational_rank, rational_solve
+from hodgespec.lattice import (
+    elementary_divisors,
+    integer_kernel_basis,
+    rational_rank,
+    rational_solve,
+    smith_normal_form,
+    snf_divisors,
+)
 from hodgespec.monclass import (
+    MAX_TORUS_CHARACTERS,
     MonodromicClass as MC,
     box,
     embed,
@@ -95,10 +106,75 @@ def test_fiber_class_coprime_row():
 
 
 def test_fiber_class_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="column 1"):
         torus_fiber_class([[1, 0], [2, 0]])  # zero column
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank deficient"):
         torus_fiber_class([[1, 1], [2, 2]])  # rank deficient
+    with pytest.raises(ValueError, match="not a solution"):
+        torus_fiber_class([[2, 1], [0, 1]], thetas=[[F(1, 2), 0], [0, 0]])
+    with pytest.raises(ValueError, match="not a solution"):
+        torus_fiber_class([[2, 6]], thetas=[[F(1, 3), 0]])
+    # Over the bound the size check raises before anything is enumerated.
+    over = MAX_TORUS_CHARACTERS + 1
+    for M in ([[over]], [[over, 2 * over]], [[1000, 0], [0, 1000]], [[2, 0, 1], [0, over, 0]]):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_TORUS_CHARACTERS"):
+            torus_fiber_class(M)
+        assert time.perf_counter() - start < 0.5
+    assert torus_fiber_class([[MAX_TORUS_CHARACTERS]]).arity == 1
+
+
+def _default_thetas(M):
+    r = len(M)
+    return [rational_solve(M, [1 if k == i else 0 for k in range(r)]) for i in range(r)]
+
+
+def _shifted_thetas(M, rng):
+    # Solutions of M theta = e_i moved by random rational kernel vectors.
+    kernel = integer_kernel_basis(M)
+    shifted = []
+    for theta in _default_thetas(M):
+        for k in kernel:
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            theta = [a + c * ki for a, ki in zip(theta, k)]
+        shifted.append(theta)
+    return shifted
+
+
+def _fraction_fiber_class(M, thetas):
+    """Torus fiber class by the character sum of the docstring, spelled out
+    in Fractions: every torsion character chi = (c, 0) * Vinv paired with
+    every theta, times (L - 1)^(m - r) as a ring product."""
+    r, m = len(M), len(M[0])
+    D, _U, _V, Vinv = smith_normal_form(M)
+    divisors = snf_divisors(D)
+    cls = MC.zero(r)
+    for cs in itertools.product(*(range(d) for d in divisors)):
+        chi = [sum(cs[i] * Vinv[i][j] for i in range(r)) for j in range(m)]
+        evs = tuple(sum(c * t for c, t in zip(chi, theta)) % 1 for theta in thetas)
+        cls = cls + mono(r, evs, 0, 0)
+    return cls * (MC.lefschetz(r) - MC.unit(r)) ** (m - r)
+
+
+def test_fiber_class_matches_fraction_character_sum():
+    rng = random.Random(29)
+    count = 0
+    shapes = [(r, m) for r in (1, 2, 3) for m in range(r, 6)]
+    seen = set()
+    while count < 360:
+        r, m = shapes[count % len(shapes)]
+        M = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(r)]
+        if rational_rank(M) != r or not all(any(M[i][j] for i in range(r)) for j in range(m)):
+            continue
+        expect = _fraction_fiber_class(M, _default_thetas(M))
+        assert torus_fiber_class(M) == expect, M
+        shifted = _shifted_thetas(M, rng)
+        assert torus_fiber_class(M, thetas=shifted) == expect, M
+        assert _fraction_fiber_class(M, shifted) == expect, M
+        seen.add(tuple(elementary_divisors(M)))
+        count += 1
+    # The draw reaches torsion with two nontrivial divisors of unequal size.
+    assert any(len(ds) > 1 and 1 < ds[-2] < ds[-1] for ds in seen)
 
 
 def test_fiber_class_independent_of_solution():
@@ -110,16 +186,7 @@ def test_fiber_class_independent_of_solution():
         M = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
         if rational_rank(M) != r or not all(any(M[i][j] for i in range(r)) for j in range(m)):
             continue
-        base = [rational_solve(M, [1 if k == i else 0 for k in range(r)]) for i in range(r)]
-        kernel = integer_kernel_basis(M)
-        shifted = []
-        for theta in base:
-            extra = [F(0)] * m
-            for k in kernel:
-                c = F(rng.randint(-3, 3), rng.randint(1, 3))
-                extra = [e + c * ki for e, ki in zip(extra, k)]
-            shifted.append([a + b for a, b in zip(theta, extra)])
-        assert torus_fiber_class(M) == torus_fiber_class(M, thetas=shifted)
+        assert torus_fiber_class(M) == torus_fiber_class(M, thetas=_shifted_thetas(M, rng))
         count += 1
 
 
@@ -152,6 +219,52 @@ def test_fiber_class_vs_root_of_unity_enumeration():
         assert ncomp == len(eigen)
         checked += 1
     assert checked >= 25
+
+
+def _fraction_key_bruteforce(M, q_cap):
+    """torus_fiber_bruteforce with every eigenvalue key summed in Fractions."""
+    r, m = len(M), len(M[0])
+    thetas = _default_thetas(M)
+    divisors = elementary_divisors(M)
+    Q = lcm(*divisors, *(t.denominator for theta in thetas for t in theta))
+    if Q > q_cap:
+        return None
+    kernel = integer_kernel_basis(M)
+    eigen = {}
+    for w in itertools.product(range(Q), repeat=m):
+        if any(sum(wi * ki for wi, ki in zip(w, k)) % Q for k in kernel):
+            continue
+        key = tuple(sum(F(wi) * ti for wi, ti in zip(w, theta)) % 1 for theta in thetas)
+        eigen[key] = eigen.get(key, 0) + 1
+    overcount = Q**r
+    for d in divisors:
+        overcount //= gcd(d, Q)
+    multiset = []
+    for key, count in sorted(eigen.items()):
+        assert count % overcount == 0
+        multiset.extend([key] * (count // overcount))
+    ncomp = 1
+    for d in divisors:
+        ncomp *= d
+    return ncomp, sorted(multiset)
+
+
+def test_integer_oracle_matches_fraction_keys():
+    # The (rows, columns, root order Q) shapes of the benchmark's torus
+    # items, eight matrices each that need exactly that Q.
+    rng = random.Random(43)
+    for r, m, q in ((1, 3, 4), (2, 3, 6), (2, 4, 4), (1, 4, 4), (2, 2, 12), (1, 2, 4)):
+        found = 0
+        while found < 8:
+            M = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]
+            if rational_rank(M) != r or not all(any(M[i][j] for i in range(r)) for j in range(m)):
+                continue
+            expect = _fraction_key_bruteforce(M, q)
+            if expect is None or _fraction_key_bruteforce(M, q - 1) is not None:
+                continue
+            assert torus_fiber_bruteforce(M, q_cap=q) == expect, M
+            assert torus_fiber_bruteforce(M, q_cap=q - 1) is None, M
+            found += 1
 
 
 def test_ring_axioms_random():
