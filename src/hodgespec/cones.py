@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .lattice import rational_rank
+from .lattice import _int_row, rational_rank
 from .monclass import MonodromicClass
 from .series import TruncatedPoly
 from .spectra import _merge
@@ -44,17 +44,6 @@ _RELS = (GE, GT, EQ)
 
 def dot(form, x):
     return sum(a * b for a, b in zip(form, x))
-
-
-def _int_row(values, where: str) -> tuple:
-    """An integer coefficient row, strictly: bool, float, str and
-    non-integral values raise a ValueError naming `where`."""
-    out = []
-    for j, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)) or v.denominator != 1:
-            raise ValueError(f"{where}, coefficient {j}: {v!r} is not an integer")
-        out.append(int(v))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,45 @@
-"""Small exact linear algebra over Z and Q.
+"""Small exact linear algebra over Z and Q, for the few-row, few-column
+matrices of resolution data (plain textbook algorithms).
 
-Everything here operates on lists of lists of ints (or Fractions) and is
-sized for the tiny matrices that show up in resolution data (at most a few
-rows and a handful of columns), so the algorithms are the plain textbook
-ones with no pivoting heuristics beyond picking a small nonzero entry.
+``smith_normal_form`` (U M V = D, U and V unimodular) answers every
+integer-lattice question: the rank is the number of nonzero divisors of D,
+those are the elementary divisors, and the last m - r columns of V span the
+integer kernel.  ``rational_rank`` clears each row's denominators (a
+nonzero multiple of a row keeps the rank) and counts the same divisors.
+Gauss-Jordan elimination stays only in ``rational_solve``, whose contract
+is one particular solution (leftmost pivots, free variables 0), the one the
+root-of-unity oracle pairs its roots with.  Integer entry is strict:
+``_strict_int`` and ``_int_row`` raise ValueError on bool, float, str and
+non-integral values instead of truncating them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def _strict_int(value, where: str) -> int:
+    """``value`` as an int, strictly: bool, float, str and non-integral
+    values raise a ValueError naming ``where``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)) or value.denominator != 1:
+        raise ValueError(f"{where}: {value!r} is not an integer")
+    return int(value)
+
+
+def _int_row(values, where: str) -> tuple:
+    """An integer row, strictly; an error names `where` and the index."""
+    return tuple(
+        v if type(v) is int else _strict_int(v, f"{where}, coefficient {j}")
+        for j, v in enumerate(values)
+    )
+
+
+def _int_matrix(rows) -> list:
+    """Mutable integer copy of a matrix, strictly (see ``_strict_int``)."""
+    return [list(_int_row(row, f"row {i}")) for i, row in enumerate(rows)]
 
 
 def identity(n: int):
@@ -23,43 +54,38 @@ def mat_mul(A, B):
     ]
 
 
-def _row_reduce(m, ncols: int):
-    """Gauss-Jordan elimination in place on the first ncols columns of the
-    Fraction matrix m; returns the pivot columns, one per rank step.
-
-    Later columns (an augmented right-hand side) are carried along.
-    """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-    return pivots
-
-
 def rational_rank(rows) -> int:
-    """Rank over Q by Gaussian elimination on a fraction copy."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    return len(_row_reduce(m, len(m[0]) if m else 0))
+    """Rank over Q of a matrix of ints and Fractions: the number of Smith
+    divisors once each row is multiplied by the lcm of its denominators."""
+    cleared = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        cleared.append(row if scale == 1 else [x * scale for x in row])
+    return len(snf_divisors(smith_normal_form(cleared)[0]))
 
 
 def rational_solve(rows, rhs):
     """One exact solution of rows * x = rhs over Q, or None if inconsistent.
 
-    Free variables are set to 0.
+    Gauss-Jordan elimination on the augmented Fraction matrix, pivoting on
+    the leftmost column left; free variables are set to 0.
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(nr)]
-    pivots = _row_reduce(aug, nc)
+    pivots = []
+    for col in range(nc):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, nr) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [x * inv for x in aug[rank]]
+        for r in range(nr):
+            if r != rank and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+        pivots.append(col)
     if any(aug[r][nc] for r in range(len(pivots), nr)):
         return None
     x = [Fraction(0)] * nc
@@ -74,8 +100,9 @@ def smith_normal_form(rows):
     U * M * V = D with U, V unimodular over Z, D diagonal with nonnegative
     entries d_1 | d_2 | ... ; Vinv is the exact integer inverse of V, kept
     alongside because callers need both the new basis and the change back.
+    Entries must be integers (see ``_strict_int``).
     """
-    M = [list(map(int, row)) for row in rows]
+    M = _int_matrix(rows)
     nr = len(M)
     nc = len(M[0]) if M else 0
     U = identity(nr)

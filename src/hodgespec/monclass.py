@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Iterable, Mapping
 
-from .lattice import smith_normal_form, snf_divisors
+from .lattice import _int_matrix, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
     BiSpectrum,
     Spectrum,
@@ -68,7 +68,8 @@ class MonodromicClass(_ArityMap):
             if len(evs) != arity:
                 shown = tuple(map(_to_frac, evs))
                 raise ValueError(f"eigenvalue tuple {shown} has wrong arity (want {arity})")
-            _merge(data, (evs, int(p), int(q)), int(mult))
+            key = (evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q"))
+            _merge(data, key, _strict_int(mult, "multiplicity"))
         self._terms = data
 
     @staticmethod
@@ -104,8 +105,8 @@ class MonodromicClass(_ArityMap):
         return cls.monomial(arity, (0,) * arity, power, power)
 
     def coefficient(self, evs, p, q) -> int:
-        key = (tuple(_pair(e, residue=True) for e in evs), int(p), int(q))
-        return self._terms.get(key, 0)
+        evs = tuple(_pair(e, residue=True) for e in evs)
+        return self._terms.get((evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q")), 0)
 
     def __pow__(self, n: int) -> "MonodromicClass":
         if n < 0:
@@ -204,7 +205,7 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     so the result does not depend on the choice.  A torsion group of more
     than ``MAX_TORUS_CHARACTERS`` elements raises ``ValueError``.
     """
-    M = [list(map(int, row)) for row in rows]
+    M = _int_matrix(rows)
     r = len(M)
     m = len(M[0]) if M else 0
     if r == 0 or m == 0:

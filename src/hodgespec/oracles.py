@@ -21,30 +21,23 @@ The ingredients:
 * the equivariant-quotient bookkeeping that turns those tables into the
   collapse of a two-monodromy class;
 * a root-of-unity enumeration of torus fibers of monomial maps, an
-  independent route to ``torus_fiber_class``: it solves M theta = e_i with
-  ``rational_solve``, which ``torus_fiber_class`` does not call (that reads
-  its eigenvalues off the Smith normal form), and pairs every root of
-  unity with those solutions in integer numerators mod the root order.
+  independent route to ``torus_fiber_class``.  One Smith normal form
+  U M V = D gives its rank and divisors (D) and the integer kernel (the
+  last m - r columns of V); its eigenvalues come from solving
+  M theta = e_i with ``rational_solve``, which ``torus_fiber_class`` does
+  not call (that reads them off U), and every root of unity is paired with
+  those solutions in integer numerators mod the root order.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
-from .lattice import (
-    elementary_divisors,
-    integer_kernel_basis,
-    rational_rank,
-    rational_solve,
-)
+from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
 from .monclass import MonodromicClass
 from .spectra import _merge, mod1
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +192,8 @@ def stratum_cover_class(multiplicity: int, crossing_multiplicities) -> Monodromi
     This is the derivation oracle behind every explicit stratum class
     shipped with the fixtures.
     """
-    n = int(multiplicity)
-    ms = [int(m) for m in crossing_multiplicities]
+    n = _strict_int(multiplicity, "multiplicity")
+    ms = _int_row(crossing_multiplicities, "crossing multiplicities")
     if n < 1:
         raise ValueError("multiplicity must be positive")
     if sum(ms) % n:
@@ -228,28 +221,24 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
     the characters of that solution group trivial on the image of the
     integer kernel, and each carries the translation eigenvalues
     (w . theta_i mod 1).  Returns (component count, sorted eigentuples).
+    Entries must be integers; the rank, the divisors and the kernel come
+    from one Smith normal form.
     """
-    M = [list(map(int, row)) for row in rows]
+    M = _int_matrix(rows)
     r, m = len(M), len(M[0])
-    if rational_rank(M) != r:
+    D, _U, V, _Vinv = smith_normal_form(M)
+    divisors = snf_divisors(D)
+    if len(divisors) != r:
         raise ValueError("rank deficient")
-    thetas = []
-    for i in range(r):
-        sol = rational_solve(M, [1 if k == i else 0 for k in range(r)])
-        thetas.append(sol)
-    divisors = elementary_divisors(M)
-    Q = 1
-    for d in divisors:
-        Q = _lcm(Q, d)
-    for theta in thetas:
-        for entry in theta:
-            Q = _lcm(Q, entry.denominator)
+    thetas = [rational_solve(M, [1 if k == i else 0 for k in range(r)]) for i in range(r)]
+    Q = lcm(*divisors, *(entry.denominator for theta in thetas for entry in theta))
     if Q > q_cap:
         return None
     # Theta i scaled by Q is integral, so each eigenvalue is an integer
     # numerator mod Q; Fractions are made once per distinct key.
     scaled = [[int(t * Q) for t in theta] for theta in thetas]
-    kernel = integer_kernel_basis(M)
+    # The last m - r columns of V span the integer kernel.
+    kernel = [[V[i][j] for i in range(m)] for j in range(r, m)]
     counts: dict[tuple, int] = {}
     for w in itertools.product(range(Q), repeat=m):
         if any(sum(wi * ki for wi, ki in zip(w, k)) % Q for k in kernel):
@@ -257,12 +246,8 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
         key = tuple(sum(wi * ti for wi, ti in zip(w, theta)) % Q for theta in scaled)
         counts[key] = counts.get(key, 0) + 1
     eigen = {tuple(Fraction(n, Q) for n in key): count for key, count in counts.items()}
-    ncomp = 1
-    for d in divisors:
-        ncomp *= d
-    overcount = Q ** r
-    for d in divisors:
-        overcount //= gcd(d, Q)
+    ncomp = prod(divisors)
+    overcount = Q ** r // ncomp  # every d_k divides Q
     multiset = []
     for key, count in sorted(eigen.items()):
         if count % overcount:

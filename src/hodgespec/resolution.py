@@ -59,8 +59,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .lattice import _int_row
 from .monclass import MonodromicClass, embed, torus_fiber_class
 from .series import RationalSeries, TruncatedPoly
+from .spectra import _merge
 
 
 class SchemaError(ValueError):
@@ -213,35 +215,37 @@ def zeta_series(datum: ResolutionDatum) -> RationalSeries:
     return RationalSeries(1, terms)
 
 
+def _signed_stratum_sum(datum: ResolutionDatum, which, offset: int, keep) -> MonodromicClass:
+    """Sum of (-1)^(|I| + offset) [cover of U_I] over the strata I whose
+    component set passes ``keep``, merged into one term dict."""
+    out: dict = {}
+    for st in datum.strata:
+        ids = set(st.components)
+        if not keep(ids):
+            continue
+        sign = -1 if (len(ids) + offset) % 2 else 1
+        for key, mult in datum.stratum_class(st, which)._terms.items():
+            _merge(out, key, sign * mult)
+    return MonodromicClass._trusted(len(which), out)
+
+
 def nearby_cycles(datum: ResolutionDatum) -> MonodromicClass:
     """Nearby-cycle class: the alternating stratum sum, equal to minus the
     limit of the zeta series."""
     _require_arity(datum, 1, "nearby_cycles")
     C = _zero_locus_components(datum)
-    if not C:
-        return MonodromicClass.zero(1)
-    if len(C) != len(datum.components):
+    if C and len(C) != len(datum.components):
         raise ValueError(
             "datum mixes zero and positive multiplicities; use nearby_cycles_open"
         )
-    total = MonodromicClass.zero(1)
-    for st in datum.strata:
-        cls = datum.stratum_class(st, ("g",))
-        total = total + cls * ((-1) ** (len(st.components) + 1))
-    return total
+    return nearby_cycles_open(datum)
 
 
 def nearby_cycles_open(datum: ResolutionDatum) -> MonodromicClass:
     """Open-subset nearby cycles: only strata inside C = {N > 0} contribute."""
     _require_arity(datum, 1, "nearby_cycles_open")
     C = _zero_locus_components(datum)
-    total = MonodromicClass.zero(1)
-    for st in datum.strata:
-        if not set(st.components) <= C:
-            continue
-        cls = datum.stratum_class(st, ("g",))
-        total = total + cls * ((-1) ** (len(st.components) + 1))
-    return total
+    return _signed_stratum_sum(datum, ("g",), 1, C.issuperset)
 
 
 def vanishing_cycles(datum: ResolutionDatum, zero_locus_class=None) -> MonodromicClass:
@@ -291,16 +295,7 @@ def iterated_nearby(datum: ResolutionDatum) -> MonodromicClass:
     """
     _require_arity(datum, 2, "iterated_nearby")
     C = _zero_locus_components(datum)
-    total = MonodromicClass.zero(2)
-    for st in datum.strata:
-        ids = set(st.components)
-        J = ids & C
-        K = ids - C
-        if not J or not K:
-            continue
-        cls = datum.stratum_class(st, ("f", "g"))
-        total = total + cls * ((-1) ** len(st.components))
-    return total
+    return _signed_stratum_sum(datum, ("f", "g"), 0, lambda ids: bool(ids & C) and not ids <= C)
 
 
 def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
@@ -311,7 +306,7 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
     coefficient; this is a direct count, independent of the resolution
     formula.
     """
-    a = [int(x) for x in exponents]
+    a = _int_row(exponents, "exponents")
     if not a or any(x < 1 for x in a):
         raise ValueError("exponents must be positive integers")
     fiber = torus_fiber_class([a])

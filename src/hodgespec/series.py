@@ -24,6 +24,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Mapping
 
+from .lattice import _int_row, _strict_int
 from .monclass import MonodromicClass
 from .spectra import _ArityMap, _items, _merge
 
@@ -38,6 +39,7 @@ class TruncatedPoly(_ArityMap):
         self.arity = arity
         data: dict[int, MonodromicClass] = {}
         for n, c in _items(coeffs):
+            n = _strict_int(n, "T-degree")
             if c.arity != arity:
                 raise ValueError("coefficient arity mismatch")
             if n < 0:
@@ -50,7 +52,7 @@ class TruncatedPoly(_ArityMap):
         return cls(arity)
 
     def coefficient(self, n: int) -> MonodromicClass:
-        return self._terms.get(n, MonodromicClass.zero(self.arity))
+        return self._terms.get(_strict_int(n, "T-degree"), MonodromicClass.zero(self.arity))
 
     def degrees(self):
         return sorted(self._terms)
@@ -86,7 +88,7 @@ class RationalSeries(_ArityMap):
         self.arity = arity
         data: dict[tuple, MonodromicClass] = {}
         for factors, coef in _items(terms):
-            factors = tuple(sorted((int(e), int(j)) for e, j in factors))
+            factors = tuple(sorted(_int_row(f, "generator (e, j)") for f in factors))
             for _e, j in factors:
                 if j < 1:
                     raise ValueError("generator T-weight must be >= 1")

@@ -8,7 +8,7 @@ through the subclass's key product, equality, hashing and the sorted term
 list.  ``_ArityMap`` adds a fixed arity that operands must share.
 
 One rule keeps the keys canonical without normalising them twice: only the
-public constructors normalise (``_pair``, ``int``).  A result whose keys
+public constructors normalise (``_pair``, ``_strict_int``).  A result whose keys
 are canonical by construction -- a ring operation, a morphism such as
 ``fold_bispectrum`` -- is wrapped as is by the trusted constructor
 ``_trusted``.
@@ -47,18 +47,22 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Tuple, Union
 
+from .lattice import _strict_int
+
 FracLike = Union[Fraction, int, str, Tuple[int, int]]
 # A rational inside a ring key: (num, den), den > 0, gcd(num, den) == 1.
 Pair = Tuple[int, int]
 
 
 def frac(value: FracLike, den: int | None = None) -> Fraction:
-    """Coerce ints, strings, or (num, den) pairs to an exact Fraction."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, tuple):
-        return Fraction(value[0], value[1])
-    return Fraction(value)
+    """Coerce ints, strings, or (num, den) pairs to an exact Fraction; a
+    float or a bool raises ValueError (``Fraction(0.1)`` is binary-rounded)."""
+    if den is None and isinstance(value, tuple):
+        value, den = value
+    for x in (value, den):
+        if isinstance(x, (bool, float)):
+            raise ValueError(f"{x!r} is not an exact rational")
+    return Fraction(value) if den is None else Fraction(value, den)
 
 
 def mod1(x: FracLike) -> Fraction:
@@ -69,6 +73,8 @@ def mod1(x: FracLike) -> Fraction:
 def _pair(value: FracLike, residue: bool = False) -> Pair:
     """Reduced key pair of a FracLike; with ``residue``, of its residue mod 1
     (still reduced: gcd(n mod d, d) = gcd(n, d))."""
+    if type(value) is int:
+        return (0 if residue else value), 1
     x = value if isinstance(value, Fraction) else frac(value)
     n, d = x.numerator, x.denominator
     return (n % d if residue else n), d
@@ -298,7 +304,7 @@ class Spectrum(_SparseMap):
     def __init__(self, terms: Mapping[FracLike, int] | Iterable = ()):
         data: dict[Pair, int] = {}
         for exp, mult in _items(terms):
-            _merge(data, _pair(exp), int(mult))
+            _merge(data, _pair(exp), _strict_int(mult, "multiplicity"))
         self._terms = data
 
     @classmethod
@@ -345,7 +351,8 @@ class BiSpectrum(_SparseMap):
     def __init__(self, terms: Mapping | Iterable = ()):
         data: dict[tuple, int] = {}
         for (a, b, c), mult in _items(terms):
-            _merge(data, (_pair(a, residue=True), _pair(b, residue=True), int(c)), int(mult))
+            key = (_pair(a, residue=True), _pair(b, residue=True), _strict_int(c, "v-degree"))
+            _merge(data, key, _strict_int(mult, "multiplicity"))
         self._terms = data
 
     @staticmethod
@@ -375,7 +382,8 @@ class BiSpectrum(_SparseMap):
         return cls([((a, b, c), mult)])
 
     def coefficient(self, a: FracLike, b: FracLike, c: int) -> int:
-        return self._terms.get((_pair(a, residue=True), _pair(b, residue=True), int(c)), 0)
+        key = (_pair(a, residue=True), _pair(b, residue=True), _strict_int(c, "v-degree"))
+        return self._terms.get(key, 0)
 
     def render(self) -> str:
         def mono(key):

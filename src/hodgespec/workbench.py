@@ -24,8 +24,9 @@ from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .convolution import collapse_pair
-from .monclass import MonodromicClass, box, embed, hodge_spectrum, hodge_spectrum2, torus_fiber_class
+from .convolution import convolve
+from .lattice import _int_row, _strict_int
+from .monclass import MonodromicClass, embed, hodge_spectrum, hodge_spectrum2, torus_fiber_class
 from .oracles import stratum_cover_class, torus_fiber_bruteforce
 from .resolution import (
     Component,
@@ -42,7 +43,7 @@ from .spectra import Spectrum, fold_bispectrum, frac, geometric_factor, steenbri
 
 def thom_sebastiani(phi_f: MonodromicClass, phi_g: MonodromicClass) -> MonodromicClass:
     """Vanishing-cycle class of a join f(x) + g(y) from the two factors."""
-    return collapse_pair(box(phi_f, phi_g), (1, 2))
+    return convolve(phi_f, phi_g)
 
 
 def one_variable_vanishing(a: int) -> MonodromicClass:
@@ -203,7 +204,7 @@ _BASE_POINT = MonodromicClass.unit(0)
 def monomial_datum(exponents: Sequence[int]) -> ResolutionDatum:
     """Identity-resolution datum of prod x_i^(a_i), local at the origin."""
     comps = tuple(
-        Component(f"x{i+1}", 0, int(a), 1) for i, a in enumerate(exponents)
+        Component(f"x{i+1}", 0, a, 1) for i, a in enumerate(_int_row(exponents, "exponents"))
     )
     stratum = Stratum(tuple(c.id for c in comps), base=_BASE_POINT)
     return ResolutionDatum(len(comps), True, ("g",), comps, (stratum,))
@@ -217,7 +218,8 @@ def smooth_point_datum() -> ResolutionDatum:
 
 def product_joint_datum(a: int, b: int) -> ResolutionDatum:
     """Joint datum for the disjoint-variable pair (x^a, y^b) on the plane."""
-    comps = (Component("cx", int(a), 0, 1), Component("cy", 0, int(b), 1))
+    a, b = _strict_int(a, "a"), _strict_int(b, "b")
+    comps = (Component("cx", a, 0, 1), Component("cy", 0, b, 1))
     stratum = Stratum(("cx", "cy"), base=_BASE_POINT)
     return ResolutionDatum(
         2, True, ("f", "g"), comps, (stratum,),
@@ -232,16 +234,13 @@ def _power_spectrum(a: int) -> Spectrum:
     return Spectrum([(Fraction(k, a), 1) for k in range(1, a)])
 
 
-_D_SPECTRA = {
-    2: Spectrum([(frac((3, 4)), 1), (1, 1), (frac((5, 4)), 1)]),
-    3: Spectrum([(frac((2, 3)), 1), (1, 2), (frac((4, 3)), 1)]),
-    4: Spectrum(
-        [(frac((5, 8)), 1), (frac((7, 8)), 1), (1, 1), (frac((9, 8)), 1), (frac((11, 8)), 1)]
-    ),
-    5: Spectrum(
-        [(frac((3, 5)), 1), (frac((4, 5)), 1), (1, 2), (frac((6, 5)), 1), (frac((7, 5)), 1)]
-    ),
-}
+def _d_curve_spectrum(N: int) -> Spectrum:
+    """Spectrum of the weighted-homogeneous germ y(x^2 + y^(N-1)), weights
+    (w_x, w_y) = ((N-1)/(2N), 1/N): each monomial x^i y^j of the Milnor
+    basis 1, y, ..., y^(N-1), x contributes t^((i+1) w_x + (j+1) w_y)."""
+    wx, wy = Fraction(N - 1, 2 * N), Fraction(1, N)
+    basis = [(0, j) for j in range(N)] + [(1, 0)]
+    return Spectrum([((i + 1) * wx + (j + 1) * wy, 1) for i, j in basis])
 
 
 def _rederive_monomial(a: int):
@@ -323,7 +322,7 @@ def _rederive_d_curve(N: int):
                 )
             )
         sp = hodge_spectrum(vanishing_cycles(datum))
-        results.append((f"D-curve N={N}: spectrum equals the shipped value", sp == _D_SPECTRA[N]))
+        results.append((f"D-curve N={N}: spectrum equals the shipped value", sp == _d_curve_spectrum(N)))
         return results
 
     return run
@@ -400,7 +399,7 @@ def fixtures() -> list:
                     "double-checked through the power-perturbation identity "
                     "Sp(f + g^N) - Sp(f) with f = x^2 y, g = y"
                 ),
-                expected_spectrum=_D_SPECTRA[N],
+                expected_spectrum=_d_curve_spectrum(N),
                 rederive=_rederive_d_curve(N),
             )
         )

@@ -344,3 +344,22 @@ def test_euler_char_reaches_feasible_through_the_module(monkeypatch):
     cone = Cone(2, (((-1, 1), ">"), ((1, -1), ">=")) + later)
     assert euler_char(cone) == ref_euler_char(2, cone.constraints) == 0
     assert calls == [3, 4, 4]
+
+
+def test_random_unimodular_cone_forms_invert_the_generators():
+    # The check suite's cones are cut out by the columns of G^-1, read off
+    # the Smith normal form of G; generator row i pairs with form k to 1
+    # exactly when i == k.
+    from hodgespec.checks import _random_unimodular_cone
+
+    rng = random.Random(3)
+    nontrivial = 0
+    for dim in (1, 2, 3, 4):
+        for _ in range(10):
+            G, cone = _random_unimodular_cone(rng, dim)
+            forms = [coeffs for coeffs, _rel in cone.constraints]
+            assert [[dot(form, row) for form in forms] for row in G] == [
+                [int(i == k) for k in range(dim)] for i in range(dim)
+            ]
+            nontrivial += any(G[i][j] for i in range(dim) for j in range(i + 1, dim) if G[i][j] > 1)
+    assert nontrivial > 5

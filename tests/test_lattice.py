@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 from hodgespec.lattice import (
     elementary_divisors,
@@ -59,7 +60,7 @@ def test_kernel_basis():
         nr, nc = rng.randint(1, 2), rng.randint(1, 4)
         M = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
         kernel = integer_kernel_basis(M)
-        assert len(kernel) == nc - rational_rank(M)
+        assert len(kernel) == nc - _gauss_jordan_rank(M)
         for k in kernel:
             assert all(sum(M[i][j] * k[j] for j in range(nc)) == 0 for i in range(nr))
 
@@ -70,3 +71,47 @@ def test_rational_solve():
     assert sol is not None
     assert [2 * sol[0] + sol[1], sol[1]] == [1, 0]
     assert rational_solve([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def _gauss_jordan_rank(rows):
+    """Reference rank over Q: Gauss-Jordan elimination on a Fraction copy,
+    independent of the Smith normal form behind rational_rank."""
+    m = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rational_rank_matches_gauss_jordan():
+    rng = random.Random(11)
+    deficient = 0
+    for _ in range(400):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        fractional = rng.random() < 0.5
+        if fractional:
+            M = [[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(nc)] for _ in range(nr)]
+        else:
+            M = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.5:
+            # Make the last row a combination of the others.
+            cs = [F(rng.randint(-3, 3), rng.randint(1, 4) if fractional else 1) for _ in M[:-1]]
+            M[-1] = [sum(c * row[j] for c, row in zip(cs, M)) for j in range(nc)]
+            if not fractional:
+                M[-1] = [int(x) for x in M[-1]]
+        expect = _gauss_jordan_rank(M)
+        assert rational_rank(M) == expect, M
+        deficient += expect < min(nr, nc)
+    assert rational_rank([]) == 0 and rational_rank([[0, 0], [0, 0]]) == 0
+    # The draw reaches rank-deficient matrices, where a wrong count shows.
+    assert deficient > 50

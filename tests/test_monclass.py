@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -23,6 +24,7 @@ from hodgespec.monclass import (
     hodge_spectrum2,
     torus_fiber_class,
 )
+from hodgespec import lattice, oracles
 from hodgespec.oracles import torus_fiber_bruteforce
 from hodgespec.spectra import BiSpectrum, Spectrum
 
@@ -287,3 +289,40 @@ def test_ring_axioms_random():
         assert x * (y + z) == x * y + x * z
         assert x * u == x
         assert L * x == x * L
+
+
+@pytest.mark.parametrize("bad", [2.7, True, F(1, 2)], ids=["float", "bool", "half"])
+@pytest.mark.parametrize(
+    "fn", [smith_normal_form, torus_fiber_class, torus_fiber_bruteforce], ids=lambda f: f.__name__
+)
+def test_exponent_matrix_entries_are_strict_integers(fn, bad):
+    # A float, a bool or a non-integral rational is refused, not truncated.
+    with pytest.raises(ValueError, match=rf"row 1, coefficient 0: {re.escape(repr(bad))} is not an integer"):
+        fn([[2, 1], [bad, 3]])
+
+
+def test_integral_fraction_entries_are_accepted():
+    assert torus_fiber_class([[F(2), 3], [0, F(6, 2)]]) == torus_fiber_class([[2, 3], [0, 3]])
+    assert torus_fiber_bruteforce([[F(2), 1], [0, 1]]) == torus_fiber_bruteforce([[2, 1], [0, 1]])
+
+
+def test_oracle_runs_one_smith_normal_form(monkeypatch):
+    # Rank, divisors and kernel all come from a single Smith normal form;
+    # every lattice routine reaches it through the module global.
+    calls = []
+    real = lattice.smith_normal_form
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    monkeypatch.setattr(oracles, "smith_normal_form", counted)
+    for M in ([[2, 1], [0, 1]], [[2, 6]], [[1, 2, 3]], [[3, 0, 1], [0, 2, 1]], [[2, 4], [1, 1]]):
+        calls.clear()
+        assert torus_fiber_bruteforce(M, q_cap=24) is not None
+        assert len(calls) == 1, M
+    calls.clear()
+    with pytest.raises(ValueError, match="rank deficient"):
+        torus_fiber_bruteforce([[1, 2], [2, 4]])
+    assert len(calls) == 1

@@ -100,6 +100,9 @@ def test_nearby_open_restricts_to_zero_locus():
     # With no boundary components the open variant equals the plain one.
     plain = monomial_datum((2, 3))
     assert nearby_cycles_open(plain) == nearby_cycles(plain)
+    # The plain variant refuses the mixed datum instead of dropping strata.
+    with pytest.raises(ValueError, match="mixes zero and positive multiplicities; use nearby_cycles_open"):
+        nearby_cycles(datum)
 
 
 def test_vanishing_examples():
@@ -147,6 +150,19 @@ def test_iterated_no_qualifying_stratum():
     comps = (Component("a", 2, 0, 1), Component("b", 1, 0, 1))
     datum = ResolutionDatum(2, True, ("f", "g"), comps, (Stratum(("a", "b"), base=unit0),))
     assert iterated_nearby(datum) == MC.zero(2)
+
+
+def test_iterated_skips_strata_on_one_side():
+    # Only strata meeting both C = {Ng > 0} and its complement count; the
+    # curve strata inside and outside C carry classes that would show.
+    comps = (Component("cx", 1, 0, 1), Component("cy", 0, 1, 1))
+    strata = (
+        Stratum(("cx",), explicit=mono(2, (0, 0), 1, 1)),
+        Stratum(("cy",), explicit=mono(2, (0, F(1, 2)), 1, 1)),
+        Stratum(("cx", "cy"), base=unit0),
+    )
+    datum = ResolutionDatum(2, True, ("f", "g"), comps, strata)
+    assert iterated_nearby(datum) == MC.unit(2)
 
 
 def test_iterated_product_type_is_box():

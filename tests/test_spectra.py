@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgespec.monclass import MonodromicClass
+from hodgespec.series import RationalSeries, TruncatedPoly
 from hodgespec.spectra import (
     BiSpectrum,
     Spectrum,
@@ -182,3 +183,45 @@ def test_class_sorts_like_fractions(data):
     assert x.render() == _render_terms(
         ref, lambda k: f"({','.join(map(str, k[0]))};{k[1]},{k[2]})"
     )
+
+
+_UNIT0 = MonodromicClass.unit(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: Spectrum([(0.1, 1)]), id="spectrum-float-exponent"),
+        pytest.param(lambda: Spectrum([(True, 1)]), id="spectrum-bool-exponent"),
+        pytest.param(lambda: Spectrum([(0, 1.7)]), id="spectrum-float-mult"),
+        pytest.param(lambda: Spectrum([(0, True)]), id="spectrum-bool-mult"),
+        pytest.param(lambda: Spectrum([(0, F(1, 2))]), id="spectrum-half-mult"),
+        pytest.param(lambda: Spectrum.one().coefficient(0.5), id="spectrum-coefficient"),
+        pytest.param(lambda: BiSpectrum([((0.5, 0, 0), 1)]), id="bispectrum-float-residue"),
+        pytest.param(lambda: BiSpectrum([((0, 0, 1.5), 1)]), id="bispectrum-float-c"),
+        pytest.param(lambda: BiSpectrum([((0, 0, 0), "1")]), id="bispectrum-str-mult"),
+        pytest.param(lambda: BiSpectrum.one().coefficient(0, 0, 0.0), id="bispectrum-coefficient"),
+        pytest.param(lambda: MonodromicClass(1, [(((0.25,), 0, 0), 1)]), id="class-float-residue"),
+        pytest.param(lambda: MonodromicClass(1, [(((0,), 1.5, 0), 1)]), id="class-float-p"),
+        pytest.param(lambda: MonodromicClass(1, [(((0,), 0, F(1, 2)), 1)]), id="class-half-q"),
+        pytest.param(lambda: MonodromicClass(0, [(((), 0, 0), 2.0)]), id="class-float-mult"),
+        pytest.param(lambda: MonodromicClass.unit(1).coefficient((0,), True, 0), id="class-coefficient"),
+        pytest.param(lambda: RationalSeries(0, [(((1.5, 1),), _UNIT0)]), id="series-float-e"),
+        pytest.param(lambda: RationalSeries(0, [(((-1, True),), _UNIT0)]), id="series-bool-j"),
+        pytest.param(lambda: TruncatedPoly(0, [(1.0, _UNIT0)]), id="poly-float-degree"),
+        pytest.param(lambda: TruncatedPoly.zero(0).coefficient(F(3, 2)), id="poly-coefficient"),
+        pytest.param(lambda: frac(0.5), id="frac-float"),
+        pytest.param(lambda: frac((1, 2.0)), id="frac-float-den"),
+        pytest.param(lambda: frac(True), id="frac-bool"),
+        pytest.param(lambda: mod1(0.25), id="mod1-float"),
+    ],
+)
+def test_ring_constructors_refuse_floats_and_truncation(make):
+    with pytest.raises(ValueError, match="is not an (integer|exact rational)"):
+        make()
+
+
+def test_ring_constructors_take_exact_integral_values():
+    assert Spectrum([(F(1, 10), F(2))]) == Spectrum([("1/10", 2)]) == 2 * Spectrum.monomial((1, 10))
+    assert MonodromicClass(1, [(((F(1, 2),), F(1), 0), 1)]) == MonodromicClass.monomial(1, ((1, 2),), 1, 0)
+    assert TruncatedPoly(0, [(F(2), _UNIT0)]).degrees() == [2]

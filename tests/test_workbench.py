@@ -68,8 +68,10 @@ def test_d_curve_spectra():
         4: t(F(5, 8)) + t(F(7, 8)) + t(1) + t(F(9, 8)) + t(F(11, 8)),
         5: t(F(3, 5)) + t(F(4, 5)) + 2 * t(1) + t(F(6, 5)) + t(F(7, 5)),
     }
+    registry = {fx.name: fx for fx in fixtures()}
     for N, spectrum in expected.items():
         assert hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}"))) == spectrum
+        assert registry[f"d_curve_N{N}"].expected_spectrum == spectrum
     with pytest.raises(FileNotFoundError):
         fixture_datum("d_curve_N6")
 
@@ -250,3 +252,19 @@ def test_fixture_rederive_hooks():
             continue
         for name, ok in fx.rederive():
             assert ok, name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: monomial_datum((2.7, 1)), id="monomial_datum"),
+        pytest.param(lambda: workbench.product_joint_datum(2, 1.5), id="product_joint_datum"),
+        pytest.param(lambda: jet_count_zeta((True, 2), 5), id="jet_count_zeta"),
+        pytest.param(lambda: stratum_cover_class(F(5, 2), (1, 1)), id="stratum_cover_multiplicity"),
+        pytest.param(lambda: stratum_cover_class(2, (1.0, 1)), id="stratum_cover_crossings"),
+    ],
+)
+def test_generators_refuse_non_integer_exponents(make):
+    # Each used to truncate through int(): 2.7 became 2, True became 1.
+    with pytest.raises(ValueError, match="is not an integer"):
+        make()
