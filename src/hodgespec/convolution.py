@@ -1,18 +1,20 @@
 """Convolution of monodromic classes.
 
 ``collapse_pair`` fuses two chosen monodromy gradings of a class into one.
-On a basis monomial with eigenvalue residues (a, b) in the chosen pair and
-bidegree (p, q) it acts by the closed-form table
+It works on residues over a common denominator L: a residue n/d is the
+integer n * (L // d) in [0, L).  On a basis monomial whose chosen pair of
+residues is (a, b) over L and whose bidegree is (p, q) it acts by the
+closed-form table ``_collapse_int``
 
-    (0, 0)                         -> eigenvalue 0,        (p, q)
-    (a, 0), a != 0                 -> a,                   (p, q)
-    (0, b), b != 0                 -> b,                   (p, q)
-    (a, b), a, b != 0, a + b = 0   -> 0,                   (p + 1, q + 1)
-    (a, b), a, b != 0, a + b < 1   -> a + b,               (p, q + 1)
-    (a, b), a, b != 0, a + b > 1   -> a + b mod 1,         (p + 1, q)
+    b = 0                    -> eigenvalue a,       (p, q)
+    a = 0, b != 0            -> b,                  (p, q)
+    a, b != 0, a + b > L     -> a + b - L,          (p + 1, q)
+    a, b != 0, a + b < L     -> a + b,              (p, q + 1)
+    a, b != 0, a + b = L     -> 0,                  (p + 1, q + 1)
 
-(representatives in [0, 1); exactly one row applies to every key).  The
-table is the equivariant-quotient computation against the affine and
+(exactly one row applies to every key; the new eigenvalue is again an
+integer over L in [0, L), reduced to a key pair once per distinct value).
+The table is the equivariant-quotient computation against the affine and
 antidiagonal Fermat curves x^n + y^n = 1 and x^n + y^n = 0 in the torus:
 the quotient pairs each (a, b) eigenspace of the curve with the matching
 eigenspace of the class, bidegrees add, and the residual diagonal
@@ -20,34 +22,39 @@ monodromy acts with eigenvalue a + b.  The brute-force version of that
 computation lives in ``hodgespec.oracles`` and the test suite re-derives
 every row from it.
 
-``convolve`` is the induced product x * y = collapse_pair(box(x, y)); it is
-commutative, associative, and unital, and the one-monodromy Hodge spectrum
-is a ring morphism for it.  ``collapse_triple`` collapses three gradings at
-once; the result does not depend on which pair goes first.
-``power_pushforward`` realizes the pushforward along the N-th power map on
-one monodromy slot: an eigenvalue residue b fans out to the N residues
-(b + j)/N.
+``convolve`` is the induced product: for two classes
+convolve(x, y) = collapse_pair(box(x, y)), and that identity is part of
+the contract.  The product is commutative, associative, and unital, and
+the one-monodromy Hodge spectrum is a ring morphism for it.  ``convolve``
+is n-ary: it takes L over every input, folds the table left to right on
+integer residues without building any box product, and reduces each
+distinct result residue once at the end.  ``collapse_triple`` collapses
+three gradings at once; the result does not depend on which pair goes
+first.  ``power_pushforward`` realizes the pushforward along the N-th
+power map on one monodromy slot: an eigenvalue residue b fans out to the
+N residues (b + j)/N.
 """
 
 from __future__ import annotations
 
-from .monclass import MonodromicClass, box
-from .spectra import Pair, _merge, _reduced
+from math import lcm
+
+from .monclass import MonodromicClass
+from .spectra import _merge, _reduced
 
 
-def _collapse_key(a: Pair, b: Pair):
-    """Table row for one residue pair: (new eigenvalue, dp, dq)."""
-    (an, ad), (bn, bd) = a, b
-    if bn == 0:  # also the (0, 0) row: a is then (0, 1)
+def _collapse_int(a: int, b: int, L: int):
+    """Table row for residues a / L and b / L: (new numerator over L, dp, dq)."""
+    if not b:  # also the (0, 0) row
         return a, 0, 0
-    if an == 0:
+    if not a:
         return b, 0, 0
-    n, m = an * bd + bn * ad, ad * bd
-    if n == m:
-        return (0, 1), 1, 1
-    if n < m:
-        return _reduced(n, m), 0, 1
-    return _reduced(n - m, m), 1, 0
+    s = a + b
+    if s > L:
+        return s - L, 1, 0
+    if s < L:
+        return s, 0, 1
+    return 0, 1, 1
 
 
 def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
@@ -55,22 +62,55 @@ def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
     i, j = pair
     if not 1 <= i < j <= x.arity:
         raise ValueError(f"slot pair {pair} out of range for arity {x.arity}")
+    L = lcm(*{evs[k][1] for evs, _p, _q in x._terms for k in (i - 1, j - 1)})
+    reduced: dict = {}
     out: dict = {}
     for (evs, p, q), mult in x._terms.items():
-        new_ev, dp, dq = _collapse_key(evs[i - 1], evs[j - 1])
+        (an, ad), (bn, bd) = evs[i - 1], evs[j - 1]
+        s, dp, dq = _collapse_int(an * (L // ad), bn * (L // bd), L)
+        new_ev = reduced.get(s)
+        if new_ev is None:
+            new_ev = reduced[s] = _reduced(s, L)
         rest = evs[: i - 1] + (new_ev,) + evs[i: j - 1] + evs[j:]
         _merge(out, (rest, p + dp, q + dq), mult)
     return MonodromicClass._trusted(x.arity - 1, out)
 
 
-def convolve(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
-    """Convolution product of two one-monodromy classes.
+def convolve(*classes: MonodromicClass) -> MonodromicClass:
+    """Convolution product of one or more one-monodromy classes.
 
     The unit is the class with trivial eigenvalue and bidegree (0, 0).
     """
-    if x.arity != 1 or y.arity != 1:
+    if not classes:
+        raise ValueError("convolve needs at least one class")
+    if any(x.arity != 1 for x in classes):
         raise ValueError("convolve is defined for arity-1 classes")
-    return collapse_pair(box(x, y), (1, 2))
+    L = lcm(*{d for x in classes for ((_n, d),), _p, _q in x._terms})
+    ints = [[(n * (L // d), p, q, m) for (((n, d),), p, q), m in x._terms.items()] for x in classes]
+    # Residue numerators over L are injective on residues, so the first
+    # class's keys stay distinct; later sums may hold zeros until the end.
+    acc = {(a, p, q): m for a, p, q, m in ints[0]}
+    for terms in ints[1:]:
+        out: dict = {}
+        get = out.get
+        for (a, p, q), m in acc.items():
+            if not m:
+                continue
+            for b, p2, q2, m2 in terms:
+                s, dp, dq = _collapse_int(a, b, L)
+                key = (s, p + p2 + dp, q + q2 + dq)
+                out[key] = get(key, 0) + m * m2
+        acc = out
+    # Reduce each distinct numerator once, in term order, and drop zeros.
+    evs: dict = {}
+    result: dict = {}
+    for (s, p, q), m in acc.items():
+        if m:
+            ev = evs.get(s)
+            if ev is None:
+                ev = evs[s] = (_reduced(s, L),)
+            result[ev, p, q] = m
+    return MonodromicClass._trusted(1, result)
 
 
 def collapse_triple(x: MonodromicClass) -> MonodromicClass:

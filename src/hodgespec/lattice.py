@@ -8,9 +8,10 @@ integer kernel.  ``rational_rank`` clears each row's denominators (a
 nonzero multiple of a row keeps the rank) and counts the same divisors.
 Gauss-Jordan elimination stays only in ``rational_solve``, whose contract
 is one particular solution (leftmost pivots, free variables 0), the one the
-root-of-unity oracle pairs its roots with.  Integer entry is strict:
+root-of-unity oracle pairs its roots with.  Entry is strict:
 ``_strict_int`` and ``_int_row`` raise ValueError on bool, float, str and
-non-integral values instead of truncating them.
+non-integral values instead of truncating them, and ``rational_solve``
+takes only ints and Fractions (``_frac_row``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ def _int_row(values, where: str) -> tuple:
         v if type(v) is int else _strict_int(v, f"{where}, coefficient {j}")
         for j, v in enumerate(values)
     )
+
+
+def _frac_row(values, where: str) -> list:
+    """A Fraction row, strictly: only ints and Fractions pass; a bool, a
+    float (binary-rounded) or a str raises a ValueError naming `where` and
+    the index."""
+    row = []
+    for j, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValueError(f"{where}, coefficient {j}: {v!r} is not an exact rational")
+        row.append(Fraction(v))
+    return row
 
 
 def _int_matrix(rows) -> list:
@@ -68,10 +81,12 @@ def rational_solve(rows, rhs):
     """One exact solution of rows * x = rhs over Q, or None if inconsistent.
 
     Gauss-Jordan elimination on the augmented Fraction matrix, pivoting on
-    the leftmost column left; free variables are set to 0.
+    the leftmost column left; free variables are set to 0.  Entries must be
+    ints or Fractions (see ``_frac_row``).
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(nr)]
+    rhs = _frac_row(rhs, "right-hand side")
+    aug = [_frac_row(rows[i], f"row {i}") + [rhs[i]] for i in range(nr)]
     pivots = []
     for col in range(nc):
         rank = len(pivots)

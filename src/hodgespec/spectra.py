@@ -173,7 +173,7 @@ class _SparseMap:
     are), ``_key_view`` (a stored key in its public form, for ``terms()``),
     ``_key_slots`` (a key flattened for ``_sorted_items``, when it holds
     rational pairs) and ``render``.  ``_scalars`` lists the types ``*``
-    treats as coefficient scalars.
+    treats as coefficient scalars, the only ones ``scale`` accepts.
     """
 
     __slots__ = ("_terms",)
@@ -233,7 +233,10 @@ class _SparseMap:
         return self._like({k: -c for k, c in self._terms.items()})
 
     def scale(self, k):
-        """Multiply every coefficient by a scalar."""
+        """Multiply every coefficient by a scalar, strictly: anything but one
+        of ``_scalars`` (a bool or a float, say) raises ValueError."""
+        if isinstance(k, bool) or not isinstance(k, self._scalars):
+            raise ValueError(f"scale: {k!r} is not an integer")
         return self._like({key: v for key, c in self._terms.items() if (v := c * k)})
 
     def __mul__(self, other):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from hodgespec.lattice import (
     elementary_divisors,
     identity,
@@ -71,6 +73,22 @@ def test_rational_solve():
     assert sol is not None
     assert [2 * sol[0] + sol[1], sol[1]] == [1, 0]
     assert rational_solve([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def test_rational_solve_keeps_exact_solutions_and_refuses_floats():
+    # Leftmost pivots, free variables 0: the particular solution is pinned.
+    assert rational_solve([[2, 6]], [1]) == [F(1, 2), 0]
+    assert rational_solve([[2, 1], [0, 1]], [1, 0]) == [F(1, 2), 0]
+    assert rational_solve([[F(1, 3), 1]], [F(2, 3)]) == [2, 0]
+    for rows, rhs, where in (
+        ([[0.1]], [1], "row 0, coefficient 0"),
+        ([[1, True]], [1], "row 0, coefficient 1"),
+        ([[1]], [0.5], "right-hand side, coefficient 0"),
+        ([[1]], [False], "right-hand side, coefficient 0"),
+        ([[1], ["2"]], [1, 2], "row 1, coefficient 0"),
+    ):
+        with pytest.raises(ValueError, match=f"{where}: .* is not an exact rational"):
+            rational_solve(rows, rhs)
 
 
 def _gauss_jordan_rank(rows):

@@ -214,6 +214,15 @@ _UNIT0 = MonodromicClass.unit(0)
         pytest.param(lambda: frac((1, 2.0)), id="frac-float-den"),
         pytest.param(lambda: frac(True), id="frac-bool"),
         pytest.param(lambda: mod1(0.25), id="mod1-float"),
+        pytest.param(lambda: Spectrum.monomial(0).scale(0.5), id="spectrum-scale-float"),
+        pytest.param(lambda: Spectrum.monomial(0).scale(True), id="spectrum-scale-bool"),
+        pytest.param(lambda: Spectrum.monomial(0).scale(F(2)), id="spectrum-scale-fraction"),
+        pytest.param(lambda: BiSpectrum.one().scale(2.0), id="bispectrum-scale-float"),
+        pytest.param(lambda: MonodromicClass.unit(1).scale(1.5), id="class-scale-float"),
+        pytest.param(lambda: MonodromicClass.unit(1) * True, id="class-times-bool"),
+        pytest.param(lambda: TruncatedPoly.zero(0).scale(False), id="poly-scale-bool"),
+        pytest.param(lambda: RationalSeries.constant(_UNIT0).scale(1.5), id="series-scale-float"),
+        pytest.param(lambda: RationalSeries.constant(_UNIT0).scale(Spectrum.one()), id="series-scale-spectrum"),
     ],
 )
 def test_ring_constructors_refuse_floats_and_truncation(make):

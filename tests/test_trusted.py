@@ -12,12 +12,14 @@ plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
 
 import random
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgespec.cones import GE, GT, Cone, lattice_series
-from hodgespec.convolution import collapse_pair, power_pushforward
+from hodgespec.convolution import collapse_pair, convolve, power_pushforward
 from hodgespec.monclass import (
     MonodromicClass as MC,
     box,
@@ -28,6 +30,7 @@ from hodgespec.monclass import (
 )
 from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor
+from hodgespec.workbench import one_variable_vanishing
 
 
 def _rational(x):
@@ -279,3 +282,65 @@ def test_hodge_spectra_pair_keys_match_fractions(x1, x2, N):
     two = hodge_spectrum2(x2)
     _same(two, _ref(((a, b, p), m) for ((a, b), p, _q), m in x2.terms()))
     _same(fold_bispectrum(two, N), _ref((a + b / N + p, m) for ((a, b), p, _q), m in x2.terms()))
+
+
+# Residues over a few small denominators collide often, so the products of
+# these classes cancel, in the middle of a fold as well as at its end.
+FEW_RESIDUES = st.sampled_from((1, 2, 3, 4, 6)).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda n: F(n, d))
+)
+CONV_CLASSES = st.one_of(*(
+    st.lists(st.tuples(st.tuples(st.tuples(res), SMALL, SMALL), SMALL), max_size=8).map(
+        lambda terms: MC(1, terms)
+    )
+    for res in (RESIDUES, FEW_RESIDUES)
+))
+
+
+def _ref_convolve(classes):
+    """Left fold of collapse(box(x, y)) on Fraction keys, through the
+    Fraction collapse table."""
+    acc = _ref(classes[0].terms())
+    for y in classes[1:]:
+        acc = _ref(
+            (((new,), p1 + p2 + dp, q1 + q2 + dq), m1 * m2)
+            for ((a,), p1, q1), m1 in acc.items()
+            for ((b,), p2, q2), m2 in y.terms()
+            for new, dp, dq in [_collapse_key(a, b)]
+        )
+    return acc
+
+
+@PROPERTY
+@given(st.lists(CONV_CLASSES, min_size=1, max_size=4))
+def test_nary_convolve_matches_the_folded_collapse_table(classes):
+    got = convolve(*classes)
+    _same(got, _ref_convolve(classes))
+    assert got == reduce(lambda x, y: collapse_pair(box(x, y)), classes)
+
+
+def test_convolve_drops_cancelled_terms():
+    third, two_thirds = MC.monomial(1, (F(1, 3),), 0, 0), MC.monomial(1, (F(2, 3),), 0, 0)
+    x, y = third + two_thirds, two_thirds - third
+    # (1/3, 2/3) and (2/3, 1/3) both give (0; 1, 1), with opposite signs.
+    expected = MC.monomial(1, (F(1, 3),), 1, 0) - MC.monomial(1, (F(2, 3),), 0, 1)
+    assert convolve(x, y)._terms == expected._terms
+    z = MC.monomial(1, (F(1, 2),), -1, 2) + MC.unit(1)
+    assert_canonical(convolve(x, y, z))
+    assert convolve(x, y, z) == convolve(expected, z)
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [(), (MC.unit(2),), (MC.unit(1), MC.unit(2)), (MC.unit(1), MC.unit(0), MC.unit(1))],
+    ids=["none", "arity-2", "arity-1-and-2", "arity-0-in-the-middle"],
+)
+def test_convolve_refuses_no_class_and_other_arities(classes):
+    with pytest.raises(ValueError, match="convolve"):
+        convolve(*classes)
+
+
+@pytest.mark.parametrize("a", [True, 3.0, F(7, 2), "3"])
+def test_one_variable_vanishing_refuses_non_integer_exponents(a):
+    with pytest.raises(ValueError, match="exponent"):
+        one_variable_vanishing(a)
