@@ -20,10 +20,13 @@ Subcommands::
     check      --suite NAME              property suites (rings, cones, psi,
                                          steenbrink, all)
 
-Exit codes: 0 success, 1 check failure, 2 input error.
+Exit codes: 0 success, 1 check failure, 2 input error.  Subcommands raise
+``ValueError`` (``SchemaError`` included) or ``OSError`` on bad input, and
+``main`` alone prints every such error as ``error: ...`` and exits 2.
 
-A class file is a JSON list of monomials ``[[num, den], p, q, mult]``; datum
-files follow the schema documented in ``hodgespec.resolution``.
+A class file is a JSON list of monomials ``[[num, den], p, q, mult]``, read
+by ``resolution.load_class``; datum files follow the schema documented in
+``hodgespec.resolution``.
 """
 
 from __future__ import annotations
@@ -37,10 +40,9 @@ from .checks import run_suite
 from .convolution import convolve
 from .monclass import hodge_spectrum, hodge_spectrum2
 from .resolution import (
-    SchemaError,
-    _classr_from_json,
     datum_to_dict,
     iterated_nearby,
+    load_class,
     load_datum,
     multiplicity_ratio,
     nearby_cycles,
@@ -50,38 +52,15 @@ from .resolution import (
 from .workbench import fixtures, iterated_vanishing, quasihomogeneous_spectrum, steenbrink_check
 
 
-class InputError(Exception):
-    pass
-
-
-def _load_class1(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}")
-    try:
-        return _classr_from_json(data, 1, path)
-    except (SchemaError, ValueError) as exc:
-        raise InputError(str(exc))
-
-
-def _load(path):
-    try:
-        return load_datum(path)
-    except (SchemaError, OSError) as exc:
-        raise InputError(str(exc))
-
-
 def _cmd_spectrum(args):
-    datum = _load(args.datum)
+    datum = load_datum(args.datum)
     cls = vanishing_cycles(datum) if args.phi else nearby_cycles(datum)
     print(hodge_spectrum(cls).render())
     return 0
 
 
 def _cmd_zeta(args):
-    datum = _load(args.datum)
+    datum = load_datum(args.datum)
     series = zeta_series(datum)
     if args.truncate is None:
         print(series.render())
@@ -91,7 +70,7 @@ def _cmd_zeta(args):
 
 
 def _cmd_iterated(args):
-    joint = _load(args.joint)
+    joint = load_datum(args.joint)
     cls = iterated_nearby(joint)
     print("class:    " + cls.render())
     print("spectrum: " + hodge_spectrum2(cls).render())
@@ -102,20 +81,20 @@ def _cmd_ts(args):
     try:
         exponents = [int(x) for x in args.exponents.split(",") if x.strip()]
     except ValueError:
-        raise InputError(f"--exponents: could not parse {args.exponents!r}")
+        raise ValueError(f"--exponents: could not parse {args.exponents!r}") from None
     if not exponents or any(a < 1 for a in exponents):
-        raise InputError("--exponents: need positive integers")
+        raise ValueError("--exponents: need positive integers")
     try:
         spectrum = quasihomogeneous_spectrum(exponents)
     except ValueError as exc:
-        raise InputError(f"--exponents: {exc}")
+        raise ValueError(f"--exponents: {exc}") from exc
     print(spectrum.render())
     return 0
 
 
 def _cmd_convolve(args):
-    left = _load_class1(args.left)
-    right = _load_class1(args.right)
+    left = load_class(args.left)
+    right = load_class(args.right)
     result = convolve(left, right)
     print("class:    " + result.render())
     print("spectrum: " + hodge_spectrum(result).render())
@@ -123,16 +102,13 @@ def _cmd_convolve(args):
 
 
 def _cmd_steenbrink(args):
-    f_datum = _load(args.f)
-    fg_datum = _load(args.fg)
-    joint = _load(args.joint)
-    try:
-        phi_iter = iterated_vanishing(joint)
-        threshold = multiplicity_ratio(joint)
-        sp_f = hodge_spectrum(vanishing_cycles(f_datum))
-        sp_fg = hodge_spectrum(vanishing_cycles(fg_datum))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    f_datum = load_datum(args.f)
+    fg_datum = load_datum(args.fg)
+    joint = load_datum(args.joint)
+    phi_iter = iterated_vanishing(joint)
+    threshold = multiplicity_ratio(joint)
+    sp_f = hodge_spectrum(vanishing_cycles(f_datum))
+    sp_fg = hodge_spectrum(vanishing_cycles(fg_datum))
     report = steenbrink_check(sp_f, sp_fg, phi_iter, args.N, threshold)
     print(report.render())
     if report.equal or not report.hypothesis_ok:
@@ -164,10 +140,7 @@ def _cmd_fixtures(args):
 
 
 def _cmd_check(args):
-    try:
-        results = run_suite(args.suite)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    results = run_suite(args.suite)
     failures = 0
     for res in results:
         print(f"[{'PASS' if res.ok else 'FAIL'}] {res.name}" + (f" :: {res.detail}" if res.detail else ""))
@@ -233,8 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
-        # OSError: a shipped fixture file or a --write target is unreachable.
+    except (ValueError, OSError) as exc:
+        # OSError: an input file, a shipped fixture file or a --write target
+        # is unreachable.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

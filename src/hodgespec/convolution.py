@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .lattice import _strict_int
 from .monclass import MonodromicClass
 from .spectra import _merge, _reduced
 
@@ -131,6 +132,7 @@ def power_pushforward(x: MonodromicClass, slot: int, N: int) -> MonodromicClass:
     monomials with residues (b + j)/N, j = 0..N-1; other data unchanged.
     N = 1 is the identity.
     """
+    slot, N = _strict_int(slot, "slot"), _strict_int(N, "N")
     if not 1 <= slot <= x.arity:
         raise ValueError(f"slot {slot} out of range for arity {x.arity}")
     if N < 1:

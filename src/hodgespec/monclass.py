@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterable, Mapping
 
 from .lattice import _int_matrix, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
@@ -36,7 +35,6 @@ from .spectra import (
     Spectrum,
     _add_mod1,
     _ArityMap,
-    _items,
     _merge,
     _pair,
     _reduced,
@@ -58,19 +56,13 @@ class MonodromicClass(_ArityMap):
 
     __slots__ = ()
 
-    def __init__(self, arity: int, terms: Mapping | Iterable = ()):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        self.arity = arity
-        data: dict[tuple, int] = {}
-        for (evs, p, q), mult in _items(terms):
-            evs = tuple(_pair(e, residue=True) for e in evs)
-            if len(evs) != arity:
-                shown = tuple(map(_to_frac, evs))
-                raise ValueError(f"eigenvalue tuple {shown} has wrong arity (want {arity})")
-            key = (evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q"))
-            _merge(data, key, _strict_int(mult, "multiplicity"))
-        self._terms = data
+    def _key(self, raw):
+        evs, p, q = raw
+        evs = tuple(_pair(e, residue=True) for e in evs)
+        if len(evs) != self.arity:
+            shown = tuple(map(_to_frac, evs))
+            raise ValueError(f"eigenvalue tuple {shown} has wrong arity (want {self.arity})")
+        return evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q")
 
     @staticmethod
     def _key_mul(k1, k2):
@@ -88,10 +80,6 @@ class MonodromicClass(_ArityMap):
         return (*evs, p, q)
 
     @classmethod
-    def zero(cls, arity: int) -> "MonodromicClass":
-        return cls(arity)
-
-    @classmethod
     def unit(cls, arity: int) -> "MonodromicClass":
         return cls.monomial(arity, (0,) * arity, 0, 0)
 
@@ -105,8 +93,7 @@ class MonodromicClass(_ArityMap):
         return cls.monomial(arity, (0,) * arity, power, power)
 
     def coefficient(self, evs, p, q) -> int:
-        evs = tuple(_pair(e, residue=True) for e in evs)
-        return self._terms.get((evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q")), 0)
+        return self._terms.get(self._key((evs, p, q)), 0)
 
     def __pow__(self, n: int) -> "MonodromicClass":
         if n < 0:

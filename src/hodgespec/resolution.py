@@ -353,34 +353,23 @@ def _json_list(value, path: str) -> list:
     return value
 
 
-def _class0_from_json(entries, path: str) -> MonodromicClass:
+def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
+    """A class of the given arity from its JSON list of monomials: ``arity``
+    [num, den] eigenvalue pairs, then p, q, mult (``[p, q, mult]`` at arity
+    0).  The validated int pairs go to the constructor as they are."""
+    shape = f"{arity} [num,den] pairs then p, q, mult" if arity else "[p, q, mult]"
     terms = []
     for i, entry in enumerate(_json_list(entries, path)):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise SchemaError(f"{path}[{i}]", "expected [p, q, mult]")
-        p, q, mult = (_json_int(v, f"{path}[{i}][{k}]") for k, v in enumerate(entry))
-        terms.append((((), p, q), mult))
-    return MonodromicClass(0, terms)
-
-
-def _classr_from_json(entries, arity: int, path: str) -> MonodromicClass:
-    terms = []
-    for i, entry in enumerate(_json_list(entries, path)):
+        at = f"{path}[{i}]"
         if not (isinstance(entry, list) and len(entry) == arity + 3):
-            raise SchemaError(
-                f"{path}[{i}]", f"expected {arity} [num,den] pairs then p, q, mult"
-            )
+            raise SchemaError(at, f"expected {shape}")
         evs = []
-        for j in range(arity):
-            pair = entry[j]
+        for j, pair in enumerate(entry[:arity]):
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{path}[{i}][{j}]", "expected [num, den]")
-            num = _json_int(pair[0], f"{path}[{i}][{j}][0]")
-            den = _json_int(pair[1], f"{path}[{i}][{j}][1]", positive=True)
-            evs.append(Fraction(num, den))
-        p, q, mult = (
-            _json_int(entry[k], f"{path}[{i}][{k}]") for k in range(arity, arity + 3)
-        )
+                raise SchemaError(f"{at}[{j}]", "expected [num, den]")
+            num = _json_int(pair[0], f"{at}[{j}][0]")
+            evs.append((num, _json_int(pair[1], f"{at}[{j}][1]", positive=True)))
+        p, q, mult = (_json_int(entry[k], f"{at}[{k}]") for k in range(arity, arity + 3))
         terms.append(((tuple(evs), p, q), mult))
     return MonodromicClass(arity, terms)
 
@@ -434,46 +423,44 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         if cover == "split":
             if "base_class" not in raw:
                 raise SchemaError(path + ".base_class", "required for split covers")
-            base = _class0_from_json(raw["base_class"], path + ".base_class")
+            base = _class_from_json(raw["base_class"], 0, path + ".base_class")
         elif isinstance(cover, dict) and set(cover) == {"explicit"}:
             if "base_class" in raw:
                 raise SchemaError(
                     path + ".base_class",
                     "explicit covers carry the total class; base_class must be omitted",
                 )
-            explicit = _classr_from_json(cover["explicit"], arity, path + ".cover.explicit")
+            explicit = _class_from_json(cover["explicit"], arity, path + ".cover.explicit")
         else:
             raise SchemaError(path + ".cover", 'expected "split" or {"explicit": [...]}')
         strata.append(Stratum(tuple(raw["components"]), base=base, explicit=explicit))
     zl = None
     if "zero_locus_nearby" in data:
-        zl = _classr_from_json(data["zero_locus_nearby"], 1, "zero_locus_nearby")
-    try:
-        return ResolutionDatum(dimension, local, functions, tuple(comps), tuple(strata), zl)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError("$", str(exc))
+        zl = _class_from_json(data["zero_locus_nearby"], 1, "zero_locus_nearby")
+    return ResolutionDatum(dimension, local, functions, tuple(comps), tuple(strata), zl)
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(path, f"malformed JSON: {exc}") from exc
 
 
 def load_datum(path: str) -> ResolutionDatum:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(path, f"malformed JSON: {exc}") from exc
-    return datum_from_dict(data)
+    return datum_from_dict(_read_json(path))
 
 
-def _class0_to_json(cls: MonodromicClass):
-    return [[p, q, mult] for ((_evs, p, q), mult) in cls.terms()]
+def load_class(path: str) -> MonodromicClass:
+    """An arity-1 class file: a JSON list of ``[[num, den], p, q, mult]``
+    monomials; errors name the file and the field path inside it."""
+    return _class_from_json(_read_json(path), 1, path)
 
 
-def _classr_to_json(cls: MonodromicClass):
-    out = []
-    for ((evs, p, q), mult) in cls.terms():
-        out.append([[e.numerator, e.denominator] for e in evs] + [p, q, mult])
-    return out
+def _class_to_json(cls: MonodromicClass) -> list:
+    """Inverse of ``_class_from_json``, written from the stored key pairs."""
+    return [[*map(list, evs), p, q, mult] for (evs, p, q), mult in cls._sorted()]
 
 
 def datum_to_dict(datum: ResolutionDatum) -> dict:
@@ -490,11 +477,11 @@ def datum_to_dict(datum: ResolutionDatum) -> dict:
     for st in datum.strata:
         entry = {"components": list(st.components)}
         if st.explicit is not None:
-            entry["cover"] = {"explicit": _classr_to_json(st.explicit)}
+            entry["cover"] = {"explicit": _class_to_json(st.explicit)}
         else:
-            entry["base_class"] = _class0_to_json(st.base)
+            entry["base_class"] = _class_to_json(st.base)
             entry["cover"] = "split"
         data["strata"].append(entry)
     if datum.zero_locus_nearby is not None:
-        data["zero_locus_nearby"] = _classr_to_json(datum.zero_locus_nearby)
+        data["zero_locus_nearby"] = _class_to_json(datum.zero_locus_nearby)
     return data

@@ -22,37 +22,35 @@ products, for which that is the defining formula.
 from __future__ import annotations
 
 from operator import add
-from typing import Iterable, Mapping
 
 from .lattice import _int_row, _strict_int
 from .monclass import MonodromicClass
-from .spectra import _ArityMap, _items, _merge
+from .spectra import _ArityMap, _merge
+
+
+def _class_coef(self, c: MonodromicClass) -> MonodromicClass:
+    """The ``_coef`` of both series rings: a class of the ring's arity."""
+    if c.arity != self.arity:
+        raise ValueError("coefficient arity mismatch")
+    return c
 
 
 class TruncatedPoly(_ArityMap):
     """Polynomial in T of bounded degree with monodromic-class coefficients."""
 
     __slots__ = ()
+    _coef = _class_coef
     _key_mul = staticmethod(add)
 
-    def __init__(self, arity: int, coeffs: Mapping[int, MonodromicClass] | Iterable = ()):
-        self.arity = arity
-        data: dict[int, MonodromicClass] = {}
-        for n, c in _items(coeffs):
-            n = _strict_int(n, "T-degree")
-            if c.arity != arity:
-                raise ValueError("coefficient arity mismatch")
-            if n < 0:
-                raise ValueError("negative T-degree")
-            _merge(data, n, c)
-        self._terms = data
-
-    @classmethod
-    def zero(cls, arity: int) -> "TruncatedPoly":
-        return cls(arity)
+    @staticmethod
+    def _key(n) -> int:
+        n = _strict_int(n, "T-degree")
+        if n < 0:
+            raise ValueError("negative T-degree")
+        return n
 
     def coefficient(self, n: int) -> MonodromicClass:
-        return self._terms.get(_strict_int(n, "T-degree"), MonodromicClass.zero(self.arity))
+        return self._terms.get(self._key(n), MonodromicClass.zero(self.arity))
 
     def degrees(self):
         return sorted(self._terms)
@@ -83,27 +81,19 @@ class RationalSeries(_ArityMap):
 
     __slots__ = ()
     _scalars = (int, MonodromicClass)
+    _coef = _class_coef
 
-    def __init__(self, arity: int, terms: Mapping | Iterable = ()):
-        self.arity = arity
-        data: dict[tuple, MonodromicClass] = {}
-        for factors, coef in _items(terms):
-            factors = tuple(sorted(_int_row(f, "generator (e, j)") for f in factors))
-            for _e, j in factors:
-                if j < 1:
-                    raise ValueError("generator T-weight must be >= 1")
-            if coef.arity != arity:
-                raise ValueError("coefficient arity mismatch")
-            _merge(data, factors, coef)
-        self._terms = data
+    @staticmethod
+    def _key(factors) -> tuple:
+        factors = tuple(sorted(_int_row(f, "generator (e, j)") for f in factors))
+        for _e, j in factors:
+            if j < 1:
+                raise ValueError("generator T-weight must be >= 1")
+        return factors
 
     @staticmethod
     def _key_mul(f1, f2):
         return tuple(sorted(f1 + f2))
-
-    @classmethod
-    def zero(cls, arity: int) -> "RationalSeries":
-        return cls(arity)
 
     @classmethod
     def constant(cls, coef: MonodromicClass) -> "RationalSeries":

@@ -7,11 +7,14 @@ map and implements the ring once: sums, negation, scaling, the product
 through the subclass's key product, equality, hashing and the sorted term
 list.  ``_ArityMap`` adds a fixed arity that operands must share.
 
-One rule keeps the keys canonical without normalising them twice: only the
-public constructors normalise (``_pair``, ``_strict_int``).  A result whose keys
-are canonical by construction -- a ring operation, a morphism such as
-``fold_bispectrum`` -- is wrapped as is by the trusted constructor
-``_trusted``.
+One rule keeps the keys canonical without normalising them twice: outside
+data enters only through the one constructor loop of ``_SparseMap``, which
+runs each ring's ``_key`` hook (raw key to canonical key, with that ring's
+checks) and ``_coef`` hook (a strict-int multiplicity unless overridden)
+on every input term; ``coefficient`` normalises through the same ``_key``.
+A result whose keys are canonical by construction -- a ring operation, a
+morphism such as ``fold_bispectrum`` -- is wrapped as is by the trusted
+constructor ``_trusted``.
 
 A spectrum here is a finitely supported integer combination of monomials
 ``t^a`` with rational exponent ``a``, i.e. an element of the group ring of
@@ -168,17 +171,36 @@ class _SparseMap:
     """Group-ring element: ``_terms`` maps canonical keys to nonzero
     coefficients (integers, or classes for the series types).
 
-    A subclass supplies its public constructor (the only place its keys are
-    normalised), ``_key_mul`` (the product of two keys, canonical when both
-    are), ``_key_view`` (a stored key in its public form, for ``terms()``),
-    ``_key_slots`` (a key flattened for ``_sorted_items``, when it holds
-    rational pairs) and ``render``.  ``_scalars`` lists the types ``*``
-    treats as coefficient scalars, the only ones ``scale`` accepts.
+    The constructor is the only place keys are normalised: it merges
+    ``_key(raw)`` with ``_coef(value)`` over the input terms.  A subclass
+    supplies ``_key`` (a raw key to its canonical form, ValueError on
+    anything else), optionally ``_coef`` (the default takes a strict-int
+    multiplicity), ``_key_mul`` (the product of two keys, canonical when
+    both are), ``_key_view`` (a stored key in its public form, for
+    ``terms()``), ``_key_slots`` (a key flattened for ``_sorted_items``,
+    when it holds rational pairs) and ``render``.  ``_scalars`` lists the
+    types ``*`` treats as coefficient scalars, the only ones ``scale``
+    accepts.
     """
 
     __slots__ = ("_terms",)
     _scalars: tuple = (int,)
     _key_slots = None
+
+    def __init__(self, terms: Mapping | Iterable = ()):
+        key, coef = self._key, self._coef
+        data: dict = {}
+        for raw, value in _items(terms):
+            _merge(data, key(raw), coef(value))
+        self._terms = data
+
+    @staticmethod
+    def _coef(value) -> int:
+        return value if type(value) is int else _strict_int(value, "multiplicity")
+
+    @classmethod
+    def zero(cls):
+        return cls()
 
     @classmethod
     def _trusted(cls, terms: dict):
@@ -265,6 +287,17 @@ class _ArityMap(_SparseMap):
 
     __slots__ = ("arity",)
 
+    def __init__(self, arity: int, terms: Mapping | Iterable = ()):
+        arity = _strict_int(arity, "arity")
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        self.arity = arity
+        _SparseMap.__init__(self, terms)
+
+    @classmethod
+    def zero(cls, arity: int):
+        return cls(arity)
+
     @classmethod
     def _trusted(cls, arity: int, terms: dict):
         out = object.__new__(cls)
@@ -297,22 +330,13 @@ class Spectrum(_SparseMap):
     """
 
     __slots__ = ()
+    _key = staticmethod(_pair)
     _key_mul = staticmethod(_pair_add)
     _key_view = staticmethod(_to_frac)
 
     @staticmethod
     def _key_slots(key):
         return (key,)
-
-    def __init__(self, terms: Mapping[FracLike, int] | Iterable = ()):
-        data: dict[Pair, int] = {}
-        for exp, mult in _items(terms):
-            _merge(data, _pair(exp), _strict_int(mult, "multiplicity"))
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "Spectrum":
-        return cls()
 
     @classmethod
     def one(cls) -> "Spectrum":
@@ -323,7 +347,7 @@ class Spectrum(_SparseMap):
         return cls([(exponent, mult)])
 
     def coefficient(self, exponent: FracLike) -> int:
-        return self._terms.get(_pair(exponent), 0)
+        return self._terms.get(self._key(exponent), 0)
 
     def mass(self) -> int:
         """Sum of multiplicities (the virtual rank)."""
@@ -351,12 +375,10 @@ class BiSpectrum(_SparseMap):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping | Iterable = ()):
-        data: dict[tuple, int] = {}
-        for (a, b, c), mult in _items(terms):
-            key = (_pair(a, residue=True), _pair(b, residue=True), _strict_int(c, "v-degree"))
-            _merge(data, key, _strict_int(mult, "multiplicity"))
-        self._terms = data
+    @staticmethod
+    def _key(raw):
+        a, b, c = raw
+        return _pair(a, residue=True), _pair(b, residue=True), _strict_int(c, "v-degree")
 
     @staticmethod
     def _key_mul(k1, k2):
@@ -373,10 +395,6 @@ class BiSpectrum(_SparseMap):
         return key
 
     @classmethod
-    def zero(cls) -> "BiSpectrum":
-        return cls()
-
-    @classmethod
     def one(cls) -> "BiSpectrum":
         return cls.monomial(0, 0, 0)
 
@@ -385,8 +403,7 @@ class BiSpectrum(_SparseMap):
         return cls([((a, b, c), mult)])
 
     def coefficient(self, a: FracLike, b: FracLike, c: int) -> int:
-        key = (_pair(a, residue=True), _pair(b, residue=True), _strict_int(c, "v-degree"))
-        return self._terms.get(key, 0)
+        return self._terms.get(self._key((a, b, c)), 0)
 
     def render(self) -> str:
         def mono(key):
@@ -403,6 +420,7 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
     weight.  Multiplicativity on monomials holds only when neither residue
     sum wraps past 1, which is why the map is defined termwise.
     """
+    N = _strict_int(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     out: dict[Pair, int] = {}
@@ -414,6 +432,7 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
 
 def geometric_factor(m: int) -> Spectrum:
     """The exact expansion (1 - t) / (1 - t^(1/m)) = sum_{i<m} t^(i/m)."""
+    m = _strict_int(m, "m")
     if m < 1:
         raise ValueError("m must be a positive integer")
     return Spectrum._trusted({_reduced(i, m): 1 for i in range(m)})
@@ -426,6 +445,7 @@ def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
     order of the auxiliary function along the branch and N the power being
     added.
     """
+    m, N = _strict_int(m, "m"), _strict_int(N, "N")
     if m < 1 or N < 1:
         raise ValueError("m and N must be positive integers")
     steps = geometric_factor(m * N)._terms

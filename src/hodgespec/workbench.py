@@ -396,9 +396,11 @@ def fixtures() -> list:
                 provenance=(
                     f"embedded resolution of y(x^2 + y^{N-1}) by point blowups; "
                     "covers over rational strata from the cyclic-cover rule; the "
-                    "expected spectrum was computed from this datum by hand and "
-                    "double-checked through the power-perturbation identity "
-                    "Sp(f + g^N) - Sp(f) with f = x^2 y, g = y"
+                    "expected spectrum comes from the weighted-homogeneous formula "
+                    f"with weights ({Fraction(N - 1, 2 * N)}, {Fraction(1, N)}), not "
+                    "from this datum, and is double-checked through the "
+                    "power-perturbation identity Sp(f + g^N) - Sp(f) with "
+                    "f = x^2 y, g = y"
                 ),
                 expected_spectrum=_d_curve_spectrum(N),
                 rederive=_rederive_d_curve(N),
@@ -425,5 +427,5 @@ def rederive_all() -> list:
     for fx in fixtures():
         if fx.rederive is None:
             continue
-        results.extend(fx.rederive() if callable(fx.rederive) else [])
+        results.extend(fx.rederive())
     return results

@@ -6,7 +6,7 @@ import pytest
 
 from hodgespec import workbench
 from hodgespec.cli import build_parser, main
-from hodgespec.resolution import datum_to_dict, load_datum
+from hodgespec.resolution import _class_to_json, datum_to_dict, load_class, load_datum
 from hodgespec.workbench import fixtures
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -125,6 +125,11 @@ def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--datum", str(bad))
     assert code == 2
     assert "malformed JSON" in err
+    # A class file reads through the same path and says the same.
+    bad.write_text('[[[1, 2], 0, 0', encoding="utf-8")
+    code, _, err = run(capsys, "convolve", "--left", str(bad), "--right", str(FIXTURES / "class_x3.json"))
+    assert code == 2
+    assert "malformed JSON" in err and str(bad) in err
 
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(
@@ -250,10 +255,16 @@ def test_shipped_fixture_files_match_builders():
     for name in registered:
         on_disk = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
         assert on_disk == datum_to_dict(load_datum(str(FIXTURES / name))), name
+    for name in shipped - registered:
+        on_disk = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+        assert on_disk == _class_to_json(load_class(str(FIXTURES / name))), name
 
 
 def test_fixture_write_roundtrip(capsys, tmp_path):
+    # The writer reproduces every shipped datum file byte for byte.
     code, out, _ = run(capsys, "fixtures", "--write", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "cusp.json").exists()
-    assert load_datum(str(tmp_path / "cusp.json")) == load_datum(str(FIXTURES / "cusp.json"))
+    written = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert written == sorted(fx.name.replace("^", "") + ".json" for fx in fixtures())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -230,6 +230,46 @@ def test_ring_constructors_refuse_floats_and_truncation(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "build, lookup",
+    [
+        pytest.param(
+            lambda: Spectrum([(0.5, 1)]), lambda: Spectrum.one().coefficient(0.5),
+            id="spectrum-float-exponent",
+        ),
+        pytest.param(
+            lambda: BiSpectrum([((0, 0, True), 1)]), lambda: BiSpectrum.one().coefficient(0, 0, True),
+            id="bispectrum-bool-v-degree",
+        ),
+        pytest.param(
+            lambda: MonodromicClass(1, [(((0,), 1.5, 0), 1)]),
+            lambda: MonodromicClass.unit(1).coefficient((0,), 1.5, 0),
+            id="class-float-p",
+        ),
+        pytest.param(
+            lambda: MonodromicClass(1, [(((0,), 0, True), 1)]),
+            lambda: MonodromicClass.unit(1).coefficient((0,), 0, True),
+            id="class-bool-q",
+        ),
+        pytest.param(
+            lambda: MonodromicClass(1, [(((0, 0), 0, 0), 1)]),
+            lambda: MonodromicClass.unit(1).coefficient((0, 0), 0, 0),
+            id="class-wrong-length-eigenvalues",
+        ),
+        pytest.param(
+            lambda: TruncatedPoly(0, [(-1, _UNIT0)]), lambda: TruncatedPoly.zero(0).coefficient(-1),
+            id="poly-negative-degree",
+        ),
+    ],
+)
+def test_coefficient_refuses_what_the_constructor_refuses(build, lookup):
+    with pytest.raises(ValueError) as built:
+        build()
+    with pytest.raises(ValueError) as looked_up:
+        lookup()
+    assert str(looked_up.value) == str(built.value)
+
+
 def test_ring_constructors_take_exact_integral_values():
     assert Spectrum([(F(1, 10), F(2))]) == Spectrum([("1/10", 2)]) == 2 * Spectrum.monomial((1, 10))
     assert MonodromicClass(1, [(((F(1, 2),), F(1), 0), 1)]) == MonodromicClass.monomial(1, ((1, 2),), 1, 0)

@@ -29,7 +29,7 @@ from hodgespec.monclass import (
     torus_fiber_class,
 )
 from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
-from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor
+from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
 from hodgespec.workbench import one_variable_vanishing
 
 
@@ -344,3 +344,32 @@ def test_convolve_refuses_no_class_and_other_arities(classes):
 def test_one_variable_vanishing_refuses_non_integer_exponents(a):
     with pytest.raises(ValueError, match="exponent"):
         one_variable_vanishing(a)
+
+
+_X2 = MC.monomial(2, (F(1, 2), F(1, 3)), 0, 0)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, F(3, 2)], ids=["bool", "float", "fraction"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda v: power_pushforward(_X2, v, 2), "slot", id="pushforward-slot"),
+        pytest.param(lambda v: power_pushforward(_X2, 1, v), "N", id="pushforward-N"),
+        pytest.param(lambda v: fold_bispectrum(BiSpectrum.one(), v), "N", id="fold-N"),
+        pytest.param(geometric_factor, "m", id="geometric-m"),
+        pytest.param(lambda v: steenbrink_rhs([(0, 0)], v, 2), "m", id="steenbrink-m"),
+        pytest.param(lambda v: steenbrink_rhs([(0, 0)], 2, v), "N", id="steenbrink-N"),
+        pytest.param(MC, "arity", id="class-arity"),
+        pytest.param(TP, "arity", id="poly-arity"),
+        pytest.param(RS, "arity", id="series-arity"),
+    ],
+)
+def test_integer_parameters_are_strict(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name}: .* is not an integer$"):
+        call(value)
+
+
+@pytest.mark.parametrize("ring", [MC, TP, RS])
+def test_negative_arity_is_refused(ring):
+    with pytest.raises(ValueError, match="arity must be nonnegative"):
+        ring(-1)
