@@ -36,7 +36,7 @@ import functools
 import json
 import sys
 
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .convolution import convolve
 from .monclass import hodge_spectrum, hodge_spectrum2
 from .resolution import (
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fixtures)
 
     p = sub.add_parser("check", help="run a property suite")
-    p.add_argument("--suite", required=True, choices=("rings", "cones", "psi", "steenbrink", "all"))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -81,7 +81,7 @@ class MonodromicClass(_ArityMap):
 
     @classmethod
     def unit(cls, arity: int) -> "MonodromicClass":
-        return cls.monomial(arity, (0,) * arity, 0, 0)
+        return cls.lefschetz(arity, 0)
 
     @classmethod
     def monomial(cls, arity, evs, p, q, mult: int = 1) -> "MonodromicClass":
@@ -90,6 +90,7 @@ class MonodromicClass(_ArityMap):
     @classmethod
     def lefschetz(cls, arity: int, power: int = 1) -> "MonodromicClass":
         """L^n for any integer n; the inverse has bidegree (-1, -1)."""
+        arity = _strict_int(arity, "arity")
         return cls.monomial(arity, (0,) * arity, power, power)
 
     def coefficient(self, evs, p, q) -> int:

@@ -14,6 +14,11 @@ power (trivial cover twist).  Strata over non-simply-connected bases may
 need an ``explicit`` class: the total class of the stratum's cover with its
 monodromies, supplied directly.
 
+The datum alone decides what each operation reads: its ``functions`` fix
+the arity and the multiplicity rows (Ng, preceded by Nf on joint data),
+and the zero locus C = {Ng > 0}, computed once on construction, picks the
+strata of the nearby, open and iterated sums.
+
 Operations (local flag means stratum classes are already restricted over
 the base point):
 
@@ -23,7 +28,7 @@ the base point):
 * ``nearby_cycles``  -- minus its limit, computed by the alternating sum;
 * ``nearby_cycles_open`` -- the open-subset variant, summing only strata
                         inside C = {N > 0};
-* ``vanishing_cycles``   -- (-1)^(d-1) (nearby - 1) for local data;
+* ``vanishing_cycles``   -- (-1)^(d-1) (nearby - 1); local data only;
 * ``iterated_nearby``    -- the two-monodromy class of a joint datum,
                         summing (-1)^|I| [cover of U_I] over strata meeting
                         both C and its complement;
@@ -55,6 +60,7 @@ base point; it feeds the vanishing-cycle correction in the workbench.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -151,27 +157,25 @@ class ResolutionDatum:
             if self.zero_locus_nearby.arity != 1:
                 raise SchemaError("zero_locus_nearby", "must have arity 1")
         object.__setattr__(self, "_index", index)
+        # C = {Ng > 0}: the zero locus, which picks the strata of every sum.
+        object.__setattr__(self, "_zero_locus", frozenset(i for i, c in index.items() if c.ng > 0))
 
     # -- realized stratum classes ------------------------------------------
 
-    def _rows(self, cids, which):
-        pick = {"f": lambda c: c.nf, "g": lambda c: c.ng}
-        return [[pick[w](self.component(cid)) for cid in cids] for w in which]
-
-    def stratum_class(self, st: Stratum, which: Sequence[str]) -> MonodromicClass:
+    def stratum_class(self, st: Stratum) -> MonodromicClass:
         """Realized class of the monodromy cover over one stratum.
 
-        ``which`` selects the multiplicity rows ("g" alone, or "f","g") and
-        fixes the arity.  Split strata multiply the base class by the torus
-        fiber class of those rows restricted to the stratum.
+        Split strata multiply the base class by the torus fiber class of the
+        datum's multiplicity rows (Ng, preceded by Nf on joint data)
+        restricted to the stratum.
         """
-        arity = len(which)
         if st.explicit is not None:
-            if st.explicit.arity != arity:
-                raise ValueError("explicit cover has the wrong arity for this operation")
             return st.explicit
-        rows = self._rows(st.components, which)
-        return embed(st.base, arity, ()) * torus_fiber_class(rows)
+        comps = [self._index[cid] for cid in st.components]
+        rows = [[c.ng for c in comps]]
+        if self.arity == 2:
+            rows.insert(0, [c.nf for c in comps])
+        return embed(st.base, self.arity, ()) * torus_fiber_class(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +188,6 @@ def _require_arity(datum: ResolutionDatum, arity: int, op: str):
         raise ValueError(f"{op} needs a datum with {arity} function(s), got {datum.arity}")
 
 
-def _zero_locus_components(datum: ResolutionDatum):
-    return {c.id for c in datum.components if c.ng > 0}
-
-
 def zeta_series(datum: ResolutionDatum) -> RationalSeries:
     """Motivic zeta function from the resolution formula.
 
@@ -197,17 +197,16 @@ def zeta_series(datum: ResolutionDatum) -> RationalSeries:
     zeta function of the zero function).
     """
     _require_arity(datum, 1, "zeta_series")
-    C = _zero_locus_components(datum)
-    if not C:
+    if not datum._zero_locus:
         return RationalSeries.zero(1)
-    if len(C) != len(datum.components):
+    if len(datum._zero_locus) != len(datum.components):
         raise ValueError(
             "datum mixes zero and positive multiplicities; this formula needs a "
             "resolution of the zero locus alone (see nearby_cycles_open)"
         )
     terms = []
     for st in datum.strata:
-        cls = datum.stratum_class(st, ("g",))
+        cls = datum.stratum_class(st)
         factors = tuple(
             (-datum.component(cid).nu, datum.component(cid).ng) for cid in st.components
         )
@@ -215,7 +214,7 @@ def zeta_series(datum: ResolutionDatum) -> RationalSeries:
     return RationalSeries(1, terms)
 
 
-def _signed_stratum_sum(datum: ResolutionDatum, which, offset: int, keep) -> MonodromicClass:
+def _signed_stratum_sum(datum: ResolutionDatum, offset: int, keep) -> MonodromicClass:
     """Sum of (-1)^(|I| + offset) [cover of U_I] over the strata I whose
     component set passes ``keep``, merged into one term dict."""
     out: dict = {}
@@ -224,17 +223,16 @@ def _signed_stratum_sum(datum: ResolutionDatum, which, offset: int, keep) -> Mon
         if not keep(ids):
             continue
         sign = -1 if (len(ids) + offset) % 2 else 1
-        for key, mult in datum.stratum_class(st, which)._terms.items():
+        for key, mult in datum.stratum_class(st)._terms.items():
             _merge(out, key, sign * mult)
-    return MonodromicClass._trusted(len(which), out)
+    return MonodromicClass._trusted(datum.arity, out)
 
 
 def nearby_cycles(datum: ResolutionDatum) -> MonodromicClass:
     """Nearby-cycle class: the alternating stratum sum, equal to minus the
     limit of the zeta series."""
     _require_arity(datum, 1, "nearby_cycles")
-    C = _zero_locus_components(datum)
-    if C and len(C) != len(datum.components):
+    if datum._zero_locus and len(datum._zero_locus) != len(datum.components):
         raise ValueError(
             "datum mixes zero and positive multiplicities; use nearby_cycles_open"
         )
@@ -244,30 +242,23 @@ def nearby_cycles(datum: ResolutionDatum) -> MonodromicClass:
 def nearby_cycles_open(datum: ResolutionDatum) -> MonodromicClass:
     """Open-subset nearby cycles: only strata inside C = {N > 0} contribute."""
     _require_arity(datum, 1, "nearby_cycles_open")
-    C = _zero_locus_components(datum)
-    return _signed_stratum_sum(datum, ("g",), 1, C.issuperset)
+    return _signed_stratum_sum(datum, 1, datum._zero_locus.issuperset)
 
 
-def vanishing_cycles(datum: ResolutionDatum, zero_locus_class=None) -> MonodromicClass:
-    """Vanishing-cycle class (-1)^(d-1) (nearby - [trivial-monodromy part]).
+def vanishing_cycles(datum: ResolutionDatum) -> MonodromicClass:
+    """Vanishing-cycle class (-1)^(d-1) (nearby - 1) of a local datum.
 
-    Locality makes the subtracted class the unit.  The package never
-    computes the subtracted class over a positive-dimensional zero locus;
-    for a non-local datum the caller must supply it explicitly.
+    Locality makes the subtracted trivial-monodromy class the unit.  The
+    package never computes that class over a positive-dimensional zero
+    locus, so a non-local datum is refused.
     """
     _require_arity(datum, 1, "vanishing_cycles")
-    if zero_locus_class is None:
-        if not datum.local:
-            raise ValueError(
-                "non-local datum: supply the class of the trivial-monodromy part "
-                "of the zero locus explicitly"
-            )
-        zero_locus_class = MonodromicClass.unit(1)
-    elif zero_locus_class.arity != 1:
-        raise ValueError("zero_locus_class must have arity 1")
-    nearby = nearby_cycles(datum)
+    if not datum.local:
+        raise ValueError(
+            "non-local datum: the trivial-monodromy part of its zero locus is not computed"
+        )
     sign = (-1) ** (datum.dimension - 1)
-    return (nearby - zero_locus_class) * sign
+    return (nearby_cycles(datum) - MonodromicClass.unit(1)) * sign
 
 
 def multiplicity_ratio(datum: ResolutionDatum) -> Fraction:
@@ -294,8 +285,8 @@ def iterated_nearby(datum: ResolutionDatum) -> MonodromicClass:
     asserted structurally by the fiber-class computation.
     """
     _require_arity(datum, 2, "iterated_nearby")
-    C = _zero_locus_components(datum)
-    return _signed_stratum_sum(datum, ("f", "g"), 0, lambda ids: bool(ids & C) and not ids <= C)
+    C = datum._zero_locus
+    return _signed_stratum_sum(datum, 0, lambda ids: bool(ids & C) and not ids <= C)
 
 
 def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
@@ -325,11 +316,11 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
             k += 1
 
     for n in range(1, n_max + 1):
-        total = MonodromicClass.zero(1)
-        for ksum in walk(0, n, 0):
-            total = total + MonodromicClass.lefschetz(1, -ksum)
-        if total:
-            coeffs[n] = total * fiber
+        # Jets of degree n counted per value of sum k_i, then one product.
+        counts = Counter(walk(0, n, 0))
+        if counts:
+            powers = MonodromicClass(1, [(((0,), -s, -s), c) for s, c in counts.items()])
+            coeffs[n] = powers * fiber
     return TruncatedPoly(1, coeffs)
 
 

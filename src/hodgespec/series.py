@@ -30,6 +30,8 @@ from .spectra import _ArityMap, _merge
 
 def _class_coef(self, c: MonodromicClass) -> MonodromicClass:
     """The ``_coef`` of both series rings: a class of the ring's arity."""
+    if not isinstance(c, MonodromicClass):
+        raise ValueError(f"coefficient: {c!r} is not a MonodromicClass")
     if c.arity != self.arity:
         raise ValueError("coefficient arity mismatch")
     return c

@@ -109,14 +109,11 @@ class TransversalBranch:
     """Transversal data along one branch of the critical curve.
 
     ``pairs`` lists (exponent, vertical residue in [0,1)) of the transversal
-    singularity; ``e`` is the order of the auxiliary function on the branch
-    and ``m`` the branch multiplicity (equal to e when the function is a
-    generic linear form).
+    singularity; ``e`` is the order of the auxiliary function on the branch.
     """
 
     pairs: tuple
     e: int
-    m: int = 1
 
 
 def steenbrink_conjecture_rhs(branches: Sequence[TransversalBranch], N: int) -> Spectrum:
@@ -297,7 +294,7 @@ def _rederive_cusp():
         (
             "cusp: split strata agree with the cyclic-cover rule",
             bool(split)
-            and all(datum.stratum_class(st, ("g",)) == _dual_graph_cover(datum, st) for st in split),
+            and all(datum.stratum_class(st) == _dual_graph_cover(datum, st) for st in split),
         )
     )
     results.append(

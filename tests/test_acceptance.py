@@ -157,7 +157,7 @@ def test_criterion_7_steenbrink_end_to_end():
         joint = fixture_datum("x2y_y_joint")
         phi_iter = iterated_vanishing(joint)
         threshold = multiplicity_ratio(joint)
-        branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1, m=1)
+        branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1)
         for N in (3, 4, 5):
             sp_fg = hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}")))
             # transversal-data route

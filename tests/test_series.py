@@ -82,6 +82,18 @@ def test_arity_mismatch():
         RS.generator(0, 1, arity=1) + RS.generator(0, 1, arity=2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: TP(0, {1: 3}), id="poly-int-coefficient"),
+        pytest.param(lambda: RS(0, [((), 3)]), id="series-int-coefficient"),
+    ],
+)
+def test_coefficients_must_be_classes(make):
+    with pytest.raises(ValueError, match="^coefficient: 3 is not a MonodromicClass$"):
+        make()
+
+
 def _expand_by_products(series, n):
     """Reference expansion: each generator as a truncated polynomial of
     L-power classes, multiplied into the coefficient with mul_truncated."""

@@ -360,6 +360,8 @@ _X2 = MC.monomial(2, (F(1, 2), F(1, 3)), 0, 0)
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], v, 2), "m", id="steenbrink-m"),
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], 2, v), "N", id="steenbrink-N"),
         pytest.param(MC, "arity", id="class-arity"),
+        pytest.param(MC.unit, "arity", id="class-unit-arity"),
+        pytest.param(MC.lefschetz, "arity", id="class-lefschetz-arity"),
         pytest.param(TP, "arity", id="poly-arity"),
         pytest.param(RS, "arity", id="series-arity"),
     ],

@@ -176,7 +176,7 @@ def test_steenbrink_check_and_conjecture_rhs():
     phi_iter = iterated_vanishing(joint)
     threshold = multiplicity_ratio(joint)
     assert threshold == 1
-    branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1, m=1)
+    branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1)
     for N in (2, 3, 4, 5):
         sp_fg = hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}")))
         report = steenbrink_check(sp_f, sp_fg, phi_iter, N, threshold)
@@ -209,10 +209,10 @@ def test_steenbrink_out_of_hypothesis_reported():
 
 
 def test_conjecture_rhs_examples():
-    branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1, m=1)
+    branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1)
     assert steenbrink_conjecture_rhs([branch], 3) == t(F(2, 3)) + t(1) + t(F(4, 3))
     assert steenbrink_conjecture_rhs([], 5) == Spectrum.zero()
-    doubled = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=2, m=2)
+    doubled = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=2)
     got = steenbrink_conjecture_rhs([doubled], 2)
     expect = Spectrum.monomial(F(1, 2) + F(1, 8)) * Spectrum(
         [(F(i, 4), 1) for i in range(4)]
@@ -223,7 +223,7 @@ def test_conjecture_rhs_examples():
 def test_stratum_cover_rule_degenerates_to_split():
     # Simply connected stratum: the cover rule reproduces base * fiber.
     datum = fixture_datum("cusp")
-    assert datum.stratum_class(datum.strata[0], ("g",)) == stratum_cover_class(2, (6,))
+    assert datum.stratum_class(datum.strata[0]) == stratum_cover_class(2, (6,))
     assert stratum_cover_class(4, (8,)) == MC.lefschetz(1) * MC(
         1, [(((F(k, 4),), 0, 0), 1) for k in range(4)]
     )
