@@ -6,7 +6,9 @@ recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
 automorphisms, and a Hodge bidegree.  Each residue is stored as a reduced
 int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
 ``terms()`` returns them as Fractions, and ``render`` sorts and formats the
-pairs without that view.  Multiplication is the group-ring
+pairs without that view, through ``_class_renderer``: one table for every
+class in a printed output, which ranks and formats each distinct eigenvalue
+tuple once.  Multiplication is the group-ring
 product (eigenvalues add mod 1, bidegrees add), which realizes the tensor
 product of Hodge structures with automorphisms.  The distinguished class
 ``L`` (all-zero eigenvalues, bidegree (1, 1)) is the Lefschetz motive; it
@@ -27,7 +29,7 @@ and a supplied theta gives the same numbers (see the function).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .lattice import _int_matrix, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
@@ -40,6 +42,7 @@ from .spectra import (
     _reduced,
     _render_pair,
     _render_terms,
+    _sorted_items,
     _to_frac,
     frac,
 )
@@ -49,6 +52,49 @@ from .spectra import (
 # group of Z^m / rows, whose order is the product of the elementary
 # divisors; a larger group is refused up front instead of enumerated.
 MAX_TORUS_CHARACTERS = 250_000
+
+
+def _rank_classes(classes):
+    """The sort key on the items of any of the classes (of one arity), and
+    the rank it gives each distinct eigenvalue tuple in them.
+
+    Each tuple is ranked once, as one integer: with L the lcm of every
+    denominator in every tuple, a residue n / d is the digit n * (L // d) in
+    [0, L), and the tuple reads as a base-L number, which orders tuples
+    slot by slot as the rationals they stand for.  A term then ranks as
+    (the rank of its tuple, p, q).
+    """
+    tuples = {evs for x in classes for evs, _p, _q in x._terms}
+    big = lcm(*{d for evs in tuples for _n, d in evs})
+    ranks = {}
+    for evs in tuples:
+        r = 0
+        for n, d in evs:
+            r = r * big + n * (big // d)
+        ranks[evs] = r
+
+    def rank(item):
+        (evs, p, q), _mult = item
+        return ranks[evs], p, q
+
+    return rank, ranks
+
+
+def _class_renderer(classes):
+    """One renderer for the classes (of one arity): a function giving the
+    ``render`` text of any of them, through one table in which every
+    distinct eigenvalue tuple is ranked and formatted once."""
+    rank, ranks = _rank_classes(classes)
+    text = {evs: ",".join(map(_render_pair, evs)) for evs in ranks}
+
+    def mono(key):
+        evs, p, q = key
+        return f"({text[evs]};{p},{q})"
+
+    def render(x) -> str:
+        return _render_terms(_sorted_items(x._terms, rank), mono)
+
+    return render
 
 
 class MonodromicClass(_ArityMap):
@@ -74,10 +120,8 @@ class MonodromicClass(_ArityMap):
         evs, p, q = key
         return tuple(map(_to_frac, evs)), p, q
 
-    @staticmethod
-    def _key_slots(key):
-        evs, p, q = key
-        return (*evs, p, q)
+    def _rank(self):
+        return _rank_classes((self,))[0]
 
     @classmethod
     def unit(cls, arity: int) -> "MonodromicClass":
@@ -97,6 +141,7 @@ class MonodromicClass(_ArityMap):
         return self._terms.get(self._key((evs, p, q)), 0)
 
     def __pow__(self, n: int) -> "MonodromicClass":
+        n = _strict_int(n, "exponent")
         if n < 0:
             raise ValueError("negative powers only exist for L; use lefschetz()")
         out = MonodromicClass.unit(self.arity)
@@ -105,12 +150,7 @@ class MonodromicClass(_ArityMap):
         return out
 
     def render(self) -> str:
-        def mono(key):
-            evs, p, q = key
-            evs_str = ",".join(map(_render_pair, evs))
-            return f"({evs_str};{p},{q})"
-
-        return _render_terms(self._sorted(), mono)
+        return _class_renderer((self,))(self)
 
     def __repr__(self):
         return f"MonodromicClass({self.arity}, {self.render()})"

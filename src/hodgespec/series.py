@@ -24,8 +24,35 @@ from __future__ import annotations
 from operator import add
 
 from .lattice import _int_row, _strict_int
-from .monclass import MonodromicClass
+from .monclass import MonodromicClass, _class_renderer
 from .spectra import _ArityMap, _merge
+
+
+# expand refuses a truncation that may merge more class terms than this
+# (each term's _points_bound times the number of terms of its coefficient,
+# summed over the series) before it builds any table.  The shipped fixtures
+# reach 16,790 at n = 160 (d_curve_N4), the largest truncation the tests and
+# the benchmark ask for; d_curve_N5 at n = 1,250 (941,662) takes about 1.8 s
+# and 91 MB peak RSS as a whole `hodgespec zeta` process on a 2-core Xeon
+# (CPython 3.11).
+MAX_EXPAND_TERMS = 1_000_000
+
+
+def _points_bound(factors, n: int) -> int:
+    """An upper bound on the table entries ``expand(n)`` builds for one term.
+
+    The table of a prefix of k factors (e_i, j_i) has at most one entry per
+    lattice point m >= 1 of sum_i j_i m_i <= n, and there are at most
+    n^k / (k! * prod_i j_i) of those: the unit cubes [m - 1, m] are disjoint
+    and lie in that simplex.  The bound is the floor of that, summed over
+    every nonempty prefix; it is exact for one factor.
+    """
+    size = 0
+    num = den = 1
+    for k, (_e, j) in enumerate(factors, 1):
+        num, den = num * n, den * k * j
+        size += num // den
+    return size
 
 
 def _class_coef(self, c: MonodromicClass) -> MonodromicClass:
@@ -59,6 +86,7 @@ class TruncatedPoly(_ArityMap):
 
     def mul_truncated(self, other: "TruncatedPoly", bound: int) -> "TruncatedPoly":
         """Product with every degree above bound dropped."""
+        bound = _strict_int(bound, "bound")
         self._check(other)
         out: dict[int, MonodromicClass] = {}
         for n1, c1 in self._terms.items():
@@ -70,7 +98,8 @@ class TruncatedPoly(_ArityMap):
     def render(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({c.render()})*T^{n}" for n, c in self.terms())
+        text = _class_renderer(self._terms.values())
+        return " + ".join(f"({text(c)})*T^{n}" for n, c in self._sorted())
 
 
 class RationalSeries(_ArityMap):
@@ -123,9 +152,18 @@ class RationalSeries(_ArityMap):
         (j m, e m) for each m >= 1 that keeps d <= n.  The coefficient class
         is then merged into degree d with its bidegrees raised by k and its
         multiplicities scaled by the count; no class arithmetic is needed.
+        A truncation that may merge more than ``MAX_EXPAND_TERMS`` class
+        terms raises ``ValueError`` before any table is built.
         """
+        n = _strict_int(n, "n")
         if n < 0:
             raise ValueError("truncation degree must be nonnegative")
+        size = sum(_points_bound(f, n) * len(c._terms) for f, c in self._terms.items())
+        if size > MAX_EXPAND_TERMS:
+            raise ValueError(
+                f"expansion through degree {n} may merge {size} class terms, "
+                f"more than MAX_EXPAND_TERMS = {MAX_EXPAND_TERMS}"
+            )
         out: dict[int, dict] = {}
         for factors, coef in self._terms.items():
             table = {(0, 0): 1}
@@ -156,8 +194,9 @@ class RationalSeries(_ArityMap):
     def render(self) -> str:
         if not self._terms:
             return "0"
+        text = _class_renderer(self._terms.values())
         parts = []
-        for factors, coef in self.terms():
+        for factors, coef in self._sorted():
             gens = "*".join(f"p({e},{j})" for e, j in factors) or "1"
-            parts.append(f"({coef.render()})*{gens}")
+            parts.append(f"({text(coef)})*{gens}")
         return " + ".join(parts)

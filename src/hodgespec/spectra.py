@@ -32,10 +32,12 @@ speaks ``Fraction``: constructors and ``coefficient`` take any
 values in ascending rational order.
 
 Sorting and rendering never build that ``Fraction`` view.  ``_sorted_items``
-orders the stored keys slot by slot on exact integers: an int slot by its
-value, a pair slot by ``num * (L // den)`` with L the lcm of the
-denominators that slot takes over the whole map, which orders the pairs as
-the rationals they stand for.  ``render`` formats the pairs as they are.
+sorts the stored items on one rank per item, which each ring's ``_rank``
+hook builds over one scale table for the whole map: with L the lcm of every
+denominator in every pair slot of every key, a pair (num, den) ranks as the
+integer ``num * (L // den)``, which orders the pairs as the rationals they
+stand for (any common multiple of the denominators would do); an int slot
+ranks as itself.  ``render`` formats the pairs as they are.
 
 The folding maps between the two rings send ``t^a u^b v^c`` to
 ``t^{s(a) + s(b)/N + c}`` where ``s`` picks the canonical representative of
@@ -121,30 +123,17 @@ def _merge(into: dict, key, coef) -> None:
         into.pop(key, None)
 
 
-def _sorted_items(terms: dict, slots=None) -> list:
-    """The (key, coef) items of a term dict in ascending key order.
+def _scales(dens) -> dict:
+    """The scale table {d: L // d} of L = lcm(dens), so that num * table[den]
+    ranks every pair over dens as the rational it stands for."""
+    big = lcm(*dens)
+    return {d: big // d for d in dens}
 
-    Without ``slots`` the stored keys are compared as they are.  Otherwise
-    ``slots(key)`` flattens a key into a tuple of reduced pairs and ints of
-    fixed layout, and keys compare slot by slot as the rationals they stand
-    for: an int slot by its value, a pair slot (num, den) by the integer
-    num * (L // den), L the lcm of that slot's denominators over the dict.
-    """
-    items = list(terms.items())
-    if slots is None or not items:
-        items.sort(key=itemgetter(0))
-        return items
-    cols = []
-    for col in zip(*map(slots, terms)):
-        if type(col[0]) is tuple:
-            dens = {d for _n, d in col}
-            big = lcm(*dens)
-            scale = {d: big // d for d in dens}
-            col = [n * scale[d] for n, d in col]
-        cols.append(col)
-    ranks = cols[0] if len(cols) == 1 else zip(*cols)
-    # Distinct keys have distinct ranks, so the items are never compared.
-    return [item for _rank, item in sorted(zip(ranks, items))]
+
+def _sorted_items(terms: dict, rank=None) -> list:
+    """The (key, coef) items of a term dict in ascending key order: sorted on
+    ``rank(item)`` when given, else on the stored key."""
+    return sorted(terms.items(), key=rank or itemgetter(0))
 
 
 def _render_pair(x: Pair) -> str:
@@ -177,15 +166,15 @@ class _SparseMap:
     anything else), optionally ``_coef`` (the default takes a strict-int
     multiplicity), ``_key_mul`` (the product of two keys, canonical when
     both are), ``_key_view`` (a stored key in its public form, for
-    ``terms()``), ``_key_slots`` (a key flattened for ``_sorted_items``,
-    when it holds rational pairs) and ``render``.  ``_scalars`` lists the
-    types ``*`` treats as coefficient scalars, the only ones ``scale``
-    accepts.
+    ``terms()``), ``_rank`` (when keys hold rational pairs, the sort key
+    ``_sorted_items`` uses on this map's items: the keys' slots as exact
+    integers over one scale table for the whole map) and ``render``.
+    ``_scalars`` lists the types ``*`` treats as coefficient scalars, the
+    only ones ``scale`` accepts.
     """
 
     __slots__ = ("_terms",)
     _scalars: tuple = (int,)
-    _key_slots = None
 
     def __init__(self, terms: Mapping | Iterable = ()):
         key, coef = self._key, self._coef
@@ -219,9 +208,13 @@ class _SparseMap:
     def _key_view(key):
         return key
 
+    def _rank(self):
+        """Sort key on this map's items; None sorts on the stored keys."""
+        return None
+
     def _sorted(self) -> list:
         """Stored (key, coef) items in ascending key order."""
-        return _sorted_items(self._terms, self._key_slots)
+        return _sorted_items(self._terms, self._rank())
 
     def terms(self):
         """Term list with keys in their public form, sorted by ascending key."""
@@ -334,9 +327,14 @@ class Spectrum(_SparseMap):
     _key_mul = staticmethod(_pair_add)
     _key_view = staticmethod(_to_frac)
 
-    @staticmethod
-    def _key_slots(key):
-        return (key,)
+    def _rank(self):
+        scale = _scales({d for _n, d in self._terms})
+
+        def rank(item):
+            (n, d), _mult = item
+            return n * scale[d]
+
+        return rank
 
     @classmethod
     def one(cls) -> "Spectrum":
@@ -390,9 +388,14 @@ class BiSpectrum(_SparseMap):
         a, b, c = key
         return _to_frac(a), _to_frac(b), c
 
-    @staticmethod
-    def _key_slots(key):
-        return key
+    def _rank(self):
+        scale = _scales({d for a, b, _c in self._terms for _n, d in (a, b)})
+
+        def rank(item):
+            ((an, ad), (bn, bd), c), _mult = item
+            return an * scale[ad], bn * scale[bd], c
+
+        return rank
 
     @classmethod
     def one(cls) -> "BiSpectrum":

@@ -236,6 +236,15 @@ def test_oversized_ts_fails_fast(capsys):
     assert run(capsys, "ts", "--exponents", "5,7,9,11,13")[0] == 0
 
 
+def test_oversized_truncation_fails_fast(capsys):
+    # About 3 * 10^9 lattice points, which expand would enumerate one by one.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zeta", "--datum", str(FIXTURES / "d_curve_N5.json"), "--truncate", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "degree 100000" in err and "MAX_EXPAND_TERMS" in err
+
+
 def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):
     # An installed copy outside a checkout has no fixtures/ next to src/.
     monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path / "missing")

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as F
+from itertools import product
+from operator import itemgetter
 
 import pytest
 
 from hodgespec.monclass import MonodromicClass as MC
 from hodgespec.resolution import zeta_series
-from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
+from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP, _points_bound
+from hodgespec.spectra import _render_terms
 from hodgespec.workbench import fixtures
 
 u0 = MC.unit(0)
@@ -155,3 +158,71 @@ def test_expand_matches_generator_products_on_fixtures():
         if fx.datum.arity == 1:
             series = zeta_series(fx.datum)
             assert series.expand(160) == _expand_by_products(series, 160), fx.name
+
+
+def _zeta_fixtures():
+    return [(fx.name, zeta_series(fx.datum)) for fx in fixtures() if fx.datum.arity == 1]
+
+
+def _fraction_render(c):
+    """A class's text from its Fraction terms, sorted by Fraction comparison."""
+    items = sorted(c.terms(), key=itemgetter(0))
+    return _render_terms(items, lambda k: f"({','.join(map(str, k[0]))};{k[1]},{k[2]})")
+
+
+def test_truncated_render_is_the_per_degree_join():
+    for name, series in _zeta_fixtures():
+        poly = series.expand(60)
+        assert poly.render() == " + ".join(f"({c.render()})*T^{n}" for n, c in poly.terms()), name
+
+
+def test_series_render_is_the_per_term_join():
+    for name, series in _zeta_fixtures():
+        parts = []
+        for factors, c in series.terms():
+            gens = "*".join(f"p({e},{j})" for e, j in factors) or "1"
+            parts.append(f"({c.render()})*{gens}")
+        assert series.render() == " + ".join(parts), name
+
+
+def test_truncated_render_shares_one_table_across_degrees():
+    # Each degree takes its residues over its own prime, so the common
+    # denominator of the whole polynomial is not any one degree's lcm.
+    rng = random.Random(12)
+    for _ in range(200):
+        arity = rng.randint(0, 3)
+        coefs = {}
+        for n, p in zip(rng.sample(range(12), rng.randint(1, 4)), rng.sample((2, 3, 5, 7, 11), 4)):
+            terms = []
+            for _ in range(rng.randint(1, 6)):
+                evs = tuple(F(rng.randrange(d), d) for d in rng.choices((p, p * p), k=arity))
+                terms.append(((evs, rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice((-2, -1, 1, 3))))
+            if c := MC(arity, terms):
+                coefs[n] = c
+        poly = TP(arity, coefs)
+        expected = " + ".join(f"({_fraction_render(c)})*T^{n}" for n, c in poly.terms()) or "0"
+        assert poly.render() == expected, poly
+
+
+def test_points_bound_bounds_the_lattice_points():
+    rng = random.Random(5)
+    for _ in range(200):
+        factors = [(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        n = rng.randint(0, 30)
+        count = sum(
+            sum(1 for m in product(range(1, n + 1), repeat=k) if sum(j * x for (_e, j), x in zip(factors, m)) <= n)
+            for k in range(1, len(factors) + 1)
+        )
+        assert count <= _points_bound(factors, n), (factors, n)
+        if len(factors) == 1:
+            assert count == _points_bound(factors, n)
+
+
+def test_expand_refuses_an_oversized_expansion():
+    series = dict(_zeta_fixtures())["d_curve_N5"]
+    with pytest.raises(ValueError, match="more than MAX_EXPAND_TERMS"):
+        series.expand(100_000)
+    # 1,000 table entries, each merging a 2,000-term coefficient.
+    big = MC(1, [(((F(i % 97, 97),), i, 0), 1) for i in range(2000)])
+    with pytest.raises(ValueError, match="may merge 2000000 class terms"):
+        RS(1, [(((0, 1),), big)]).expand(1000)

@@ -347,6 +347,7 @@ def test_one_variable_vanishing_refuses_non_integer_exponents(a):
 
 
 _X2 = MC.monomial(2, (F(1, 2), F(1, 3)), 0, 0)
+_POLY = TP(0, {1: MC.unit(0), 2: MC.unit(0)})
 
 
 @pytest.mark.parametrize("value", [True, 2.0, F(3, 2)], ids=["bool", "float", "fraction"])
@@ -364,6 +365,9 @@ _X2 = MC.monomial(2, (F(1, 2), F(1, 3)), 0, 0)
         pytest.param(MC.lefschetz, "arity", id="class-lefschetz-arity"),
         pytest.param(TP, "arity", id="poly-arity"),
         pytest.param(RS, "arity", id="series-arity"),
+        pytest.param(RS.generator(-1, 2).expand, "n", id="series-expand-n"),
+        pytest.param(lambda v: MC.unit(1) ** v, "exponent", id="class-power"),
+        pytest.param(lambda v: _POLY.mul_truncated(_POLY, v), "bound", id="poly-mul-bound"),
     ],
 )
 def test_integer_parameters_are_strict(call, name, value):
