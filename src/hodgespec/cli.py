@@ -49,7 +49,7 @@ from .resolution import (
     vanishing_cycles,
     zeta_series,
 )
-from .workbench import fixtures, iterated_vanishing, quasihomogeneous_spectrum, steenbrink_check
+from .workbench import fixtures, iterated_vanishing, quasihomogeneous_spectrum, rederive, steenbrink_check
 
 
 def _cmd_spectrum(args):
@@ -109,7 +109,10 @@ def _cmd_steenbrink(args):
     threshold = multiplicity_ratio(joint)
     sp_f = hodge_spectrum(vanishing_cycles(f_datum))
     sp_fg = hodge_spectrum(vanishing_cycles(fg_datum))
-    report = steenbrink_check(sp_f, sp_fg, phi_iter, args.N, threshold)
+    try:
+        report = steenbrink_check(sp_f, sp_fg, phi_iter, args.N, threshold)
+    except ValueError as exc:
+        raise ValueError(f"--N: {exc}") from exc
     print(report.render())
     if report.equal or not report.hypothesis_ok:
         return 0
@@ -123,8 +126,8 @@ def _cmd_fixtures(args):
         print(f"  provenance: {fx.provenance}")
         if fx.expected_spectrum is not None:
             print(f"  expected spectrum: {fx.expected_spectrum.render()}")
-        if args.rederive and fx.rederive is not None:
-            for name, ok in fx.rederive():
+        if args.rederive:
+            for name, ok in rederive(fx):
                 print(f"  [{'ok' if ok else 'FAIL'}] {name}")
                 failures += 0 if ok else 1
         if args.write:

@@ -2,8 +2,10 @@
 
 Everything in this module recomputes, by elementary enumeration, data that
 the production code either hard-codes (the convolution collapse table) or
-takes as fixture input (explicit stratum cover classes).  The test suite
-and the ``--rederive`` path run these against the shipped values.
+takes as fixture input (stratum cover classes).  The test suite and
+``workbench.rederive`` (behind ``fixtures --rederive``) run these against
+the shipped values: ``stratum_cover_class`` against every curve stratum,
+``root_of_unity_class`` against every point stratum.
 
 The ingredients:
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
+from typing import Optional
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
 from .monclass import MonodromicClass
@@ -254,3 +257,20 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
             raise AssertionError("character overcount mismatch")
         multiset.extend([key] * (count // overcount))
     return ncomp, sorted(multiset)
+
+
+def root_of_unity_class(rows) -> Optional[MonodromicClass]:
+    """The torus fiber class of a monomial map, rebuilt from
+    ``torus_fiber_bruteforce``: one eigenvalue monomial per component times
+    (L - 1) to the fiber's torus dimension m - r; None when the needed root
+    order exceeds the default cap.  Shares no step with
+    ``torus_fiber_class``."""
+    bf = torus_fiber_bruteforce(rows)
+    if bf is None:
+        return None
+    ncomp, eigen = bf
+    if ncomp != len(eigen):
+        raise AssertionError("component count mismatch")
+    r, m = len(rows), len(rows[0])
+    torus = MonodromicClass.lefschetz(r) - MonodromicClass.unit(r)
+    return MonodromicClass(r, [((key, 0, 0), 1) for key in eigen]) * torus ** (m - r)

@@ -65,9 +65,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import _int_row
+from .lattice import _int_row, _strict_int
 from .monclass import MonodromicClass, embed, torus_fiber_class
-from .series import RationalSeries, TruncatedPoly
+from .series import MAX_EXPAND_TERMS, RationalSeries, TruncatedPoly, _points_bound
 from .spectra import _merge
 
 
@@ -162,20 +162,24 @@ class ResolutionDatum:
 
     # -- realized stratum classes ------------------------------------------
 
-    def stratum_class(self, st: Stratum) -> MonodromicClass:
-        """Realized class of the monodromy cover over one stratum.
-
-        Split strata multiply the base class by the torus fiber class of the
-        datum's multiplicity rows (Ng, preceded by Nf on joint data)
-        restricted to the stratum.
-        """
-        if st.explicit is not None:
-            return st.explicit
+    def multiplicity_rows(self, st: Stratum) -> list:
+        """The multiplicity rows restricted to one stratum: Ng, preceded by
+        Nf on joint data."""
         comps = [self._index[cid] for cid in st.components]
         rows = [[c.ng for c in comps]]
         if self.arity == 2:
             rows.insert(0, [c.nf for c in comps])
-        return embed(st.base, self.arity, ()) * torus_fiber_class(rows)
+        return rows
+
+    def stratum_class(self, st: Stratum) -> MonodromicClass:
+        """Realized class of the monodromy cover over one stratum.
+
+        Split strata multiply the base class by the torus fiber class of the
+        stratum's ``multiplicity_rows``.
+        """
+        if st.explicit is not None:
+            return st.explicit
+        return embed(st.base, self.arity, ()) * torus_fiber_class(self.multiplicity_rows(st))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +300,22 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
     contribute the fiber class of [a] times L^(-sum k_i) to the T^n
     coefficient; this is a direct count, independent of the resolution
     formula.
+
+    The walk visits the same lattice points (and prefixes of them) as the
+    tables of ``RationalSeries.expand`` for this monomial, so a degree whose
+    ``_points_bound`` exceeds ``MAX_EXPAND_TERMS`` raises ``ValueError``
+    before any jet is counted.
     """
     a = _int_row(exponents, "exponents")
     if not a or any(x < 1 for x in a):
         raise ValueError("exponents must be positive integers")
+    n_max = _strict_int(n_max, "n_max")
+    size = _points_bound([(-1, x) for x in a], n_max)
+    if size > MAX_EXPAND_TERMS:
+        raise ValueError(
+            f"jet count through degree {n_max} may visit {size} jets, "
+            f"more than MAX_EXPAND_TERMS = {MAX_EXPAND_TERMS}"
+        )
     fiber = torus_fiber_class([a])
     coeffs: dict[int, MonodromicClass] = {}
 

@@ -4,12 +4,13 @@ The fixtures are standard plane-curve and monomial singularity data whose
 resolution combinatorics were derived by hand from point blowups.  That
 data lives only in ``fixtures/*.json`` at the root of the checkout and is
 read through ``fixture_datum``; this module holds what is said about it:
-each fixture's provenance note, its expected spectrum, and, where
-feasible, a rederive hook that recomputes the shipped numbers from a
-brute-force oracle (jet counting, cyclic cover classes, root-of-unity
-fiber enumeration).  The parametric generators (``monomial_datum``,
-``smooth_point_datum``, ``product_joint_datum``) compute their data from
-their arguments.
+each fixture's provenance note and expected spectrum.  ``rederive`` checks
+any fixture against the brute-force oracles by rule, not by name: each
+stratum against the cyclic-cover class (curves) or the root-of-unity fiber
+enumeration (points), a monomial's identity resolution against jet
+counting, and the expected spectrum against the engine.  The parametric
+generators (``monomial_datum``, ``smooth_point_datum``,
+``product_joint_datum``) compute their data from their arguments.
 
 The verifiers compare, exactly, the spectrum jump between a function and
 its power perturbations against the two closed forms: the folded spectrum
@@ -21,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .convolution import convolve
 from .lattice import _int_row, _strict_int
 from .monclass import MonodromicClass, embed, hodge_spectrum, hodge_spectrum2, torus_fiber_class
-from .oracles import stratum_cover_class, torus_fiber_bruteforce
+from .oracles import root_of_unity_class, stratum_cover_class
 from .resolution import (
     Component,
     ResolutionDatum,
@@ -37,7 +38,7 @@ from .resolution import (
     vanishing_cycles,
     zeta_series,
 )
-from .spectra import Spectrum, _reduced, fold_bispectrum, frac, geometric_factor, steenbrink_rhs
+from .spectra import Spectrum, _reduced, fold_bispectrum, geometric_factor, steenbrink_rhs
 
 
 def thom_sebastiani(*phis: MonodromicClass) -> MonodromicClass:
@@ -161,6 +162,9 @@ def steenbrink_check(
     rather than asserts: when N is at or below the threshold the hypothesis
     failure is flagged and the comparison still runs.
     """
+    N = _strict_int(N, "N")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     lhs = sp_f - sp_fg
     rhs = geometric_factor(N) * fold_bispectrum(hodge_spectrum2(phi_iterated), N)
     return SteenbrinkReport(
@@ -184,7 +188,6 @@ class Fixture:
     datum: ResolutionDatum
     provenance: str
     expected_spectrum: Optional[Spectrum] = None
-    rederive: Optional[Callable[[], list]] = None
 
 
 # The hand-derived resolution data ships only as JSON, next to ``src/``.
@@ -241,27 +244,6 @@ def _d_curve_spectrum(N: int) -> Spectrum:
     return Spectrum([((i + 1) * wx + (j + 1) * wy, 1) for i, j in basis])
 
 
-def _rederive_monomial(a: int):
-    def run():
-        datum = fixture_datum(f"x{a}")
-        results = []
-        results.append(
-            (
-                f"x^{a}: truncated zeta equals the jet count",
-                zeta_series(datum).expand(20) == jet_count_zeta((a,), 20),
-            )
-        )
-        results.append(
-            (
-                f"x^{a}: engine spectrum equals the power formula",
-                hodge_spectrum(vanishing_cycles(datum)) == _power_spectrum(a),
-            )
-        )
-        return results
-
-    return run
-
-
 def _dual_graph_cover(datum: ResolutionDatum, st: Stratum) -> MonodromicClass:
     """Cyclic-cover class over the curve stratum of ``st.components[0]``,
     with the crossing multiplicities read off the dual graph (the strata
@@ -277,69 +259,57 @@ def _dual_graph_cover(datum: ResolutionDatum, st: Stratum) -> MonodromicClass:
     return stratum_cover_class(datum.component(cid).ng, crossings)
 
 
-def _rederive_cusp():
-    datum = fixture_datum("cusp")
-    curves = [st for st in datum.strata if len(st.components) == 1]
-    explicit = [st for st in curves if st.explicit is not None]
-    split = [st for st in curves if st.explicit is None]
-    results = []
-    results.append(
-        (
-            "cusp: explicit stratum class matches the cyclic-cover rule",
-            bool(explicit) and all(st.explicit == _dual_graph_cover(datum, st) for st in explicit),
-        )
+def _is_monomial_identity(datum: ResolutionDatum) -> bool:
+    """One-function identity resolution of a monomial: one split stratum
+    holding every component over the point, every nu = 1."""
+    return (
+        datum.arity == 1
+        and len(datum.strata) == 1
+        and len(datum.strata[0].components) == len(datum.components)
+        and datum.strata[0].base == _BASE_POINT
+        and all(c.nu == 1 for c in datum.components)
     )
-    # The split strata are simply connected, but the cover rule must agree.
-    results.append(
-        (
-            "cusp: split strata agree with the cyclic-cover rule",
-            bool(split)
-            and all(datum.stratum_class(st) == _dual_graph_cover(datum, st) for st in split),
-        )
-    )
-    results.append(
-        (
-            "cusp: engine spectrum equals the join of (2, 3)",
-            hodge_spectrum(vanishing_cycles(datum)) == quasihomogeneous_spectrum((2, 3)),
-        )
-    )
-    return results
 
 
-def _rederive_d_curve(N: int):
-    def run():
-        datum = fixture_datum(f"d_curve_N{N}")
-        results = []
-        for st in datum.strata:
-            if st.explicit is None:
-                continue
-            results.append(
-                (
-                    f"D-curve N={N}: cover over {st.components[0]} from the dual graph",
-                    st.explicit == _dual_graph_cover(datum, st),
-                )
-            )
-        sp = hodge_spectrum(vanishing_cycles(datum))
-        results.append((f"D-curve N={N}: spectrum equals the shipped value", sp == _d_curve_spectrum(N)))
-        return results
+def rederive(fx: Fixture) -> list:
+    """Recompute what fixture ``fx`` ships from oracles that do not read it;
+    returns (label, ok) pairs.
 
-    return run
-
-
-def _rederive_joint():
-    joint = fixture_datum("x2y_y_joint")
-    got = iterated_nearby(joint)
-    bf = torus_fiber_bruteforce([[2, 1], [0, 1]])
-    ok = bf is not None
-    if ok:
-        ncomp, eigen = bf
-        recon = MonodromicClass(2, [((key, 0, 0), 1) for key in eigen])
-        ok = got == recon and ncomp == 2
-    return [("joint (x^2 y, y): iterated class matches root-of-unity enumeration", ok)]
+    Every stratum I is checked by the oracle its dimension d - |I| picks: a
+    curve stratum must equal the cyclic-cover class with its crossings read
+    off the dual graph, a point stratum the root-of-unity enumeration of its
+    multiplicity rows (the class of a point is 1, so no oracle reads the
+    shipped base class).  Any other stratum has no oracle and fails.  On
+    one-function data two datum-level lines follow: the identity resolution
+    of a monomial expands through degree 30 to the jet count of its Ng row,
+    and an expected spectrum equals the engine's vanishing-cycle spectrum.
+    """
+    datum = fx.datum
+    out = []
+    for st in datum.strata:
+        label = f"{fx.name}: stratum {{{','.join(st.components)}}}"
+        dim = datum.dimension - len(st.components)
+        if dim == 1:
+            ok = datum.stratum_class(st) == _dual_graph_cover(datum, st)
+            out.append((f"{label} equals the cyclic cover from the dual graph", ok))
+        elif dim == 0:
+            fiber = root_of_unity_class(datum.multiplicity_rows(st))
+            ok = fiber is not None and datum.stratum_class(st) == fiber
+            out.append((f"{label} equals the root-of-unity fiber over a point", ok))
+        else:
+            out.append((f"{label} has no oracle", False))
+    if _is_monomial_identity(datum):
+        exps = [c.ng for c in datum.components]
+        ok = zeta_series(datum).expand(30) == jet_count_zeta(exps, 30)
+        out.append((f"{fx.name}: zeta through degree 30 equals the jet count", ok))
+    if datum.arity == 1 and fx.expected_spectrum is not None:
+        ok = hodge_spectrum(vanishing_cycles(datum)) == fx.expected_spectrum
+        out.append((f"{fx.name}: engine vanishing spectrum equals the expected spectrum", ok))
+    return out
 
 
 def fixtures() -> list:
-    """The shipped fixture library, with provenance and rederive hooks."""
+    """The shipped fixture library, with provenance and expected spectra."""
     out = []
     for a in range(2, 9):
         out.append(
@@ -352,7 +322,6 @@ def fixtures() -> list:
                     "against direct jet counting"
                 ),
                 expected_spectrum=_power_spectrum(a),
-                rederive=_rederive_monomial(a),
             )
         )
     out.append(
@@ -378,8 +347,7 @@ def fixtures() -> list:
                 "spectrum t^(5/6) + t^(7/6) equals the join of the one-variable "
                 "classes of x^2 and y^3"
             ),
-            expected_spectrum=Spectrum([(frac((5, 6)), 1), (frac((7, 6)), 1)]),
-            rederive=_rederive_cusp,
+            expected_spectrum=quasihomogeneous_spectrum((2, 3)),
         )
     )
     # Point blowups of y(x^2 + y^(N-1)): one for N = 3 (three transverse
@@ -400,7 +368,6 @@ def fixtures() -> list:
                     "f = x^2 y, g = y"
                 ),
                 expected_spectrum=_d_curve_spectrum(N),
-                rederive=_rederive_d_curve(N),
             )
         )
     out.append(
@@ -412,17 +379,6 @@ def fixtures() -> list:
                 "the unit: the zero locus is two smooth lines, the second function "
                 "is a coordinate on one and vanishes identically on the other"
             ),
-            rederive=_rederive_joint,
         )
     )
     return out
-
-
-def rederive_all() -> list:
-    """Run every fixture's rederive hook; returns (name, ok) pairs."""
-    results = []
-    for fx in fixtures():
-        if fx.rederive is None:
-            continue
-        results.extend(fx.rederive())
-    return results

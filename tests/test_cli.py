@@ -151,6 +151,19 @@ def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--datum", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # steenbrink names --N, not the m of the geometric factor it feeds.
+    for N in ("0", "-2"):
+        code, _, err = run(
+            capsys,
+            "steenbrink",
+            "--f", str(FIXTURES / "x2y.json"),
+            "--fg", str(FIXTURES / "d_curve_N3.json"),
+            "--joint", str(FIXTURES / "x2y_y_joint.json"),
+            "--N", N,
+        )
+        assert code == 2
+        assert "--N" in err and "m must" not in err
+
     # Class entries take strict integers: no bool, float or str, and den > 0.
     x2 = json.loads((FIXTURES / "x2.json").read_text(encoding="utf-8"))
     for entry, field in (([0, 0, 1.5], "[0][2]"), (["a", 0, 1], "[0][0]"), ([0, True, 1], "[0][1]")):

@@ -1,7 +1,9 @@
+import copy
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgespec.monclass import MonodromicClass as MC, box, torus_fiber_class
 from hodgespec.resolution import (
@@ -22,6 +24,7 @@ from hodgespec.resolution import (
 )
 from hodgespec.series import RationalSeries as RS
 from hodgespec.workbench import (
+    FIXTURE_DIR,
     fixture_datum,
     monomial_datum,
     product_joint_datum,
@@ -75,6 +78,13 @@ def test_jet_count_examples():
     both = jet_count_zeta((1, 1), 4)
     lm1 = MC.lefschetz(1) - MC.unit(1)
     assert both.coefficient(2) == lm1 * MC.lefschetz(1, -2)
+
+
+def test_jet_count_refuses_oversized_degrees_up_front():
+    # The walk over four variables grows like n^4; 160 is refused before it starts.
+    with pytest.raises(ValueError, match="MAX_EXPAND_TERMS"):
+        jet_count_zeta((1, 1, 1, 1), 160)
+    assert jet_count_zeta((1, 1, 1, 1), 40) == zeta_series(monomial_datum((1, 1, 1, 1))).expand(40)
 
 
 def test_nearby_is_minus_zeta_limit():
@@ -233,3 +243,58 @@ def test_explicit_cover_arity_checked():
         ResolutionDatum(
             1, True, ("g",), comps, (Stratum(("a",), explicit=MC.unit(2)),)
         )
+
+
+_SHIPPED = {
+    name: json.loads((FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("cusp", "d_curve_N4", "x2y_y_joint")
+}
+_DELETE = object()
+_OTHER_VALUES = st.one_of(
+    st.just(_DELETE),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 6), max_size=3),
+    st.just({}),
+    st.just("split"),
+)
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(_SHIPPED)), st.data())
+def test_one_mutated_field_loads_or_names_its_path(name, data):
+    # One field of a shipped datum is replaced or deleted: loading either
+    # succeeds or raises SchemaError with a field path, and the engine
+    # raises nothing but ValueError on what loads.
+    mutated = copy.deepcopy(_SHIPPED[name])
+    path = data.draw(st.sampled_from(list(_field_paths(mutated))))
+    # Half the draws are integers, which most fields hold, so that a fair
+    # share of the mutated data loads and reaches the engine.
+    value = data.draw(st.integers(-3, 40) if data.draw(st.booleans()) else _OTHER_VALUES)
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        datum = datum_from_dict(mutated)
+    except SchemaError as exc:
+        assert exc.path
+        return
+    for op in (nearby_cycles, lambda d: zeta_series(d).expand(8), iterated_nearby):
+        try:
+            op(datum)
+        except ValueError:
+            pass

@@ -30,7 +30,7 @@ from hodgespec.monclass import (
 )
 from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
-from hodgespec.workbench import one_variable_vanishing
+from hodgespec.workbench import one_variable_vanishing, steenbrink_check
 
 
 def _rational(x):
@@ -360,6 +360,11 @@ _POLY = TP(0, {1: MC.unit(0), 2: MC.unit(0)})
         pytest.param(geometric_factor, "m", id="geometric-m"),
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], v, 2), "m", id="steenbrink-m"),
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], 2, v), "N", id="steenbrink-N"),
+        pytest.param(
+            lambda v: steenbrink_check(Spectrum.zero(), Spectrum.zero(), _X2, v, F(1)),
+            "N",
+            id="steenbrink-check-N",
+        ),
         pytest.param(MC, "arity", id="class-arity"),
         pytest.param(MC.unit, "arity", id="class-unit-arity"),
         pytest.param(MC.lefschetz, "arity", id="class-lefschetz-arity"),

@@ -24,6 +24,7 @@ from hodgespec.workbench import (
     monomial_datum,
     one_variable_vanishing,
     quasihomogeneous_spectrum,
+    rederive,
     steenbrink_check,
     steenbrink_conjecture_rhs,
     thom_sebastiani,
@@ -117,37 +118,57 @@ def test_local_isolated_fixture_invariants():
 
 
 def test_rederive_hooks_read_the_shipped_files(tmp_path, monkeypatch):
-    # Adding 1 to one multiplicity of a shipped explicit cover must make
-    # that fixture's rederive hook report a failure.
+    # Adding 1 to one multiplicity of a shipped explicit cover, or to the
+    # base class of a split point stratum, must make rederive report a
+    # failure; the point stratum's failing line names it.
     for source in workbench.FIXTURE_DIR.glob("*.json"):
         shutil.copy(source, tmp_path)
     monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path)
-    for name in ("cusp", "d_curve_N2", "d_curve_N3", "d_curve_N4", "d_curve_N5"):
+
+    def bump_explicit(data):
+        explicit = next(st["cover"]["explicit"] for st in data["strata"] if st["cover"] != "split")
+        explicit[0][-1] += 1
+        return None
+
+    def bump_point_base(data):
+        st = next(st for st in data["strata"] if len(st["components"]) == 2)
+        st["base_class"][0][-1] += 1
+        return "{" + ",".join(st["components"]) + "}"
+
+    cases = [(name, bump_explicit) for name in ("cusp", "d_curve_N2", "d_curve_N3", "d_curve_N4", "d_curve_N5")]
+    cases.append(("d_curve_N4", bump_point_base))
+    for name, bump in cases:
         path = tmp_path / f"{name}.json"
         shipped = path.read_text(encoding="utf-8")
         data = json.loads(shipped)
-        explicit = next(st["cover"]["explicit"] for st in data["strata"] if st["cover"] != "split")
-        explicit[0][-1] += 1
+        stratum = bump(data)
         path.write_text(json.dumps(data), encoding="utf-8")
-        hook = next(fx.rederive for fx in fixtures() if fx.name == name)
-        assert not all(ok for _name, ok in hook()), name
+        fx = next(fx for fx in fixtures() if fx.name == name)
+        failed = [label for label, ok in rederive(fx) if not ok]
+        assert failed, name
+        if stratum is not None:
+            assert any(f"stratum {stratum} " in label for label in failed), failed
         path.write_text(shipped, encoding="utf-8")
 
 
 def test_cusp_rederive_reads_the_dual_graph(tmp_path, monkeypatch):
     # The cover checks find the curve strata and their crossings in the
-    # dual graph, so listing the strata in another order changes nothing.
+    # dual graph, so listing the strata in another order changes nothing
+    # but the order of the lines.
     for source in workbench.FIXTURE_DIR.glob("*.json"):
         shutil.copy(source, tmp_path)
     monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path)
-    hook = next(fx.rederive for fx in fixtures() if fx.name == "cusp")
-    shipped = hook()
-    assert len(shipped) == 3 and all(ok for _name, ok in shipped)
+
+    def cusp_lines():
+        return sorted(rederive(next(fx for fx in fixtures() if fx.name == "cusp")))
+
+    shipped = cusp_lines()
+    assert len(shipped) == 7 and all(ok for _name, ok in shipped)
     path = tmp_path / "cusp.json"
     data = json.loads(path.read_text(encoding="utf-8"))
     for order in (data["strata"][::-1], data["strata"][3:] + data["strata"][:3]):
         path.write_text(json.dumps({**data, "strata": order}), encoding="utf-8")
-        assert hook() == shipped
+        assert cusp_lines() == shipped
 
 
 def test_x2y_matches_the_monomial_oracles():
@@ -248,9 +269,7 @@ def test_fixture_registry():
 
 def test_fixture_rederive_hooks():
     for fx in fixtures():
-        if fx.rederive is None:
-            continue
-        for name, ok in fx.rederive():
+        for name, ok in rederive(fx):
             assert ok, name
 
 
