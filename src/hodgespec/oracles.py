@@ -14,12 +14,13 @@ The ingredients:
   actions -- classical curve cohomology, rank one in each character with
   Hodge type read off from the residue sum;
 * the class of a rank-one eigensystem on P^1 minus k punctures, which
-  packages the same computation for arbitrary cyclic covers of a rational
-  stratum; a nontrivial unitary rank-one system with residues a_s on k' >= 2
-  essential punctures has middle compact-support cohomology of rank k' - 2
-  split as (sum a_s - 1) classes of type (1,0) and (k' - 1 - sum a_s) of
-  type (0,1), plus one type-(0,0) class for every puncture where the local
-  monodromy is trivial;
+  packages the same computation for the abelian covers of P^1 in
+  ``p1_cover_class`` (``stratum_cover_class``, the cyclic cover of a
+  rational stratum, is its one-deck case); a nontrivial unitary rank-one
+  system with residues a_s on k' >= 2 essential punctures has middle
+  compact-support cohomology of rank k' - 2 split as (sum a_s - 1) classes
+  of type (1,0) and (k' - 1 - sum a_s) of type (0,1), plus one type-(0,0)
+  class for every puncture where the local monodromy is trivial;
 * the equivariant-quotient bookkeeping that turns those tables into the
   collapse of a two-monodromy class;
 * a root-of-unity enumeration of torus fibers of monomial maps, an
@@ -39,7 +40,7 @@ from math import lcm, prod
 from typing import Optional
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
-from .monclass import MonodromicClass
+from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass
 from .spectra import _merge, mod1
 
 
@@ -160,16 +161,24 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
 
     ``deck_orders`` lists the n_i; ``phi_orders[i][s]`` is the order of
     phi_i at puncture s (every zero or pole of every phi_i must be among
-    the punctures, so each row sums to 0).  The (j_1..j_r) character has
-    local residue sum_i j_i * phi_orders[i][s] / n_i at puncture s.
+    the punctures).  The (j_1..j_r) character has local residue
+    sum_i j_i * phi_orders[i][s] / n_i at puncture s, so the cover depends
+    only on the orders mod n_i, and each row must sum to 0 mod n_i.  A deck
+    group of more than ``MAX_TORUS_CHARACTERS`` characters raises
+    ``ValueError`` before any is enumerated.
     """
     r = len(deck_orders)
+    if prod(deck_orders) > MAX_TORUS_CHARACTERS:
+        raise ValueError(
+            f"a deck group of {prod(deck_orders)} characters is more than "
+            f"MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS}"
+        )
     npunct = len(phi_orders[0]) if r else 0
-    for i, row in enumerate(phi_orders):
+    for i, (n, row) in enumerate(zip(deck_orders, phi_orders)):
         if len(row) != npunct:
             raise ValueError("ragged puncture data")
-        if sum(row) != 0:
-            raise ValueError(f"phi_{i} orders must sum to 0 over the punctures")
+        if sum(row) % n:
+            raise ValueError(f"phi_{i} orders must sum to 0 mod n_{i} over the punctures")
     out: dict = {}
     for js in itertools.product(*(range(n) for n in deck_orders)):
         eigs = tuple(Fraction(j, n) for j, n in zip(js, deck_orders))
@@ -192,8 +201,9 @@ def stratum_cover_class(multiplicity: int, crossing_multiplicities) -> Monodromi
     m_s-divisor.  The crossing multiplicities must sum to 0 mod n (the
     degree of the leading form on the compact stratum).
 
-    This is the derivation oracle behind every explicit stratum class
-    shipped with the fixtures.
+    The derivation oracle behind every explicit stratum class shipped with
+    the fixtures; the one-deck case of ``p1_cover_class`` (phi of order
+    -m_s at the crossing with the m_s-divisor).
     """
     n = _strict_int(multiplicity, "multiplicity")
     ms = _int_row(crossing_multiplicities, "crossing multiplicities")
@@ -201,13 +211,7 @@ def stratum_cover_class(multiplicity: int, crossing_multiplicities) -> Monodromi
         raise ValueError("multiplicity must be positive")
     if sum(ms) % n:
         raise ValueError("crossing multiplicities must sum to 0 mod the multiplicity")
-    out: dict = {}
-    for j in range(n):
-        eigs = (Fraction(j, n),)
-        residues = [mod1(Fraction(-j * m, n)) for m in ms]
-        for evs, p, q, mult in _rank_one_class_terms(eigs, residues, len(ms)):
-            _merge(out, (evs, p, q), mult)
-    return MonodromicClass(1, out)
+    return p1_cover_class((n,), ([-m for m in ms],))
 
 
 # ---------------------------------------------------------------------------

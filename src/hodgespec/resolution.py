@@ -48,13 +48,16 @@ JSON schema (UTF-8, exact field names)::
      "zero_locus_nearby": [[[num,den], p, q, mult], ...]}   # optional
 
 Every number is a JSON integer (true/false, 1.5 and "1" are rejected) and
-every ``den`` is positive.  ``Nf`` defaults to 0.  For arity-1 data the
-``Nf`` field carries the boundary multiplicities used by
-``multiplicity_ratio`` and the open variant.  Explicit cover entries list the eigenvalue fractions (one
-[num, den] pair per function) followed by p, q, mult.  The optional
-``zero_locus_nearby`` (joint data only) is the arity-1 class, in the second
-monodromy slot, of the nearby cycles of g on the zero locus of f over the
-base point; it feeds the vanishing-cycle correction in the workbench.
+every ``den`` is positive.  The value rules are the ``ResolutionDatum``
+constructor's (``datum_from_dict`` reads only the JSON shape), so data built
+in Python obeys them too, under the same field paths.  ``Nf`` defaults to 0.
+For arity-1 data the ``Nf`` field carries the boundary multiplicities used
+by ``multiplicity_ratio`` and the open variant.  Explicit cover entries list
+the eigenvalue fractions (one [num, den] pair per function) followed by p,
+q, mult.  The optional ``zero_locus_nearby`` (joint data only) is the
+arity-1 class, in the second monodromy slot, of the nearby cycles of g on
+the zero locus of f over the base point; it feeds the vanishing-cycle
+correction in the workbench.
 """
 
 from __future__ import annotations
@@ -77,6 +80,16 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _json_int(value, path: str, positive: bool = False) -> int:
+    """An integer field, strictly: bool, float, Fraction and str are
+    rejected, in JSON and Python data alike."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, "expected integer")
+    if positive and value <= 0:
+        raise SchemaError(path, "must be a positive integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -114,20 +127,23 @@ class ResolutionDatum:
         return self._index[cid]
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise SchemaError("dimension", "must be a positive integer")
+        _json_int(self.dimension, "dimension", positive=True)
+        if not isinstance(self.local, bool):
+            raise SchemaError("local", "expected bool")
         if tuple(self.functions) not in (("g",), ("f", "g")):
             raise SchemaError("functions", 'must be ["g"] or ["f","g"]')
         index = {}
         for i, comp in enumerate(self.components):
             path = f"components[{i}]"
+            if not isinstance(comp.id, str):
+                raise SchemaError(path + ".id", "expected string")
             if comp.id in index:
                 raise SchemaError(path + ".id", f"duplicate id {comp.id!r}")
-            if comp.nu < 1:
-                raise SchemaError(path + ".nu", "must be >= 1")
-            if comp.nf < 0 or comp.ng < 0:
+            nf, ng = _json_int(comp.nf, path + ".Nf"), _json_int(comp.ng, path + ".Ng")
+            _json_int(comp.nu, path + ".nu", positive=True)
+            if nf < 0 or ng < 0:
                 raise SchemaError(path, "multiplicities must be nonnegative")
-            if comp.nf == 0 and comp.ng == 0:
+            if nf == 0 and ng == 0:
                 raise SchemaError(path, "component carries no multiplicity at all")
             index[comp.id] = comp
         if not index:
@@ -137,6 +153,9 @@ class ResolutionDatum:
             path = f"strata[{i}]"
             if not st.components:
                 raise SchemaError(path + ".components", "must be nonempty")
+            for j, cid in enumerate(st.components):
+                if not isinstance(cid, str):
+                    raise SchemaError(f"{path}.components[{j}]", "expected string")
             if len(set(st.components)) != len(st.components):
                 raise SchemaError(path + ".components", "duplicate component id")
             for cid in st.components:
@@ -345,15 +364,6 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
 # ---------------------------------------------------------------------------
 
 
-def _json_int(value, path: str, positive: bool = False) -> int:
-    """A JSON integer field, strictly: bool, float and str are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "expected integer")
-    if positive and value <= 0:
-        raise SchemaError(path, "must be a positive integer")
-    return value
-
-
 def _json_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list")
@@ -381,52 +391,36 @@ def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
     return MonodromicClass(arity, terms)
 
 
+def _require_fields(obj: dict, keys, path: str):
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}", "missing required field")
+
+
 def datum_from_dict(data: dict) -> ResolutionDatum:
+    """A datum from its JSON object; only the JSON shape is read here."""
     if not isinstance(data, dict):
         raise SchemaError("$", "datum must be a JSON object")
-
-    def need(key, typ, path="$"):
-        if key not in data:
-            raise SchemaError(f"{path}.{key}", "missing required field")
-        value = data[key]
-        if typ is int and isinstance(value, bool) or not isinstance(value, typ):
-            raise SchemaError(f"{path}.{key}", f"expected {typ.__name__}")
-        return value
-
-    dimension = need("dimension", int)
-    local = need("local", bool)
-    functions = tuple(need("functions", list))
-    arity = len(functions)
+    _require_fields(data, ("dimension", "local", "functions", "components", "strata"), "$")
+    for key in ("functions", "components", "strata"):
+        _json_list(data[key], f"$.{key}")
+    functions = tuple(data["functions"])
     comps = []
-    for i, raw in enumerate(need("components", list)):
+    for i, raw in enumerate(data["components"]):
         path = f"components[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(path, "expected object")
-        if "id" not in raw or not isinstance(raw["id"], str):
-            raise SchemaError(path + ".id", "expected string")
-        for fieldname in ("Nf", "Ng", "nu"):
-            if fieldname in raw:
-                _json_int(raw[fieldname], f"{path}.{fieldname}")
-        if "nu" not in raw:
-            raise SchemaError(path + ".nu", "missing required field")
-        if "Ng" not in raw:
-            raise SchemaError(path + ".Ng", "missing required field")
-        comps.append(
-            Component(raw["id"], raw.get("Nf", 0), raw["Ng"], raw["nu"])
-        )
+        _require_fields(raw, ("id", "Ng", "nu"), path)
+        comps.append(Component(raw["id"], raw.get("Nf", 0), raw["Ng"], raw["nu"]))
     strata = []
-    for i, raw in enumerate(need("strata", list)):
+    for i, raw in enumerate(data["strata"]):
         path = f"strata[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(path, "expected object")
-        if "components" not in raw or not isinstance(raw["components"], list):
+        if not isinstance(raw.get("components"), list):
             raise SchemaError(path + ".components", "expected list of component ids")
-        for j, cid in enumerate(raw["components"]):
-            if not isinstance(cid, str):
-                raise SchemaError(f"{path}.components[{j}]", "expected string")
         cover = raw.get("cover", "split")
-        base = None
-        explicit = None
+        base = explicit = None
         if cover == "split":
             if "base_class" not in raw:
                 raise SchemaError(path + ".base_class", "required for split covers")
@@ -437,14 +431,16 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
                     path + ".base_class",
                     "explicit covers carry the total class; base_class must be omitted",
                 )
-            explicit = _class_from_json(cover["explicit"], arity, path + ".cover.explicit")
+            explicit = _class_from_json(cover["explicit"], len(functions), path + ".cover.explicit")
         else:
             raise SchemaError(path + ".cover", 'expected "split" or {"explicit": [...]}')
         strata.append(Stratum(tuple(raw["components"]), base=base, explicit=explicit))
     zl = None
     if "zero_locus_nearby" in data:
         zl = _class_from_json(data["zero_locus_nearby"], 1, "zero_locus_nearby")
-    return ResolutionDatum(dimension, local, functions, tuple(comps), tuple(strata), zl)
+    return ResolutionDatum(
+        data["dimension"], data["local"], functions, tuple(comps), tuple(strata), zl
+    )
 
 
 def _read_json(path: str):

@@ -28,7 +28,6 @@ from hodgespec.workbench import (
     fixture_datum,
     monomial_datum,
     product_joint_datum,
-    smooth_point_datum,
 )
 
 mono = MC.monomial
@@ -95,7 +94,7 @@ def test_nearby_is_minus_zeta_limit():
 
 def test_nearby_examples():
     assert nearby_cycles(monomial_datum((3,))) == torus_fiber_class([[3]])
-    assert nearby_cycles(smooth_point_datum()) == MC.unit(1)
+    assert nearby_cycles(monomial_datum((1,))) == MC.unit(1)
 
 
 def test_nearby_open_restricts_to_zero_locus():
@@ -119,7 +118,7 @@ def test_vanishing_examples():
     for a in (2, 5):
         got = vanishing_cycles(monomial_datum((a,)))
         assert got == MC(1, [(((F(k, a),), 0, 0), 1) for k in range(1, a)])
-    assert vanishing_cycles(smooth_point_datum()) == MC.zero(1)
+    assert vanishing_cycles(monomial_datum((1,))) == MC.zero(1)
 
 
 def test_vanishing_requires_local():
@@ -298,3 +297,63 @@ def test_one_mutated_field_loads_or_names_its_path(name, data):
             op(datum)
         except ValueError:
             pass
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.fractions(max_denominator=3),
+    st.text(max_size=2),
+    st.none(),
+)
+_GOOD = {
+    "dimension": st.integers(1, 3),
+    "local": st.booleans(),
+    "id": st.sampled_from("ab"),
+    "Nf": st.integers(0, 3),
+    "Ng": st.integers(0, 8),
+    "nu": st.integers(1, 3),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_python_built_datum_checks_its_own_values(ncomp, data):
+    # A datum built in Python with up to two scalar fields drawn from ints,
+    # bools, floats, Fractions, strings and None: the constructor builds or
+    # raises SchemaError with a path, what it builds holds only strict
+    # values, and the engine raises nothing but ValueError on it.
+    fields = [("dimension", 0), ("local", 0)]
+    fields += [(key, i) for i in range(ncomp) for key in ("id", "Nf", "Ng", "nu")]
+    wild = data.draw(st.sets(st.sampled_from(fields), max_size=2))
+    value = {field: data.draw(_SCALARS if field in wild else _GOOD[field[0]]) for field in fields}
+    comps = tuple(
+        Component(*(value[key, i] for key in ("id", "Nf", "Ng", "nu"))) for i in range(ncomp)
+    )
+    stratum = Stratum(tuple(c.id for c in comps), base=unit0)
+    try:
+        datum = ResolutionDatum(value["dimension", 0], value["local", 0], ("g",), comps, (stratum,))
+    except SchemaError as exc:
+        assert exc.path
+        return
+    assert type(datum.dimension) is int and type(datum.local) is bool
+    assert all(type(x) is int for c in comps for x in (c.nf, c.ng, c.nu))
+    for op in (nearby_cycles, lambda d: zeta_series(d).expand(6), vanishing_cycles):
+        try:
+            op(datum)
+        except ValueError:
+            pass
+
+
+def test_python_built_datum_names_its_bad_field():
+    # Each used to be accepted (True as dimension 1) or to fail later in
+    # the engine with a TypeError (1.5 in a complex power, 2.0 in a torus
+    # fiber).
+    strata = (Stratum(("x",), base=unit0),)
+    comps = (Component("x", 0, 2, 1),)
+    for dimension in (1.5, True):
+        with pytest.raises(SchemaError, match=r"^dimension: expected integer$"):
+            ResolutionDatum(dimension, True, ("g",), comps, strata)
+    with pytest.raises(SchemaError, match=r"^components\[0\]\.Ng: expected integer$"):
+        ResolutionDatum(1, True, ("g",), (Component("x", 0, 2.0, 1),), strata)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -151,6 +152,26 @@ def test_rederive_hooks_read_the_shipped_files(tmp_path, monkeypatch):
         path.write_text(shipped, encoding="utf-8")
 
 
+def test_rederive_reports_a_refused_oracle(tmp_path, monkeypatch):
+    # Ng = 2 on the line of d_curve_N4 makes the crossings of e1 (2 and 8)
+    # miss 0 mod its multiplicity 3, so the cyclic-cover oracle refuses:
+    # rederive turns that into a failing line for e1 instead of raising.
+    for source in workbench.FIXTURE_DIR.glob("*.json"):
+        shutil.copy(source, tmp_path)
+    monkeypatch.setattr(workbench, "FIXTURE_DIR", tmp_path)
+    path = tmp_path / "d_curve_N4.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    next(c for c in data["components"] if c["id"] == "line")["Ng"] = 2
+    path.write_text(json.dumps(data), encoding="utf-8")
+    lines = rederive(next(fx for fx in fixtures() if fx.name == "d_curve_N4"))
+    failed = [label for label, ok in lines if not ok]
+    assert failed == [
+        "d_curve_N4: stratum {e1} equals the cyclic cover from the dual graph: "
+        "crossing multiplicities must sum to 0 mod the multiplicity"
+    ]
+    assert len(lines) == len(data["strata"]) + 1
+
+
 def test_cusp_rederive_reads_the_dual_graph(tmp_path, monkeypatch):
     # The cover checks find the curve strata and their crossings in the
     # dual graph, so listing the strata in another order changes nothing
@@ -255,6 +276,20 @@ def test_stratum_cover_rule_degenerates_to_split():
 def test_p1_cover_requires_degree_zero():
     with pytest.raises(ValueError):
         p1_cover_class([2], [[1, 0]])
+
+
+def test_p1_cover_reads_orders_mod_the_deck_order():
+    # Residues depend on the orders mod n only, so a row summing to 0 mod n
+    # is accepted and gives the cover of any row congruent to it.
+    assert p1_cover_class([2], [[1, 1]]) == p1_cover_class([2], [[1, -1]])
+    assert p1_cover_class([2, 3], [[1, 1], [1, 2]]) == p1_cover_class([2, 3], [[1, -1], [1, -1]])
+
+
+def test_p1_cover_refuses_oversized_decks_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_TORUS_CHARACTERS"):
+        p1_cover_class([600, 600], [[1, -1], [1, -1]])
+    assert time.perf_counter() - start < 0.1
 
 
 def test_fixture_registry():
