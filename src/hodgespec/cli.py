@@ -65,7 +65,11 @@ def _cmd_zeta(args):
     if args.truncate is None:
         print(series.render())
     else:
-        print(series.expand(args.truncate).render())
+        try:
+            expansion = series.expand(args.truncate)
+        except ValueError as exc:
+            raise ValueError(f"--truncate: {exc}") from exc
+        print(expansion.render())
     return 0
 
 
@@ -82,8 +86,6 @@ def _cmd_ts(args):
         exponents = [int(x) for x in args.exponents.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--exponents: could not parse {args.exponents!r}") from None
-    if not exponents or any(a < 1 for a in exponents):
-        raise ValueError("--exponents: need positive integers")
     try:
         spectrum = quasihomogeneous_spectrum(exponents)
     except ValueError as exc:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .lattice import _int_row, rational_rank
+from .lattice import _int_row, _strict_int, rational_rank
 from .monclass import MonodromicClass
 from .series import TruncatedPoly
 from .spectra import _merge
@@ -54,8 +54,7 @@ class Cone:
     constraints: tuple = ()
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"cone dimension {self.n!r} is not a nonnegative integer")
+        object.__setattr__(self, "n", _strict_int(self.n, "cone dimension", 0))
         if self.n > 6:
             raise ValueError("cone dimension above the supported bound of 6")
         cleaned = []

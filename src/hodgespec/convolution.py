@@ -132,11 +132,9 @@ def power_pushforward(x: MonodromicClass, slot: int, N: int) -> MonodromicClass:
     monomials with residues (b + j)/N, j = 0..N-1; other data unchanged.
     N = 1 is the identity.
     """
-    slot, N = _strict_int(slot, "slot"), _strict_int(N, "N")
+    slot, N = _strict_int(slot, "slot"), _strict_int(N, "N", 1)
     if not 1 <= slot <= x.arity:
         raise ValueError(f"slot {slot} out of range for arity {x.arity}")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
     out: dict = {}
     for (evs, p, q), mult in x._terms.items():
         bn, bd = evs[slot - 1]

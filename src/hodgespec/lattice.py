@@ -9,9 +9,14 @@ nonzero multiple of a row keeps the rank) and counts the same divisors.
 Gauss-Jordan elimination stays only in ``rational_solve``, whose contract
 is one particular solution (leftmost pivots, free variables 0), the one the
 root-of-unity oracle pairs its roots with.  Entry is strict:
-``_strict_int`` and ``_int_row`` raise ValueError on bool, float, str and
-non-integral values instead of truncating them, and ``rational_solve``
-takes only ints and Fractions (``_frac_row``).
+``rational_solve`` takes only ints and Fractions (``_frac_row``).
+
+``_strict_int`` and ``_int_row`` are the package's one integer rule, used
+by every ring, oracle, datum and CLI path: an int passes, an integral
+Fraction becomes its int, and anything else (bool, float, str, a
+non-integral value) raises ``SchemaError`` naming the field, as does a
+value below the optional ``minimum``.  ``SchemaError`` is a ValueError
+carrying the offending field path in ``.path``.
 """
 
 from __future__ import annotations
@@ -20,20 +25,33 @@ from fractions import Fraction
 from math import lcm
 
 
-def _strict_int(value, where: str) -> int:
+class SchemaError(ValueError):
+    """Input validation failure, carrying the offending field path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+def _strict_int(value, where: str, minimum: int | None = None) -> int:
     """``value`` as an int, strictly: bool, float, str and non-integral
-    values raise a ValueError naming ``where``."""
-    if type(value) is int:
+    values, and values below ``minimum``, raise a SchemaError naming
+    ``where``."""
+    if type(value) is int and (minimum is None or value >= minimum):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)) or value.denominator != 1:
-        raise ValueError(f"{where}: {value!r} is not an integer")
+        raise SchemaError(where, f"{value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(where, f"{value!r} is less than {minimum}")
     return int(value)
 
 
-def _int_row(values, where: str) -> tuple:
-    """An integer row, strictly; an error names `where` and the index."""
+def _int_row(values, where: str, minimum: int | None = None) -> tuple:
+    """An integer row, strictly (see ``_strict_int``); an error names
+    `where` and the index."""
     return tuple(
-        v if type(v) is int else _strict_int(v, f"{where}, coefficient {j}")
+        v if type(v) is int and (minimum is None or v >= minimum)
+        else _strict_int(v, f"{where}, coefficient {j}", minimum)
         for j, v in enumerate(values)
     )
 

@@ -141,9 +141,7 @@ class MonodromicClass(_ArityMap):
         return self._terms.get(self._key((evs, p, q)), 0)
 
     def __pow__(self, n: int) -> "MonodromicClass":
-        n = _strict_int(n, "exponent")
-        if n < 0:
-            raise ValueError("negative powers only exist for L; use lefschetz()")
+        n = _strict_int(n, "exponent", 0)
         out = MonodromicClass.unit(self.arity)
         for _ in range(n):
             out = out * self

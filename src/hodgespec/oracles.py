@@ -167,7 +167,11 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
     group of more than ``MAX_TORUS_CHARACTERS`` characters raises
     ``ValueError`` before any is enumerated.
     """
+    deck_orders = _int_row(deck_orders, "deck orders", 1)
+    phi_orders = [_int_row(row, f"phi_{i} orders") for i, row in enumerate(phi_orders)]
     r = len(deck_orders)
+    if len(phi_orders) != r:
+        raise ValueError(f"{len(phi_orders)} phi rows for {r} deck orders")
     if prod(deck_orders) > MAX_TORUS_CHARACTERS:
         raise ValueError(
             f"a deck group of {prod(deck_orders)} characters is more than "
@@ -205,10 +209,8 @@ def stratum_cover_class(multiplicity: int, crossing_multiplicities) -> Monodromi
     the fixtures; the one-deck case of ``p1_cover_class`` (phi of order
     -m_s at the crossing with the m_s-divisor).
     """
-    n = _strict_int(multiplicity, "multiplicity")
+    n = _strict_int(multiplicity, "multiplicity", 1)
     ms = _int_row(crossing_multiplicities, "crossing multiplicities")
-    if n < 1:
-        raise ValueError("multiplicity must be positive")
     if sum(ms) % n:
         raise ValueError("crossing multiplicities must sum to 0 mod the multiplicity")
     return p1_cover_class((n,), ([-m for m in ms],))

@@ -47,10 +47,15 @@ JSON schema (UTF-8, exact field names)::
                 ...],
      "zero_locus_nearby": [[[num,den], p, q, mult], ...]}   # optional
 
-Every number is a JSON integer (true/false, 1.5 and "1" are rejected) and
-every ``den`` is positive.  The value rules are the ``ResolutionDatum``
-constructor's (``datum_from_dict`` reads only the JSON shape), so data built
-in Python obeys them too, under the same field paths.  ``Nf`` defaults to 0.
+Every number is an integer under the package's one integer rule
+(``lattice._strict_int``): true/false, 1.5 and "1" are rejected, an integral
+Fraction in data built in Python becomes its int, and a bound is checked
+with it (``dimension``, ``nu`` and every ``den`` at least 1, ``Nf`` and
+``Ng`` at least 0), so an error reads ``<path>: <value> is not an integer``
+or ``<path>: <value> is less than <minimum>``.  The value rules are the
+``ResolutionDatum`` constructor's (``datum_from_dict`` reads only the JSON
+shape and names top-level fields as the constructor does), so data built in
+Python obeys them too, under the same field paths.  ``Nf`` defaults to 0.
 For arity-1 data the ``Nf`` field carries the boundary multiplicities used
 by ``multiplicity_ratio`` and the open variant.  Explicit cover entries list
 the eigenvalue fractions (one [num, den] pair per function) followed by p,
@@ -68,28 +73,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lattice import _int_row, _strict_int
+from .lattice import SchemaError, _int_row, _strict_int
 from .monclass import MonodromicClass, embed, torus_fiber_class
 from .series import MAX_EXPAND_TERMS, RationalSeries, TruncatedPoly, _points_bound
 from .spectra import _merge
-
-
-class SchemaError(ValueError):
-    """Datum validation failure, carrying the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
-def _json_int(value, path: str, positive: bool = False) -> int:
-    """An integer field, strictly: bool, float, Fraction and str are
-    rejected, in JSON and Python data alike."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "expected integer")
-    if positive and value <= 0:
-        raise SchemaError(path, "must be a positive integer")
-    return value
 
 
 @dataclass(frozen=True)
@@ -127,7 +114,7 @@ class ResolutionDatum:
         return self._index[cid]
 
     def __post_init__(self):
-        _json_int(self.dimension, "dimension", positive=True)
+        object.__setattr__(self, "dimension", _strict_int(self.dimension, "dimension", 1))
         if not isinstance(self.local, bool):
             raise SchemaError("local", "expected bool")
         if tuple(self.functions) not in (("g",), ("f", "g")):
@@ -139,13 +126,16 @@ class ResolutionDatum:
                 raise SchemaError(path + ".id", "expected string")
             if comp.id in index:
                 raise SchemaError(path + ".id", f"duplicate id {comp.id!r}")
-            nf, ng = _json_int(comp.nf, path + ".Nf"), _json_int(comp.ng, path + ".Ng")
-            _json_int(comp.nu, path + ".nu", positive=True)
-            if nf < 0 or ng < 0:
-                raise SchemaError(path, "multiplicities must be nonnegative")
-            if nf == 0 and ng == 0:
+            comp = Component(
+                comp.id,
+                _strict_int(comp.nf, path + ".Nf", 0),
+                _strict_int(comp.ng, path + ".Ng", 0),
+                _strict_int(comp.nu, path + ".nu", 1),
+            )
+            if comp.nf == 0 and comp.ng == 0:
                 raise SchemaError(path, "component carries no multiplicity at all")
             index[comp.id] = comp
+        object.__setattr__(self, "components", tuple(index.values()))
         if not index:
             raise SchemaError("components", "at least one component is required")
         seen = set()
@@ -325,10 +315,10 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
     ``_points_bound`` exceeds ``MAX_EXPAND_TERMS`` raises ``ValueError``
     before any jet is counted.
     """
-    a = _int_row(exponents, "exponents")
-    if not a or any(x < 1 for x in a):
-        raise ValueError("exponents must be positive integers")
-    n_max = _strict_int(n_max, "n_max")
+    a = _int_row(exponents, "exponents", 1)
+    if not a:
+        raise ValueError("need at least one exponent")
+    n_max = _strict_int(n_max, "n_max", 0)
     size = _points_bound([(-1, x) for x in a], n_max)
     if size > MAX_EXPAND_TERMS:
         raise ValueError(
@@ -384,33 +374,33 @@ def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
         for j, pair in enumerate(entry[:arity]):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SchemaError(f"{at}[{j}]", "expected [num, den]")
-            num = _json_int(pair[0], f"{at}[{j}][0]")
-            evs.append((num, _json_int(pair[1], f"{at}[{j}][1]", positive=True)))
-        p, q, mult = (_json_int(entry[k], f"{at}[{k}]") for k in range(arity, arity + 3))
+            num = _strict_int(pair[0], f"{at}[{j}][0]")
+            evs.append((num, _strict_int(pair[1], f"{at}[{j}][1]", 1)))
+        p, q, mult = (_strict_int(entry[k], f"{at}[{k}]") for k in range(arity, arity + 3))
         terms.append(((tuple(evs), p, q), mult))
     return MonodromicClass(arity, terms)
 
 
-def _require_fields(obj: dict, keys, path: str):
+def _require_fields(obj: dict, keys, prefix: str):
     for key in keys:
         if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing required field")
+            raise SchemaError(prefix + key, "missing required field")
 
 
 def datum_from_dict(data: dict) -> ResolutionDatum:
     """A datum from its JSON object; only the JSON shape is read here."""
     if not isinstance(data, dict):
         raise SchemaError("$", "datum must be a JSON object")
-    _require_fields(data, ("dimension", "local", "functions", "components", "strata"), "$")
+    _require_fields(data, ("dimension", "local", "functions", "components", "strata"), "")
     for key in ("functions", "components", "strata"):
-        _json_list(data[key], f"$.{key}")
+        _json_list(data[key], key)
     functions = tuple(data["functions"])
     comps = []
     for i, raw in enumerate(data["components"]):
         path = f"components[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(path, "expected object")
-        _require_fields(raw, ("id", "Ng", "nu"), path)
+        _require_fields(raw, ("id", "Ng", "nu"), path + ".")
         comps.append(Component(raw["id"], raw.get("Nf", 0), raw["Ng"], raw["nu"]))
     strata = []
     for i, raw in enumerate(data["strata"]):

@@ -73,10 +73,7 @@ class TruncatedPoly(_ArityMap):
 
     @staticmethod
     def _key(n) -> int:
-        n = _strict_int(n, "T-degree")
-        if n < 0:
-            raise ValueError("negative T-degree")
-        return n
+        return _strict_int(n, "T-degree", 0)
 
     def coefficient(self, n: int) -> MonodromicClass:
         return self._terms.get(self._key(n), MonodromicClass.zero(self.arity))
@@ -86,7 +83,7 @@ class TruncatedPoly(_ArityMap):
 
     def mul_truncated(self, other: "TruncatedPoly", bound: int) -> "TruncatedPoly":
         """Product with every degree above bound dropped."""
-        bound = _strict_int(bound, "bound")
+        bound = _strict_int(bound, "bound", 0)
         self._check(other)
         out: dict[int, MonodromicClass] = {}
         for n1, c1 in self._terms.items():
@@ -116,11 +113,10 @@ class RationalSeries(_ArityMap):
 
     @staticmethod
     def _key(factors) -> tuple:
-        factors = tuple(sorted(_int_row(f, "generator (e, j)") for f in factors))
-        for _e, j in factors:
-            if j < 1:
-                raise ValueError("generator T-weight must be >= 1")
-        return factors
+        return tuple(sorted(
+            (_strict_int(e, "generator L-power e"), _strict_int(j, "generator T-weight j", 1))
+            for e, j in factors
+        ))
 
     @staticmethod
     def _key_mul(f1, f2):
@@ -155,9 +151,7 @@ class RationalSeries(_ArityMap):
         A truncation that may merge more than ``MAX_EXPAND_TERMS`` class
         terms raises ``ValueError`` before any table is built.
         """
-        n = _strict_int(n, "n")
-        if n < 0:
-            raise ValueError("truncation degree must be nonnegative")
+        n = _strict_int(n, "n", 0)
         size = sum(_points_bound(f, n) * len(c._terms) for f, c in self._terms.items())
         if size > MAX_EXPAND_TERMS:
             raise ValueError(

@@ -281,10 +281,7 @@ class _ArityMap(_SparseMap):
     __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms: Mapping | Iterable = ()):
-        arity = _strict_int(arity, "arity")
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        self.arity = arity
+        self.arity = _strict_int(arity, "arity", 0)
         _SparseMap.__init__(self, terms)
 
     @classmethod
@@ -423,9 +420,7 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
     weight.  Multiplicativity on monomials holds only when neither residue
     sum wraps past 1, which is why the map is defined termwise.
     """
-    N = _strict_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    N = _strict_int(N, "N", 1)
     out: dict[Pair, int] = {}
     for ((an, ad), (bn, bd), c), mult in x._terms.items():
         den = ad * bd * N
@@ -435,9 +430,7 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
 
 def geometric_factor(m: int) -> Spectrum:
     """The exact expansion (1 - t) / (1 - t^(1/m)) = sum_{i<m} t^(i/m)."""
-    m = _strict_int(m, "m")
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _strict_int(m, "m", 1)
     return Spectrum._trusted({_reduced(i, m): 1 for i in range(m)})
 
 
@@ -448,9 +441,7 @@ def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
     order of the auxiliary function along the branch and N the power being
     added.
     """
-    m, N = _strict_int(m, "m"), _strict_int(N, "N")
-    if m < 1 or N < 1:
-        raise ValueError("m and N must be positive integers")
+    m, N = _strict_int(m, "m", 1), _strict_int(N, "N", 1)
     steps = geometric_factor(m * N)._terms
     out: dict[Pair, int] = {}
     for alpha, beta in pairs:

@@ -49,9 +49,7 @@ def thom_sebastiani(*phis: MonodromicClass) -> MonodromicClass:
 
 def one_variable_vanishing(a: int) -> MonodromicClass:
     """Vanishing-cycle class of x^a at the origin of the line."""
-    a = _strict_int(a, "exponent")
-    if a < 1:
-        raise ValueError("exponent must be positive")
+    a = _strict_int(a, "exponent", 1)
     return MonodromicClass._trusted(1, {((_reduced(k, a),), 0, 0): 1 for k in range(1, a)})
 
 
@@ -162,9 +160,7 @@ def steenbrink_check(
     rather than asserts: when N is at or below the threshold the hypothesis
     failure is flagged and the comparison still runs.
     """
-    N = _strict_int(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    N = _strict_int(N, "N", 1)
     lhs = sp_f - sp_fg
     rhs = geometric_factor(N) * fold_bispectrum(hodge_spectrum2(phi_iterated), N)
     return SteenbrinkReport(

@@ -166,19 +166,21 @@ def test_input_errors(capsys, tmp_path):
 
     # Class entries take strict integers: no bool, float or str, and den > 0.
     x2 = json.loads((FIXTURES / "x2.json").read_text(encoding="utf-8"))
-    for entry, field in (([0, 0, 1.5], "[0][2]"), (["a", 0, 1], "[0][0]"), ([0, True, 1], "[0][1]")):
+    for entry, field in (
+        ([0, 0, 1.5], "[0][2]: 1.5"), (["a", 0, 1], "[0][0]: 'a'"), ([0, True, 1], "[0][1]: True")
+    ):
         x2["strata"][0]["base_class"] = [entry]
         bad_base = tmp_path / "bad_base.json"
         bad_base.write_text(json.dumps(x2), encoding="utf-8")
         code, _, err = run(capsys, "spectrum", "--datum", str(bad_base))
         assert code == 2
-        assert f"strata[0].base_class{field}: expected integer" in err
+        assert f"strata[0].base_class{field} is not an integer" in err
 
     for entry, field in (
-        ([[1, 0], 0, 0, 1], "[0][0][1]: must be a positive integer"),
-        ([[1, -2], 0, 0, 1], "[0][0][1]: must be a positive integer"),
-        ([[1, 2], 0, 0, 1.5], "[0][3]: expected integer"),
-        ([["1", 2], 0, 0, 1], "[0][0][0]: expected integer"),
+        ([[1, 0], 0, 0, 1], "[0][0][1]: 0 is less than 1"),
+        ([[1, -2], 0, 0, 1], "[0][0][1]: -2 is less than 1"),
+        ([[1, 2], 0, 0, 1.5], "[0][3]: 1.5 is not an integer"),
+        ([["1", 2], 0, 0, 1], "[0][0][0]: '1' is not an integer"),
     ):
         bad_class = tmp_path / "bad_class.json"
         bad_class.write_text(json.dumps([entry]), encoding="utf-8")
@@ -255,7 +257,13 @@ def test_oversized_truncation_fails_fast(capsys):
     code, out, err = run(capsys, "zeta", "--datum", str(FIXTURES / "d_curve_N5.json"), "--truncate", "100000")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert "degree 100000" in err and "MAX_EXPAND_TERMS" in err
+    assert "--truncate: " in err and "degree 100000" in err and "MAX_EXPAND_TERMS" in err
+
+
+def test_negative_truncation_names_its_flag(capsys):
+    code, out, err = run(capsys, "zeta", "--datum", str(FIXTURES / "x2.json"), "--truncate", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --truncate: n: -1 is less than 0\n"
 
 
 def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):

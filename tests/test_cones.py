@@ -142,6 +142,8 @@ def test_dimension_and_coefficients_are_strict_integers():
         with pytest.raises(ValueError, match="dimension"):
             Cone(n)
     assert Cone(0).constraints == ()
+    # An integral Fraction is an integer here as in every other constructor.
+    assert type(Cone(Fraction(2)).n) is int and Cone(Fraction(2)).n == 2
     assert Cone(2, (((Fraction(4, 2), -1), ">="),)).constraints == (((2, -1), ">="),)
     for bad in (1.5, 2.0, True, "1", Fraction(1, 2), None):
         with pytest.raises(ValueError, match="constraint 1"):

@@ -229,6 +229,27 @@ def test_schema_errors():
         datum_from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("dimension", "2"), ("local", 1), ("functions", "g"), ("components", {}), ("strata", 5)],
+)
+def test_top_level_fields_have_one_path(field, bad):
+    # A missing field and a bad value name the same path, as the
+    # constructor does; only a non-object datum is "$".
+    good = datum_to_dict(monomial_datum((2,)))
+    paths = []
+    for mutate in (lambda d: d.pop(field), lambda d: d.__setitem__(field, bad)):
+        data = json.loads(json.dumps(good))
+        mutate(data)
+        with pytest.raises(SchemaError) as info:
+            datum_from_dict(data)
+        paths.append(info.value.path)
+    assert paths == [field, field]
+    with pytest.raises(SchemaError) as info:
+        datum_from_dict([good])
+    assert info.value.path == "$"
+
+
 def test_load_datum_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dimension": 1,', encoding="utf-8")
@@ -338,7 +359,7 @@ def test_python_built_datum_checks_its_own_values(ncomp, data):
         assert exc.path
         return
     assert type(datum.dimension) is int and type(datum.local) is bool
-    assert all(type(x) is int for c in comps for x in (c.nf, c.ng, c.nu))
+    assert all(type(x) is int for c in datum.components for x in (c.nf, c.ng, c.nu))
     for op in (nearby_cycles, lambda d: zeta_series(d).expand(6), vanishing_cycles):
         try:
             op(datum)
@@ -353,7 +374,10 @@ def test_python_built_datum_names_its_bad_field():
     strata = (Stratum(("x",), base=unit0),)
     comps = (Component("x", 0, 2, 1),)
     for dimension in (1.5, True):
-        with pytest.raises(SchemaError, match=r"^dimension: expected integer$"):
+        with pytest.raises(SchemaError, match=rf"^dimension: {dimension!r} is not an integer$"):
             ResolutionDatum(dimension, True, ("g",), comps, strata)
-    with pytest.raises(SchemaError, match=r"^components\[0\]\.Ng: expected integer$"):
+    with pytest.raises(SchemaError, match=r"^components\[0\]\.Ng: 2\.0 is not an integer$"):
         ResolutionDatum(1, True, ("g",), (Component("x", 0, 2.0, 1),), strata)
+    # A negative multiplicity names its own field, not the whole component.
+    with pytest.raises(SchemaError, match=r"^components\[0\]\.Nf: -1 is less than 0$"):
+        ResolutionDatum(1, True, ("g",), (Component("x", -1, 2, 1),), strata)

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgespec.cones import GE, GT, Cone, lattice_series
 from hodgespec.convolution import collapse_pair, convolve, power_pushforward
+from hodgespec.lattice import SchemaError
 from hodgespec.monclass import (
     MonodromicClass as MC,
     box,
@@ -28,6 +29,8 @@ from hodgespec.monclass import (
     hodge_spectrum2,
     torus_fiber_class,
 )
+from hodgespec.oracles import p1_cover_class, stratum_cover_class
+from hodgespec.resolution import Component, ResolutionDatum, Stratum, jet_count_zeta
 from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
 from hodgespec.workbench import one_variable_vanishing, steenbrink_check
@@ -380,7 +383,58 @@ def test_integer_parameters_are_strict(call, name, value):
         call(value)
 
 
+def _datum(dimension=1, nf=0, ng=2, nu=1):
+    return ResolutionDatum(
+        dimension, True, ("g",), (Component("x", nf, ng, nu),), (Stratum(("x",), base=MC.unit(0)),)
+    )
+
+
+@pytest.mark.parametrize(
+    "call, path, minimum",
+    [
+        pytest.param(lambda v: power_pushforward(_X2, 1, v), "N", 1, id="pushforward-N"),
+        pytest.param(lambda v: fold_bispectrum(BiSpectrum.one(), v), "N", 1, id="fold-N"),
+        pytest.param(geometric_factor, "m", 1, id="geometric-m"),
+        pytest.param(lambda v: steenbrink_rhs([(0, 0)], v, 2), "m", 1, id="steenbrink-m"),
+        pytest.param(lambda v: steenbrink_rhs([(0, 0)], 2, v), "N", 1, id="steenbrink-N"),
+        pytest.param(
+            lambda v: steenbrink_check(Spectrum.zero(), Spectrum.zero(), _X2, v, F(1)),
+            "N",
+            1,
+            id="steenbrink-check-N",
+        ),
+        pytest.param(MC, "arity", 0, id="class-arity"),
+        pytest.param(MC.unit, "arity", 0, id="class-unit-arity"),
+        pytest.param(MC.lefschetz, "arity", 0, id="class-lefschetz-arity"),
+        pytest.param(TP, "arity", 0, id="poly-arity"),
+        pytest.param(RS, "arity", 0, id="series-arity"),
+        pytest.param(lambda v: TP(0, {v: MC.unit(0)}), "T-degree", 0, id="poly-degree"),
+        pytest.param(lambda v: RS.generator(-1, v), "generator T-weight j", 1, id="series-weight"),
+        pytest.param(RS.generator(-1, 2).expand, "n", 0, id="series-expand-n"),
+        pytest.param(lambda v: MC.unit(1) ** v, "exponent", 0, id="class-power"),
+        pytest.param(lambda v: _POLY.mul_truncated(_POLY, v), "bound", 0, id="poly-mul-bound"),
+        pytest.param(one_variable_vanishing, "exponent", 1, id="one-variable-exponent"),
+        pytest.param(lambda v: stratum_cover_class(v, ()), "multiplicity", 1, id="cover-multiplicity"),
+        pytest.param(
+            lambda v: p1_cover_class((v,), ([0, 0],)), "deck orders, coefficient 0", 1, id="p1-deck"
+        ),
+        pytest.param(lambda v: jet_count_zeta([2, v], 3), "exponents, coefficient 1", 1, id="jet-a"),
+        pytest.param(lambda v: jet_count_zeta([2], v), "n_max", 0, id="jet-n-max"),
+        pytest.param(Cone, "cone dimension", 0, id="cone-n"),
+        pytest.param(lambda v: _datum(dimension=v), "dimension", 1, id="datum-dimension"),
+        pytest.param(lambda v: _datum(nf=v), "components[0].Nf", 0, id="datum-Nf"),
+        pytest.param(lambda v: _datum(ng=v), "components[0].Ng", 0, id="datum-Ng"),
+        pytest.param(lambda v: _datum(nu=v), "components[0].nu", 1, id="datum-nu"),
+    ],
+)
+def test_integer_parameters_below_their_bound_are_refused(call, path, minimum):
+    with pytest.raises(SchemaError) as info:
+        call(minimum - 1)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {minimum - 1} is less than {minimum}"
+
+
 @pytest.mark.parametrize("ring", [MC, TP, RS])
 def test_negative_arity_is_refused(ring):
-    with pytest.raises(ValueError, match="arity must be nonnegative"):
+    with pytest.raises(SchemaError, match=r"^arity: -1 is less than 0$"):
         ring(-1)

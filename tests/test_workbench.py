@@ -278,6 +278,24 @@ def test_p1_cover_requires_degree_zero():
         p1_cover_class([2], [[1, 0]])
 
 
+@pytest.mark.parametrize(
+    "deck, phi, message",
+    [
+        ((-2,), ([1, 1],), r"^deck orders, coefficient 0: -2 is less than 1$"),
+        ((0,), ([1, 1],), r"^deck orders, coefficient 0: 0 is less than 1$"),
+        ((2.0,), ([1, 1],), r"^deck orders, coefficient 0: 2\.0 is not an integer$"),
+        ((2,), ([1.0, 1],), r"^phi_0 orders, coefficient 0: 1\.0 is not an integer$"),
+        ((2, 3), ([1, 1],), r"^1 phi rows for 2 deck orders$"),
+    ],
+    ids=["negative-deck", "zero-deck", "float-deck", "float-phi", "missing-phi-row"],
+)
+def test_p1_cover_checks_its_integer_inputs(deck, phi, message):
+    # Each used to return the zero class, divide by zero, raise a TypeError
+    # from a Fraction of a float or an IndexError.
+    with pytest.raises(ValueError, match=message):
+        p1_cover_class(deck, phi)
+
+
 def test_p1_cover_reads_orders_mod_the_deck_order():
     # Residues depend on the orders mod n only, so a row summing to 0 mod n
     # is accepted and gives the cover of any row congruent to it.
