@@ -8,10 +8,14 @@ provides
   one-dimensional extrema) on primitive integer rows: denominators are
   cleared once on entry, equalities are substituted before any inequality
   pair is formed, every derived row is divided by its gcd, and strict
-  inequalities are tracked symbolically;
+  inequalities are tracked symbolically.  Rows keep their full width (an
+  eliminated coefficient is 0), and the elimination keeps every level: the
+  system before x_k is eliminated is the exact projection onto x_0..x_k;
 * the lattice-point generating series sum over k in the cone with positive
-  integer coordinates of T^(l(k)) L^(-nu(k)), by direct enumeration up to a
-  degree bound;
+  integer coordinates of T^(l(k)) L^(-nu(k)) up to a degree bound, by one
+  elimination scanned level by level (Ancourt-Irigoin): with x_0..x_(k-1)
+  fixed, the rows of the level before x_k is eliminated give the exact
+  integer range of x_k, so no point outside the cone is visited;
 * the Euler characteristic with compact supports, via the decomposition of
   the cone into the relatively open sign cells of its defining hyperplane
   arrangement (a nonempty cell of dimension d contributes (-1)^d); the
@@ -30,13 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 
 from .lattice import _int_row, _strict_int, rational_rank
 from .monclass import MonodromicClass
 from .series import TruncatedPoly
-from .spectra import _merge
 
 GE, GT, EQ = ">=", ">", "="
 _RELS = (GE, GT, EQ)
@@ -105,7 +107,7 @@ def _unit_constraint(n, i, rel, const=0):
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin machinery.  A constraint is (coeffs, const, rel) meaning
 # dot(coeffs, x) + const REL 0.  Callers may pass Fractions; internally every
-# row is primitive: integer entries with gcd 1.
+# row is primitive: integer entries with gcd 1, one per variable.
 # ---------------------------------------------------------------------------
 
 
@@ -125,23 +127,20 @@ def _primitive(values, rel):
 def _normalize(con):
     """Clear the denominators of a rational constraint: a primitive row."""
     coeffs, const, rel = con
-    values = (*coeffs, const)
+    values = [*coeffs, const]
+    try:
+        return _primitive(values, rel)
+    except TypeError:  # gcd takes ints only: clear the denominators first
+        pass
     scale = lcm(*(v.denominator for v in values))
     return _primitive([v.numerator * (scale // v.denominator) for v in values], rel)
 
 
-def _combine(a, row1, b, row2, rel, k):
-    """a * row1 + b * row2, whose x_k coefficient vanishes, without x_k."""
-    c1, b1, _ = row1
-    c2, b2, _ = row2
-    values = [a * x + b * y for i, (x, y) in enumerate(zip(c1, c2)) if i != k]
-    values.append(a * b1 + b * b2)
+def _combine(a, row1, b, row2, rel):
+    """a * row1 + b * row2, primitive; the eliminated coefficient stays as 0."""
+    values = [a * x + b * y for x, y in zip(row1[0], row2[0])]
+    values.append(a * row1[1] + b * row2[1])
     return _primitive(values, rel)
-
-
-def _drop(con, k):
-    coeffs, const, rel = con
-    return (coeffs[:k] + coeffs[k + 1:], const, rel)
 
 
 def _eliminate(cons, k):
@@ -158,7 +157,7 @@ def _eliminate(cons, k):
                 if j == idx:
                     continue
                 c = row[0][k]
-                out.append(_combine(ap, row, -sign * c, pivot, row[2], k) if c else _drop(row, k))
+                out.append(_combine(ap, row, -sign * c, pivot, row[2]) if c else row)
             return out
     lowers, uppers, rest = [], [], []
     for row in cons:
@@ -168,57 +167,74 @@ def _eliminate(cons, k):
         elif c < 0:
             uppers.append(row)
         else:
-            rest.append(_drop(row, k))
+            rest.append(row)
     for low in lowers:
         for up in uppers:
             # low[k] * upper + (-up[k]) * lower eliminates x_k.
             rel = GT if GT in (low[2], up[2]) else GE
-            rest.append(_combine(low[0][k], up, -up[0][k], low, rel, k))
+            rest.append(_combine(low[0][k], up, -up[0][k], low, rel))
     return rest
 
 
 def _settle(cons):
-    """Deduplicate; drop the rows with no variable left that hold.  None when
-    one of them fails, which proves the system infeasible."""
+    """Deduplicate, and drop a `>=` row whose `>` twin is present and the
+    rows with no variable left that hold.  None when one of those fails,
+    which proves the system infeasible."""
+    rows = dict.fromkeys(cons)
     out = []
-    for row in dict.fromkeys(cons):
-        if any(row[0]):
+    for row in rows:
+        coeffs, const, rel = row
+        if not any(coeffs):
+            if not _holds(const, rel):
+                return None
+        elif rel != GE or (coeffs, const, GT) not in rows:
             out.append(row)
-        elif not _holds(row[1], row[2]):
-            return None
     return out
 
 
-def _project(cons, nvars: int):
-    """Eliminate x_(nvars-1), ..., x_0 from rational constraints.
+def _levels(cons, nvars: int):
+    """Eliminate x_(nvars-1), ..., x_0 from rational constraints, keeping
+    every intermediate system; None if the system is infeasible.
 
-    Returns the primitive rows left in the remaining variables, or None if
-    the system is infeasible.
+    levels[k + 1] is the system before x_k is eliminated, the exact
+    projection of the input onto x_0..x_k; levels[nvars] is the primitive
+    input, and the last level, levels[0], holds no row.
     """
-    cons = _settle([_normalize(c) for c in cons])
+    system = _settle([_normalize(c) for c in cons])
+    levels = [system]
     for k in range(nvars - 1, -1, -1):
-        if cons is None:
+        if system is None:
             break
-        cons = _settle(_eliminate(cons, k))
-    return cons
+        system = _settle(_eliminate(system, k))
+        levels.append(system)
+    if system is None:
+        return None
+    levels.reverse()
+    return levels
 
 
 def feasible(cons, nvars: int) -> bool:
     """Exact feasibility of a system of affine constraints over Q."""
-    return _project(cons, nvars) is not None
+    return _levels(cons, nvars) is not None
 
 
 def extremum(obj, cons, nvars: int, maximize: bool = True):
-    """Sup (or inf) of dot(obj, x) over a nonempty system; None if unbounded.
+    """Sup (or inf) of dot(obj, x) over a system; None if unbounded.
 
-    The system is assumed feasible; the bound returned is the exact
-    supremum/infimum whether or not it is attained.
+    The bound returned is the exact supremum/infimum whether or not it is
+    attained.  Raises ValueError when the system is infeasible.
     """
-    # Add t = obj . x as a fresh last variable and project onto it.
-    ext = [(tuple(coeffs) + (0,), const, rel) for coeffs, const, rel in cons]
-    ext.append((tuple(-c for c in obj) + (1,), 0, EQ))
+    # t = obj . x is a fresh first variable, so it is eliminated last: the
+    # level before it goes bounds t alone, and the last level proves the
+    # whole system feasible.
+    ext = [((0, *coeffs), const, rel) for coeffs, const, rel in cons]
+    ext.append(((1, *(-c for c in obj)), 0, EQ))
+    levels = _levels(ext, nvars + 1)
+    if levels is None:
+        raise ValueError("extremum over an infeasible system")
     best = None
-    for (a,), const, rel in _project(ext, nvars) or ():
+    for coeffs, const, rel in levels[1]:
+        a = coeffs[0]
         if rel == EQ:
             return Fraction(-const, a)
         # a*t + const >= 0 (or > 0)
@@ -272,10 +288,12 @@ def euler_char(cone: Cone) -> int:
 
 
 def _positive_on_closure(cone: Cone, form) -> bool:
-    # The cone is known to be nonempty.
+    # The cone is known to be nonempty, so the slice is empty only in
+    # dimension 0, where no form is counted as positive.
+    if not cone.n:
+        return False
     sys = cone._closure_system() + [((1,) * cone.n, -1, EQ)]
-    low = extremum(form, sys, cone.n, maximize=False)
-    return low is not None and low > 0
+    return extremum(form, sys, cone.n, maximize=False) > 0
 
 
 def form_positive_on_closure(cone: Cone, form) -> bool:
@@ -295,36 +313,85 @@ def _require_positive(cone: Cone, ell, nu) -> None:
             raise ValueError(f"form {name} is not positive on the closed cone minus 0")
 
 
+def _integer_range(rows, prefix):
+    """(lo, hi) of the integers x_k satisfying every row a * x_k + head .
+    prefix + const REL 0 given as (a, head, const, rel); None if there are
+    none.  An `=` row pins x_k, or leaves no value when a does not divide."""
+    lo = hi = None
+    for a, head, const, rel in rows:
+        r = const + dot(head, prefix)
+        if rel == EQ:
+            if r % a:
+                return None
+            low = high = -r // a
+        elif a > 0:  # x_k >= -r / a, or >: round up
+            low, high = (-(r // a) if rel == GE else -r // a + 1), None
+        else:  # x_k <= r / -a, or <: round down
+            low, high = None, (r // -a if rel == GE else -(-r // -a) - 1)
+        if low is not None and (lo is None or low > lo):
+            lo = low
+        if high is not None and (hi is None or high < hi):
+            hi = high
+    if lo is None or hi is None:  # cannot happen: l positive forces compactness
+        raise ValueError("unbounded enumeration region")
+    return (lo, hi) if lo <= hi else None
+
+
+def _count_points(levels, ell, nu) -> dict:
+    """{(l(k), -nu(k)): count} over the integer points k of the system
+    whose levels are given, fixing x_0, x_1, ... in turn."""
+    nvars = len(ell)
+    # The rows of the system before x_k is eliminated that involve x_k.
+    rows = [[(c[k], c[:k], const, rel) for c, const, rel in levels[k + 1] if c[k]]
+            for k in range(nvars)]
+    counts = {}
+    prefix = []
+
+    def scan(k, deg, e):
+        span = _integer_range(rows[k], prefix)
+        if span is None:
+            return
+        values = range(span[0], span[1] + 1)
+        l, m = ell[k], nu[k]
+        if k == nvars - 1:
+            for v in values:
+                key = (deg + l * v, e - m * v)
+                counts[key] = counts.get(key, 0) + 1
+            return
+        prefix.append(0)
+        for v in values:
+            prefix[k] = v
+            scan(k + 1, deg + l * v, e - m * v)
+        prefix.pop()
+
+    scan(0, 0, 0)
+    return counts
+
+
 def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
     """Sum of T^(l(k)) L^(-nu(k)) over lattice points of the cone with all
-    coordinates >= 1 and l(k) <= n, by direct enumeration."""
+    coordinates >= 1 and l(k) <= n.
+
+    One elimination of {cone rows, x_i >= 1, l(x) <= n} keeps its
+    projection onto every prefix of the coordinates; the scan then fixes
+    x_0, x_1, ... in turn, each over the exact integer range that the
+    level before x_k is eliminated gives it.
+    """
     ell, nu = _int_row(ell, "ell"), _int_row(nu, "nu")
     if cone.is_empty():
         return TruncatedPoly.zero(0)
     _require_positive(cone, ell, nu)
-    # Box bounds from exact LP over the closure with x_i >= 1 and l <= n.
-    sys = cone._closure_system()
+    sys = [(coeffs, 0, rel) for coeffs, rel in cone.constraints]
     sys += [_unit_constraint(cone.n, i, GE, -1) for i in range(cone.n)]
     sys.append((tuple(-c for c in ell), n, GE))
-    if not feasible(sys, cone.n):
+    levels = _levels(sys, cone.n)
+    if levels is None:
         return TruncatedPoly.zero(0)
-    bounds = []
-    for i in range(cone.n):
-        obj = [1 if j == i else 0 for j in range(cone.n)]
-        top = extremum(obj, sys, cone.n, maximize=True)
-        if top is None:  # cannot happen: l positive forces compactness
-            raise ValueError("unbounded enumeration region")
-        bounds.append(int(top))
-    out: dict[int, MonodromicClass] = {}
-    for point in product(*(range(1, b + 1) for b in bounds)):
-        if not cone.contains(point):
-            continue
-        deg = dot(ell, point)
-        if deg > n:
-            continue
-        e = -dot(nu, point)
-        _merge(out, deg, MonodromicClass._trusted(0, {((), e, e): 1}))
-    return TruncatedPoly._trusted(0, out)
+    out: dict[int, dict] = {}
+    for (deg, e), count in _count_points(levels, ell, nu).items():
+        out.setdefault(deg, {})[((), e, e)] = count
+    return TruncatedPoly._trusted(0, {deg: MonodromicClass._trusted(0, terms)
+                                      for deg, terms in out.items()})
 
 
 def series_limit(cone: Cone, ell, nu) -> int:

@@ -97,6 +97,21 @@ class Stratum:
         return frozenset(self.components)
 
 
+def _members(value, path: str, kind) -> tuple:
+    """value as a tuple of kind instances; a SchemaError names path when it
+    is a string or not iterable, and path[i] for a member of another type."""
+    if isinstance(value, str):
+        raise SchemaError(path, "expected a sequence, not a string")
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise SchemaError(path, f"expected a sequence, got {type(value).__name__}") from None
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise SchemaError(f"{path}[{i}]", f"expected {kind.__name__}, got {type(item).__name__}")
+    return items
+
+
 @dataclass(frozen=True)
 class ResolutionDatum:
     dimension: int
@@ -117,10 +132,12 @@ class ResolutionDatum:
         object.__setattr__(self, "dimension", _strict_int(self.dimension, "dimension", 1))
         if not isinstance(self.local, bool):
             raise SchemaError("local", "expected bool")
-        if tuple(self.functions) not in (("g",), ("f", "g")):
+        functions = _members(self.functions, "functions", str)
+        if functions not in (("g",), ("f", "g")):
             raise SchemaError("functions", 'must be ["g"] or ["f","g"]')
+        object.__setattr__(self, "functions", functions)
         index = {}
-        for i, comp in enumerate(self.components):
+        for i, comp in enumerate(_members(self.components, "components", Component)):
             path = f"components[{i}]"
             if not isinstance(comp.id, str):
                 raise SchemaError(path + ".id", "expected string")
@@ -138,6 +155,7 @@ class ResolutionDatum:
         object.__setattr__(self, "components", tuple(index.values()))
         if not index:
             raise SchemaError("components", "at least one component is required")
+        object.__setattr__(self, "strata", _members(self.strata, "strata", Stratum))
         seen = set()
         for i, st in enumerate(self.strata):
             path = f"strata[{i}]"

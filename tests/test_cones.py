@@ -194,6 +194,89 @@ def test_one_emptiness_test_per_series_call(monkeypatch):
     assert series_limit(empty, (1, -1), (0, 0)) == 0
 
 
+def test_one_elimination_per_series_call(monkeypatch):
+    # The only LPs of a series call are the ell and nu positivity checks;
+    # the points come from one elimination, scanned level by level.
+    calls = []
+    original = cones.extremum
+
+    def counting(obj, cons, nvars, maximize=True):
+        calls.append(tuple(obj))
+        return original(obj, cons, nvars, maximize)
+
+    monkeypatch.setattr(cones, "extremum", counting)
+    for cone in (Cone(2), Cone(3, (((1, -2, 1), ">="), ((0, 1, -1), "=")))):
+        calls.clear()
+        lattice_series(cone, (1,) * cone.n, (2,) * cone.n, 9)
+        assert calls == [(1,) * cone.n, (2,) * cone.n]
+
+
+def test_extremum_refuses_an_infeasible_system():
+    # x >= 0 and x <= -1: no bound of x exists, in either direction.
+    cons = [((1,), 0, ">="), ((-1,), -1, ">=")]
+    for maximize in (True, False):
+        with pytest.raises(ValueError, match="infeasible"):
+            extremum((1,), cons, 1, maximize)
+    # Infeasible only through a strict row that the objective never sees.
+    cons = [((1, 0), 0, ">="), ((0, 1), 0, ">"), ((0, -1), 0, ">=")]
+    for maximize in (True, False):
+        with pytest.raises(ValueError, match="infeasible"):
+            extremum((1, 0), cons, 2, maximize)
+    assert extremum((1, 0), cons[:2], 2, False) == 0
+
+
+def _box_series(cone, ell, nu, n):
+    """{degree: {L-power: count}} by plain enumeration of a box that holds
+    every point with coordinates >= 1 and l(x) <= n (l has entries >= 1),
+    filtered by Cone.contains."""
+    out = {}
+    for point in product(range(1, n - cone.n + 2), repeat=cone.n):
+        deg = dot(ell, point)
+        if deg <= n and cone.contains(point):
+            e = -dot(nu, point)
+            terms = out.setdefault(deg, {})
+            terms[e] = terms.get(e, 0) + 1
+    return out
+
+
+def test_series_matches_box_enumeration():
+    rng = random.Random(41)
+
+    def row(point, rel):
+        # A random row, turned to hold at a small positive point so that
+        # most cones are not empty.
+        coeffs = [rng.randint(-3, 3) for _ in point]
+        value = dot(coeffs, point)
+        if rel == "=":
+            j = rng.randrange(len(point))
+            coeffs = [c * point[j] - value * (i == j) for i, c in enumerate(coeffs)]
+        elif value < 0:
+            coeffs = [-c for c in coeffs]
+        return tuple(coeffs), rel
+
+    shapes = set()
+    for trial in range(200):
+        dim = 1 + trial % 4
+        point = [rng.randint(1, 2) for _ in range(dim)]
+        rels = [rng.choice((">=", ">=", ">", "=")) for _ in range(rng.randint(0, 3))]
+        cone = Cone(dim, tuple(row(point, rel) for rel in rels))
+        ell = tuple(rng.randint(1, 2) for _ in range(dim))
+        nu = tuple(rng.randint(1, 3) for _ in range(dim))
+        n = rng.randint(0, 12)
+        want = _box_series(cone, ell, nu, n)
+        got = lattice_series(cone, ell, nu, n)
+        assert got == TP(0, {d: sum((c * L(0, e) for e, c in terms.items()), MC.zero(0))
+                             for d, terms in want.items()}), (cone, ell, nu, n)
+        points = sum(sum(terms.values()) for terms in want.values())
+        shapes.add((dim, "=" in rels, min(points, 2)))
+    # No points, one point, and several, with and without an equality.
+    assert {(dim, eq, k) for dim in (2, 3, 4) for eq in (False, True) for k in (0, 1, 2)} <= shapes
+    # A non-unimodular equality pins a coordinate only where it divides:
+    # 3y = 2x holds at (3m, 2m).
+    got = lattice_series(Cone(2, (((2, -3), "="),)), (1, 1), (1, 1), 12)
+    assert got == TP(0, {5: L(0, -5), 10: L(0, -10)})
+
+
 # ---------------------------------------------------------------------------
 # Reference oracle: the 2^k sign-cell enumeration over Fraction
 # Fourier-Motzkin elimination, with its own rank.  It shares no code with

@@ -381,3 +381,27 @@ def test_python_built_datum_names_its_bad_field():
     # A negative multiplicity names its own field, not the whole component.
     with pytest.raises(SchemaError, match=r"^components\[0\]\.Nf: -1 is less than 0$"):
         ResolutionDatum(1, True, ("g",), (Component("x", -1, 2, 1),), strata)
+
+
+def test_python_built_datum_checks_its_containers():
+    # Each used to fail with a TypeError or AttributeError from inside the
+    # constructor ('int' object is not iterable, no attribute 'id').
+    strata = (Stratum(("x",), base=unit0),)
+    comps = (Component("x", 0, 2, 1),)
+    cases = [
+        ((5, comps, strata), "functions"),
+        (("g", comps, strata), "functions"),
+        (((1,), comps, strata), "functions[0]"),
+        ((("g",), 3, strata), "components"),
+        ((("g",), ("x",), strata), "components[0]"),
+        ((("g",), comps + (None,), strata), "components[1]"),
+        ((("g",), comps, None), "strata"),
+        ((("g",), comps, strata + (comps[0],)), "strata[1]"),
+    ]
+    for (functions, components, strata_), path in cases:
+        with pytest.raises(SchemaError) as info:
+            ResolutionDatum(1, True, functions, components, strata_)
+        assert info.value.path == path
+    # Any iterable of the right members is taken, and stored as a tuple.
+    datum = ResolutionDatum(1, True, ["g"], list(comps), iter(strata))
+    assert datum.functions == ("g",) and datum.strata == strata
