@@ -288,10 +288,8 @@ def euler_char(cone: Cone) -> int:
 
 
 def _positive_on_closure(cone: Cone, form) -> bool:
-    # The cone is known to be nonempty, so the slice is empty only in
-    # dimension 0, where no form is counted as positive.
-    if not cone.n:
-        return False
+    if not cone.n:  # closure minus 0 is empty: every form is positive
+        return True
     sys = cone._closure_system() + [((1,) * cone.n, -1, EQ)]
     return extremum(form, sys, cone.n, maximize=False) > 0
 
@@ -341,6 +339,8 @@ def _count_points(levels, ell, nu) -> dict:
     """{(l(k), -nu(k)): count} over the integer points k of the system
     whose levels are given, fixing x_0, x_1, ... in turn."""
     nvars = len(ell)
+    if not nvars:
+        return {(0, 0): 1}  # the one point of Z^0
     # The rows of the system before x_k is eliminated that involve x_k.
     rows = [[(c[k], c[:k], const, rel) for c, const, rel in levels[k + 1] if c[k]]
             for k in range(nvars)]

@@ -4,12 +4,21 @@ matrices of resolution data (plain textbook algorithms).
 ``smith_normal_form`` (U M V = D, U and V unimodular) answers every
 integer-lattice question: the rank is the number of nonzero divisors of D,
 those are the elementary divisors, and the last m - r columns of V span the
-integer kernel.  ``rational_rank`` clears each row's denominators (a
-nonzero multiple of a row keeps the rank) and counts the same divisors.
-Gauss-Jordan elimination stays only in ``rational_solve``, whose contract
-is one particular solution (leftmost pivots, free variables 0), the one the
-root-of-unity oracle pairs its roots with.  Entry is strict:
-``rational_solve`` takes only ints and Fractions (``_frac_row``).
+integer kernel.  It is one pivot loop over the diagonal positions t: the
+smallest nonzero entry in rows and columns >= t moves to (t, t) and is
+divided out of row t and column t; once both are clear, a row holding an
+entry the pivot p does not divide is added to row t, and the loop goes
+round again.  Each repeat leaves a nonzero remainder smaller than |p| (in
+the round itself, or in the next, where p is kept and divided out of row
+t), so the pivot shrinks strictly and the loop ends.  When t advances, p
+divides every entry left and every integer combination of them, so
+d_t | d_(t+1) holds with no later pass.  ``rational_rank`` clears each
+row's denominators (a nonzero multiple of a row keeps the rank) and counts
+the same divisors.  Gauss-Jordan elimination stays only in
+``rational_solve``, whose contract is one particular solution (leftmost
+pivots, free variables 0), the one the root-of-unity oracle pairs its
+roots with.  Entry is strict: ``rational_solve`` takes only ints and
+Fractions (``_frac_row``).
 
 ``_strict_int`` and ``_int_row`` are the package's one integer rule, used
 by every ring, oracle, datum and CLI path: an int passes, an integral
@@ -133,33 +142,16 @@ def smith_normal_form(rows):
     U * M * V = D with U, V unimodular over Z, D diagonal with nonnegative
     entries d_1 | d_2 | ... ; Vinv is the exact integer inverse of V, kept
     alongside because callers need both the new basis and the change back.
-    Entries must be integers (see ``_strict_int``).
+    Entries must be integers (see ``_strict_int``).  The pivot loop and
+    why it ends are described in the module docstring.
     """
     M = _int_matrix(rows)
-    nr = len(M)
-    nc = len(M[0]) if M else 0
-    U = identity(nr)
-    V = identity(nc)
-    Vinv = identity(nc)
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
+    nr, nc = len(M), len(M[0]) if M else 0
+    U, V, Vinv = identity(nr), identity(nc), identity(nc)
 
     def add_row(i, j, k):  # row_i += k * row_j
         M[i] = [a + k * b for a, b in zip(M[i], M[j])]
         U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-
-    def negate_row(i):
-        M[i] = [-a for a in M[i]]
-        U[i] = [-a for a in U[i]]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_col(i, j, k):  # col_i += k * col_j, so Vinv row_j -= k * row_i
         for row in M:
@@ -168,64 +160,47 @@ def smith_normal_form(rows):
             row[i] += k * row[j]
         Vinv[j] = [a - k * b for a, b in zip(Vinv[j], Vinv[i])]
 
-    def smallest_nonzero(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if M[i][j] and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    def reduce_pivot(t):
-        # Reduce the pivot row and column until the pivot divides everything
-        # it meets; each pass strictly shrinks |pivot| so this terminates.
+    for t in range(min(nr, nc)):
         while True:
-            dirty = False
+            # The smallest nonzero entry left moves to (t, t); ties keep it.
+            size = i = j = 0
+            for r in range(t, nr):
+                for c in range(t, nc):
+                    x = abs(M[r][c])
+                    if x and (x < size or not size):
+                        size, i, j = x, r, c
+            if not size:
+                return M, U, V, Vinv
+            if i != t:
+                M[t], M[i] = M[i], M[t]
+                U[t], U[i] = U[i], U[t]
+            if j != t:
+                for row in M:
+                    row[t], row[j] = row[j], row[t]
+                for row in V:
+                    row[t], row[j] = row[j], row[t]
+                Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
+            p = M[t][t]
+            clean = True
             for r in range(t + 1, nr):
                 if M[r][t]:
-                    q = M[r][t] // M[t][t]
-                    add_row(r, t, -q)
-                    if M[r][t]:
-                        swap_rows(t, r)
-                        dirty = True
+                    add_row(r, t, -(M[r][t] // p))
+                    clean = clean and not M[r][t]
             for c in range(t + 1, nc):
                 if M[t][c]:
-                    q = M[t][c] // M[t][t]
-                    add_col(c, t, -q)
-                    if M[t][c]:
-                        swap_cols(t, c)
-                        dirty = True
-            if not dirty:
+                    add_col(c, t, -(M[t][c] // p))
+                    clean = clean and not M[t][c]
+            if not clean:
+                continue  # a remainder smaller than |p| is left
+            if size == 1:
+                break  # a unit divides every entry left
+            bad = next((r for r in range(t + 1, nr) if any(x % p for x in M[r][t + 1:])), None)
+            if bad is None:
                 break
+            add_row(t, bad, 1)  # row t now holds an entry p does not divide
         if M[t][t] < 0:
-            negate_row(t)
-
-    t = 0
-    while t < min(nr, nc):
-        pos = smallest_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        swap_rows(t, i)
-        swap_cols(t, j)
-        reduce_pivot(t)
-        t += 1
-
-    # Enforce the divisibility chain d_k | d_{k+1}.
-    k = 0
-    while k < min(nr, nc) - 1:
-        a, b = M[k][k], M[k + 1][k + 1]
-        if a and b % a != 0:
-            add_col(k, k + 1, 1)  # puts b into column k at row k+1
-            reduce_pivot(k)  # re-run the local reduction from position k
-            k = max(k - 1, 0)
-        else:
-            k += 1
-
-    for i in range(min(nr, nc)):
-        if M[i][i] < 0:
-            negate_row(i)
-
+            M[t] = [-a for a in M[t]]
+            U[t] = [-a for a in U[t]]
     return M, U, V, Vinv
 
 

@@ -112,6 +112,15 @@ def _members(value, path: str, kind) -> tuple:
     return items
 
 
+def _check_class(value, path: str, arity: int) -> None:
+    """A SchemaError names path unless value is a MonodromicClass of the
+    given arity."""
+    if not isinstance(value, MonodromicClass):
+        raise SchemaError(path, f"expected MonodromicClass, got {type(value).__name__}")
+    if value.arity != arity:
+        raise SchemaError(path, f"must have arity {arity}")
+
+
 @dataclass(frozen=True)
 class ResolutionDatum:
     dimension: int
@@ -155,18 +164,18 @@ class ResolutionDatum:
         object.__setattr__(self, "components", tuple(index.values()))
         if not index:
             raise SchemaError("components", "at least one component is required")
-        object.__setattr__(self, "strata", _members(self.strata, "strata", Stratum))
+        strata = []
         seen = set()
-        for i, st in enumerate(self.strata):
+        for i, st in enumerate(_members(self.strata, "strata", Stratum)):
             path = f"strata[{i}]"
-            if not st.components:
+            components = _members(st.components, f"{path}.components", str)
+            if components is not st.components:  # not a tuple: store the tuple
+                st = Stratum(components, st.base, st.explicit)
+            if not components:
                 raise SchemaError(path + ".components", "must be nonempty")
-            for j, cid in enumerate(st.components):
-                if not isinstance(cid, str):
-                    raise SchemaError(f"{path}.components[{j}]", "expected string")
-            if len(set(st.components)) != len(st.components):
+            if len(set(components)) != len(components):
                 raise SchemaError(path + ".components", "duplicate component id")
-            for cid in st.components:
+            for cid in components:
                 if cid not in index:
                     raise SchemaError(path + ".components", f"unknown id {cid!r}")
             if st.key() in seen:
@@ -174,15 +183,16 @@ class ResolutionDatum:
             seen.add(st.key())
             if (st.base is None) == (st.explicit is None):
                 raise SchemaError(path, "exactly one of base_class / explicit cover")
-            if st.base is not None and st.base.arity != 0:
-                raise SchemaError(path + ".base_class", "must have arity 0")
-            if st.explicit is not None and st.explicit.arity != self.arity:
-                raise SchemaError(path + ".cover", f"explicit class must have arity {self.arity}")
+            if st.base is not None:
+                _check_class(st.base, path + ".base_class", 0)
+            if st.explicit is not None:
+                _check_class(st.explicit, path + ".cover", self.arity)
+            strata.append(st)
+        object.__setattr__(self, "strata", tuple(strata))
         if self.zero_locus_nearby is not None:
             if self.arity != 2:
                 raise SchemaError("zero_locus_nearby", "only meaningful on joint data")
-            if self.zero_locus_nearby.arity != 1:
-                raise SchemaError("zero_locus_nearby", "must have arity 1")
+            _check_class(self.zero_locus_nearby, "zero_locus_nearby", 1)
         object.__setattr__(self, "_index", index)
         # C = {Ng > 0}: the zero locus, which picks the strata of every sum.
         object.__setattr__(self, "_zero_locus", frozenset(i for i, c in index.items() if c.ng > 0))

@@ -214,7 +214,7 @@ def test_input_errors(capsys, tmp_path):
         ("spectrum", "--datum", base, "strata[0].base_class: expected a list"),
         ("spectrum", "--datum", explicit, "strata[0].cover.explicit: expected a list"),
         ("iterated", "--joint", joint, "zero_locus_nearby: expected a list"),
-        ("spectrum", "--datum", ids, "strata[0].components[0]: expected string"),
+        ("spectrum", "--datum", ids, "strata[0].components[0]: expected str, got list"),
     ):
         malformed = tmp_path / "malformed.json"
         malformed.write_text(json.dumps(data), encoding="utf-8")

@@ -56,6 +56,17 @@ def test_limit_examples():
     assert series_limit(Cone(2, (((-1, 1), ">="),)), (1, 1), (1, 1)) == 0
 
 
+def test_dimension_zero_obeys_the_limit_lemma():
+    # Z^0 has one point, of degree 0; closure minus 0 is empty, so every
+    # form is vacuously positive and the limit is chi_c of a point.
+    point = Cone(0)
+    assert form_positive_on_closure(point, ())
+    for n in (0, 3):
+        assert lattice_series(point, (), (), n) == TP(0, {0: L(0, 0)})
+    assert lattice_series(point, (), (), -1) == TP.zero(0)
+    assert series_limit(point, (), ()) == 1 == euler_char(point)
+
+
 def test_positivity_precondition():
     with pytest.raises(ValueError):
         series_limit(Cone(2), (1, -1), (1, 1))

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -20,6 +22,16 @@ def test_snf_pinned():
     assert elementary_divisors([[2, 1], [0, 1]]) == [1, 2]
     assert elementary_divisors([[2, 0], [0, 3]]) == [1, 6]
     assert elementary_divisors([[2, 3]]) == [1]
+    # Swapping each remainder into place, without choosing the smallest
+    # entry again, lets the entries of this matrix grow for seconds.
+    assert elementary_divisors(STALL_3X5) == [1, 1, 3]
+
+
+STALL_3X5 = [
+    [217, -295, 693, -487, -128],
+    [-66, 334, -136, -701, 569],
+    [-885, 877, 308, -932, 632],
+]
 
 
 def _det(A):
@@ -33,11 +45,21 @@ def _det(A):
     )
 
 
+def _random_matrix(rng):
+    """Up to 5 x 5, with 3-digit entries on a quarter of the draws; on some,
+    the last row is the sum of two others, so rank-deficient inputs show up."""
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    bound = 999 if rng.random() < 0.25 else 9
+    M = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and rng.random() < 0.2:
+        M[-1] = [a + b for a, b in zip(M[0], M[-2])]
+    return nr, nc, M
+
+
 def test_snf_random_properties():
     rng = random.Random(0)
     for _ in range(400):
-        nr, nc = rng.randint(1, 3), rng.randint(1, 5)
-        M = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        nr, nc, M = _random_matrix(rng)
         D, U, V, Vinv = smith_normal_form(M)
         assert mat_mul(mat_mul(U, M), V) == D
         assert mat_mul(V, Vinv) == identity(nc)
@@ -54,6 +76,22 @@ def test_snf_random_properties():
             for j in range(nc):
                 if i != j:
                     assert D[i][j] == 0
+
+
+def test_snf_divisors_match_gcd_of_minors():
+    # d_1 ... d_k is the gcd of the k x k minors: an oracle that shares no
+    # code with the elimination.
+    rng = random.Random(3)
+    for _ in range(150):
+        nr, nc, M = _random_matrix(rng)
+        divisors = elementary_divisors(M)
+        for k in range(1, min(nr, nc) + 1):
+            g = 0
+            for rows in combinations(range(nr), k):
+                for cols in combinations(range(nc), k):
+                    g = gcd(g, _det([[M[i][j] for j in cols] for i in rows]))
+            expect = prod(divisors[:k]) if k <= len(divisors) else 0
+            assert g == expect, (M, k)
 
 
 def test_kernel_basis():

@@ -397,11 +397,23 @@ def test_python_built_datum_checks_its_containers():
         ((("g",), comps + (None,), strata), "components[1]"),
         ((("g",), comps, None), "strata"),
         ((("g",), comps, strata + (comps[0],)), "strata[1]"),
+        # The fields of each stratum and the zero-locus class are checked too.
+        ((("g",), comps, (Stratum(5, base=unit0),)), "strata[0].components"),
+        ((("g",), comps, (Stratum("x", base=unit0),)), "strata[0].components"),
+        ((("g",), comps, (Stratum((5,), base=unit0),)), "strata[0].components[0]"),
+        ((("g",), comps, (Stratum(("x",), base=5),)), "strata[0].base_class"),
+        ((("g",), comps, (Stratum(("x",), explicit=5),)), "strata[0].cover"),
+        ((("g",), comps, (Stratum(("x",), explicit=unit0),)), "strata[0].cover"),
+        ((("f", "g"), comps, strata, 5), "zero_locus_nearby"),
+        ((("f", "g"), comps, strata, unit0), "zero_locus_nearby"),
     ]
-    for (functions, components, strata_), path in cases:
+    for args, path in cases:
         with pytest.raises(SchemaError) as info:
-            ResolutionDatum(1, True, functions, components, strata_)
+            ResolutionDatum(1, True, *args)
         assert info.value.path == path
     # Any iterable of the right members is taken, and stored as a tuple.
     datum = ResolutionDatum(1, True, ["g"], list(comps), iter(strata))
     assert datum.functions == ("g",) and datum.strata == strata
+    for ids in (["x"], iter(["x"])):
+        datum = ResolutionDatum(1, True, ("g",), comps, (Stratum(ids, base=unit0),))
+        assert datum.strata == strata
