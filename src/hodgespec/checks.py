@@ -445,20 +445,17 @@ def run_steenbrink():
         ok &= sp == quasihomogeneous_spectrum(exps)
     out.append(CheckResult("join spectrum is permutation invariant", ok))
 
-    phi_f = vanishing_cycles(fixture_datum("x2y"))
-    sp_f = hodge_spectrum(phi_f)
-    joint = fixture_datum("x2y_y_joint")
+    x2y, joint = fixture_datum("x2y"), fixture_datum("x2y_y_joint")
+    phi_f = vanishing_cycles(x2y)
     phi_iter = iterated_vanishing(joint)
-    threshold = multiplicity_ratio(joint)
-    ok = threshold == 1
     branch = TransversalBranch(pairs=((Fraction(1, 2), Fraction(1, 2)),), e=1)
+    ok = True
     for N in (3, 4, 5):
-        phi_fg = vanishing_cycles(fixture_datum(f"d_curve_N{N}"))
-        sp_fg = hodge_spectrum(phi_fg)
-        report = steenbrink_check(sp_f, sp_fg, phi_iter, N, threshold)
-        ok &= report.equal and report.hypothesis_ok
-        ok &= sp_fg - sp_f == steenbrink_conjecture_rhs([branch], N)
-        ok &= phi_f - phi_fg == collapse_pair(power_pushforward(phi_iter, 2, N))
+        fg = fixture_datum(f"d_curve_N{N}")
+        report = steenbrink_check(x2y, fg, joint, N)
+        ok &= report.equal and report.hypothesis_ok and report.threshold == 1
+        ok &= -report.lhs == steenbrink_conjecture_rhs([branch], N)
+        ok &= phi_f - vanishing_cycles(fg) == collapse_pair(power_pushforward(phi_iter, 2, N))
     out.append(
         CheckResult(
             "x^2 y vs y-power perturbations: spectrum jump matches both closed forms "
@@ -467,7 +464,8 @@ def run_steenbrink():
         )
     )
 
-    report = steenbrink_check(sp_f, Spectrum.zero(), phi_iter, 1, threshold)
+    # N = 1: x^2 y + y is smooth at the origin, vanishing class 0.
+    report = steenbrink_check(x2y, monomial_datum((1,)), joint, 1)
     out.append(
         CheckResult(
             "N at the threshold is reported out-of-hypothesis (and indeed differs)",

@@ -38,18 +38,18 @@ import sys
 
 from .checks import SUITES, run_suite
 from .convolution import convolve
+from .lattice import _strict_int
 from .monclass import hodge_spectrum, hodge_spectrum2
 from .resolution import (
     datum_to_dict,
     iterated_nearby,
     load_class,
     load_datum,
-    multiplicity_ratio,
     nearby_cycles,
     vanishing_cycles,
     zeta_series,
 )
-from .workbench import fixtures, iterated_vanishing, quasihomogeneous_spectrum, rederive, steenbrink_check
+from .workbench import fixtures, quasihomogeneous_spectrum, rederive, steenbrink_check
 
 
 def _cmd_spectrum(args):
@@ -104,17 +104,8 @@ def _cmd_convolve(args):
 
 
 def _cmd_steenbrink(args):
-    f_datum = load_datum(args.f)
-    fg_datum = load_datum(args.fg)
-    joint = load_datum(args.joint)
-    phi_iter = iterated_vanishing(joint)
-    threshold = multiplicity_ratio(joint)
-    sp_f = hodge_spectrum(vanishing_cycles(f_datum))
-    sp_fg = hodge_spectrum(vanishing_cycles(fg_datum))
-    try:
-        report = steenbrink_check(sp_f, sp_fg, phi_iter, args.N, threshold)
-    except ValueError as exc:
-        raise ValueError(f"--N: {exc}") from exc
+    N = _strict_int(args.N, "--N", 1)
+    report = steenbrink_check(load_datum(args.f), load_datum(args.fg), load_datum(args.joint), N)
     print(report.render())
     if report.equal or not report.hypothesis_ok:
         return 0

@@ -56,13 +56,14 @@ or ``<path>: <value> is less than <minimum>``.  The value rules are the
 ``ResolutionDatum`` constructor's (``datum_from_dict`` reads only the JSON
 shape and names top-level fields as the constructor does), so data built in
 Python obeys them too, under the same field paths.  ``Nf`` defaults to 0.
-For arity-1 data the ``Nf`` field carries the boundary multiplicities used
-by ``multiplicity_ratio`` and the open variant.  Explicit cover entries list
-the eigenvalue fractions (one [num, den] pair per function) followed by p,
-q, mult.  The optional ``zero_locus_nearby`` (joint data only) is the
-arity-1 class, in the second monodromy slot, of the nearby cycles of g on
-the zero locus of f over the base point; it feeds the vanishing-cycle
-correction in the workbench.
+For arity-1 data the ``Nf`` field carries the boundary multiplicities read
+by ``multiplicity_ratio`` alone: ``nearby_cycles_open`` picks its strata
+from the zero locus {Ng > 0} and never reads ``Nf``.  Explicit cover
+entries list the eigenvalue fractions (one [num, den] pair per function)
+followed by p, q, mult.  The optional ``zero_locus_nearby`` (joint data
+only) is the arity-1 class, in the second monodromy slot, of the nearby
+cycles of g on the zero locus of f over the base point; it feeds the
+vanishing-cycle correction in the workbench.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class ResolutionDatum:
         for i, comp in enumerate(_members(self.components, "components", Component)):
             path = f"components[{i}]"
             if not isinstance(comp.id, str):
-                raise SchemaError(path + ".id", "expected string")
+                raise SchemaError(path + ".id", f"expected str, got {type(comp.id).__name__}")
             if comp.id in index:
                 raise SchemaError(path + ".id", f"duplicate id {comp.id!r}")
             comp = Component(

@@ -35,6 +35,7 @@ from .resolution import (
     iterated_nearby,
     jet_count_zeta,
     load_datum,
+    multiplicity_ratio,
     vanishing_cycles,
     zeta_series,
 )
@@ -129,8 +130,14 @@ class SteenbrinkReport:
     threshold: Fraction
     lhs: Spectrum
     rhs: Spectrum
-    equal: bool
-    hypothesis_ok: bool
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
+
+    @property
+    def hypothesis_ok(self) -> bool:
+        return self.N > self.threshold
 
     def render(self) -> str:
         lines = [
@@ -146,31 +153,22 @@ class SteenbrinkReport:
 
 
 def steenbrink_check(
-    sp_f: Spectrum,
-    sp_fg: Spectrum,
-    phi_iterated: MonodromicClass,
-    N: int,
-    threshold: Fraction,
+    f: ResolutionDatum, fg: ResolutionDatum, joint: ResolutionDatum, N: int
 ) -> SteenbrinkReport:
     """Compare Sp(f) - Sp(f + g^N) with the folded iterated spectrum.
 
-    ``phi_iterated`` is the iterated vanishing-cycle class (see
-    ``iterated_vanishing``); the right-hand side is the degree-N geometric
-    factor times the N-folded two-variable spectrum.  The check reports
-    rather than asserts: when N is at or below the threshold the hypothesis
-    failure is flagged and the comparison still runs.
+    ``f`` and ``fg`` are the one-function data of f and f + g^N, ``joint``
+    the joint datum of (f, g).  The right-hand side is the degree-N
+    geometric factor times the N-folded two-variable spectrum of
+    ``iterated_vanishing(joint)``, and the validity threshold is
+    ``multiplicity_ratio(joint)``.  The check reports rather than asserts:
+    when N is at or below the threshold the hypothesis failure is flagged
+    and the comparison still runs.
     """
     N = _strict_int(N, "N", 1)
-    lhs = sp_f - sp_fg
-    rhs = geometric_factor(N) * fold_bispectrum(hodge_spectrum2(phi_iterated), N)
-    return SteenbrinkReport(
-        N=N,
-        threshold=threshold,
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        hypothesis_ok=N > threshold,
-    )
+    lhs = hodge_spectrum(vanishing_cycles(f)) - hodge_spectrum(vanishing_cycles(fg))
+    rhs = geometric_factor(N) * fold_bispectrum(hodge_spectrum2(iterated_vanishing(joint)), N)
+    return SteenbrinkReport(N, multiplicity_ratio(joint), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

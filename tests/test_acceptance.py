@@ -18,7 +18,6 @@ from hodgespec.convolution import collapse_pair, collapse_triple, convolve, powe
 from hodgespec.monclass import MonodromicClass as MC, hodge_spectrum, hodge_spectrum2
 from hodgespec.resolution import (
     jet_count_zeta,
-    multiplicity_ratio,
     vanishing_cycles,
     zeta_series,
 )
@@ -27,6 +26,7 @@ from hodgespec.workbench import (
     TransversalBranch,
     fixture_datum,
     iterated_vanishing,
+    monomial_datum,
     quasihomogeneous_spectrum,
     steenbrink_check,
     steenbrink_conjecture_rhs,
@@ -153,22 +153,22 @@ def test_criterion_6_cone_suite():
 
 def test_criterion_7_steenbrink_end_to_end():
     with criterion(7, "power perturbations of x^2 y: spectrum jump equals both closed forms"):
-        sp_f = hodge_spectrum(vanishing_cycles(fixture_datum("x2y")))
-        joint = fixture_datum("x2y_y_joint")
+        x2y, joint = fixture_datum("x2y"), fixture_datum("x2y_y_joint")
+        sp_f = hodge_spectrum(vanishing_cycles(x2y))
         phi_iter = iterated_vanishing(joint)
-        threshold = multiplicity_ratio(joint)
         branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1)
         for N in (3, 4, 5):
-            sp_fg = hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}")))
+            fg = fixture_datum(f"d_curve_N{N}")
+            sp_fg = hodge_spectrum(vanishing_cycles(fg))
             # transversal-data route
             assert sp_fg - sp_f == steenbrink_conjecture_rhs([branch], N)
             # folded iterated-class route, in the conjecture's orientation
-            report = steenbrink_check(sp_f, sp_fg, phi_iter, N, threshold)
+            report = steenbrink_check(x2y, fg, joint, N)
             assert report.hypothesis_ok and report.equal
             folded = geometric_factor(N) * fold_bispectrum(hodge_spectrum2(phi_iter), N)
             assert sp_fg - sp_f == -folded
         # N at the threshold: reported as out of hypothesis, not asserted.
-        below = steenbrink_check(sp_f, Spectrum.zero(), phi_iter, 1, threshold)
+        below = steenbrink_check(x2y, monomial_datum((1,)), joint, 1)
         assert not below.hypothesis_ok
 
 

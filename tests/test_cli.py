@@ -151,18 +151,25 @@ def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--datum", str(tmp_path / "missing.json"))
     assert code == 2
 
-    # steenbrink names --N, not the m of the geometric factor it feeds.
-    for N in ("0", "-2"):
+    # steenbrink names --N, not the m of the geometric factor it feeds, and
+    # a datum of the wrong kind is named by the check that refuses it, not
+    # blamed on --N.
+    for fg, joint, N, message in (
+        ("d_curve_N3", "x2y_y_joint", "0", "--N: 0 is less than 1"),
+        ("d_curve_N3", "x2y_y_joint", "-2", "--N: -2 is less than 1"),
+        ("x2y_y_joint", "x2y_y_joint", "3", "vanishing_cycles needs a datum with 1 function(s), got 2"),
+        ("d_curve_N3", "x2y", "3", "iterated_vanishing needs a joint datum"),
+    ):
         code, _, err = run(
             capsys,
             "steenbrink",
             "--f", str(FIXTURES / "x2y.json"),
-            "--fg", str(FIXTURES / "d_curve_N3.json"),
-            "--joint", str(FIXTURES / "x2y_y_joint.json"),
+            "--fg", str(FIXTURES / f"{fg}.json"),
+            "--joint", str(FIXTURES / f"{joint}.json"),
             "--N", N,
         )
         assert code == 2
-        assert "--N" in err and "m must" not in err
+        assert err == f"error: {message}\n"
 
     # Class entries take strict integers: no bool, float or str, and den > 0.
     x2 = json.loads((FIXTURES / "x2.json").read_text(encoding="utf-8"))

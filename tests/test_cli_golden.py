@@ -45,6 +45,7 @@ def _commands():
     for exps in ("2,3", "3,4,5", "2,2,2,2", "5,7,9"):
         cmds.append(["ts", "--exponents", exps])
     cmds.append(["fixtures", "--rederive"])
+    cmds.append(["check", "--suite", "all"])
     return cmds
 
 
@@ -78,7 +79,7 @@ def render_all():
 
 def test_cli_output_matches_golden():
     expected = _split(GOLDEN.read_text(encoding="utf-8"))
-    assert len(COMMANDS) == 63 == len(expected)
+    assert len(COMMANDS) == 64 == len(expected)
     got = _split(render_all())
     differ = [cmd for cmd in expected if got.get(cmd) != expected[cmd]]
     assert not differ, f"CLI output changed for: {differ}"

@@ -381,6 +381,9 @@ def test_python_built_datum_names_its_bad_field():
     # A negative multiplicity names its own field, not the whole component.
     with pytest.raises(SchemaError, match=r"^components\[0\]\.Nf: -1 is less than 0$"):
         ResolutionDatum(1, True, ("g",), (Component("x", -1, 2, 1),), strata)
+    # A non-string id is worded like a non-string stratum id.
+    with pytest.raises(SchemaError, match=r"^components\[0\]\.id: expected str, got int$"):
+        ResolutionDatum(1, True, ("g",), (Component(5, 0, 1, 1),), strata)
 
 
 def test_python_built_datum_checks_its_containers():

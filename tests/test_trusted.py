@@ -33,7 +33,12 @@ from hodgespec.oracles import p1_cover_class, stratum_cover_class
 from hodgespec.resolution import Component, ResolutionDatum, Stratum, jet_count_zeta
 from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
-from hodgespec.workbench import one_variable_vanishing, steenbrink_check
+from hodgespec.workbench import (
+    monomial_datum,
+    one_variable_vanishing,
+    product_joint_datum,
+    steenbrink_check,
+)
 
 
 def _rational(x):
@@ -351,6 +356,7 @@ def test_one_variable_vanishing_refuses_non_integer_exponents(a):
 
 _X2 = MC.monomial(2, (F(1, 2), F(1, 3)), 0, 0)
 _POLY = TP(0, {1: MC.unit(0), 2: MC.unit(0)})
+_X2Y, _JOINT = monomial_datum((2, 1)), product_joint_datum(2, 1)
 
 
 @pytest.mark.parametrize("value", [True, 2.0, F(3, 2)], ids=["bool", "float", "fraction"])
@@ -364,7 +370,7 @@ _POLY = TP(0, {1: MC.unit(0), 2: MC.unit(0)})
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], v, 2), "m", id="steenbrink-m"),
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], 2, v), "N", id="steenbrink-N"),
         pytest.param(
-            lambda v: steenbrink_check(Spectrum.zero(), Spectrum.zero(), _X2, v, F(1)),
+            lambda v: steenbrink_check(_X2Y, _X2Y, _JOINT, v),
             "N",
             id="steenbrink-check-N",
         ),
@@ -398,7 +404,7 @@ def _datum(dimension=1, nf=0, ng=2, nu=1):
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], v, 2), "m", 1, id="steenbrink-m"),
         pytest.param(lambda v: steenbrink_rhs([(0, 0)], 2, v), "N", 1, id="steenbrink-N"),
         pytest.param(
-            lambda v: steenbrink_check(Spectrum.zero(), Spectrum.zero(), _X2, v, F(1)),
+            lambda v: steenbrink_check(_X2Y, _X2Y, _JOINT, v),
             "N",
             1,
             id="steenbrink-check-N",

@@ -11,7 +11,6 @@ from hodgespec.monclass import MonodromicClass as MC, hodge_spectrum
 from hodgespec.oracles import p1_cover_class, stratum_cover_class
 from hodgespec.resolution import (
     jet_count_zeta,
-    multiplicity_ratio,
     nearby_cycles,
     vanishing_cycles,
     zeta_series,
@@ -212,18 +211,16 @@ def test_iterated_vanishing_requires_correction():
 
 
 def test_steenbrink_check_and_conjecture_rhs():
-    sp_f = hodge_spectrum(vanishing_cycles(fixture_datum("x2y")))
+    x2y, joint = fixture_datum("x2y"), fixture_datum("x2y_y_joint")
+    sp_f = hodge_spectrum(vanishing_cycles(x2y))
     assert sp_f == t(1)
-    joint = fixture_datum("x2y_y_joint")
-    phi_iter = iterated_vanishing(joint)
-    threshold = multiplicity_ratio(joint)
-    assert threshold == 1
     branch = TransversalBranch(pairs=((F(1, 2), F(1, 2)),), e=1)
     for N in (2, 3, 4, 5):
-        sp_fg = hodge_spectrum(vanishing_cycles(fixture_datum(f"d_curve_N{N}")))
-        report = steenbrink_check(sp_f, sp_fg, phi_iter, N, threshold)
+        fg = fixture_datum(f"d_curve_N{N}")
+        report = steenbrink_check(x2y, fg, joint, N)
+        assert report.threshold == 1
         assert report.hypothesis_ok and report.equal
-        assert sp_fg - sp_f == steenbrink_conjecture_rhs([branch], N)
+        assert hodge_spectrum(vanishing_cycles(fg)) - sp_f == steenbrink_conjecture_rhs([branch], N)
 
 
 def test_steenbrink_class_level_identity():
@@ -237,13 +234,8 @@ def test_steenbrink_class_level_identity():
 
 def test_steenbrink_out_of_hypothesis_reported():
     # N = 1: the perturbed function is smooth at the origin, spectrum 0.
-    joint = fixture_datum("x2y_y_joint")
     report = steenbrink_check(
-        hodge_spectrum(vanishing_cycles(fixture_datum("x2y"))),
-        Spectrum.zero(),
-        iterated_vanishing(joint),
-        1,
-        multiplicity_ratio(joint),
+        fixture_datum("x2y"), monomial_datum((1,)), fixture_datum("x2y_y_joint"), 1
     )
     assert not report.hypothesis_ok
     assert not report.equal
