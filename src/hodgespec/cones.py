@@ -15,7 +15,8 @@ provides
   integer coordinates of T^(l(k)) L^(-nu(k)) up to a degree bound, by one
   elimination scanned level by level (Ancourt-Irigoin): with x_0..x_(k-1)
   fixed, the rows of the level before x_k is eliminated give the exact
-  integer range of x_k, so no point outside the cone is visited;
+  integer range of x_k, so no point outside the cone is visited, and a scan
+  past MAX_EXPAND_TERMS points raises ValueError;
 * the Euler characteristic with compact supports, via the decomposition of
   the cone into the relatively open sign cells of its defining hyperplane
   arrangement (a nonempty cell of dimension d contributes (-1)^d); the
@@ -23,7 +24,8 @@ provides
   every subtree whose partial system is already infeasible;
 * the limit of the generating series at T -> infinity, which equals that
   Euler characteristic whenever l and nu are positive on the closed cone
-  minus the origin.
+  minus the origin.  Positivity is tested as infeasibility: no point of the
+  compact slice {sum x_i = 1} of the closed cone has form <= 0.
 
 Cone data is strictly integral: bool, float, str and non-integral values
 are rejected.  Dimensions are desk scale (<= 6), so no effort is spent on
@@ -38,7 +40,7 @@ from math import gcd, lcm
 
 from .lattice import _int_row, _strict_int, rational_rank
 from .monclass import MonodromicClass
-from .series import TruncatedPoly
+from .series import MAX_EXPAND_TERMS, TruncatedPoly
 
 GE, GT, EQ = ">=", ">", "="
 _RELS = (GE, GT, EQ)
@@ -71,17 +73,8 @@ class Cone:
 
     def contains(self, point) -> bool:
         """Exact membership for a rational point."""
-        if any(x <= 0 for x in point):
-            return False
-        for coeffs, rel in self.constraints:
-            v = dot(coeffs, point)
-            if rel == GE and v < 0:
-                return False
-            if rel == GT and v <= 0:
-                return False
-            if rel == EQ and v != 0:
-                return False
-        return True
+        return all(x > 0 for x in point) and all(
+            _holds(dot(coeffs, point), rel) for coeffs, rel in self.constraints)
 
     def _strict_system(self):
         sys = [_unit_constraint(self.n, i, GT) for i in range(self.n)]
@@ -265,33 +258,30 @@ def euler_char(cone: Cone) -> int:
     """
     n = cone.n
     root = [_unit_constraint(n, i, GT) for i in range(n)]
-    root_eqs = []
     choices = []
     for coeffs, rel in cone.constraints:
         if rel == GE:
             choices.append(coeffs)
         else:
             root.append((coeffs, 0, rel))
-            if rel == EQ:
-                root_eqs.append(coeffs)
 
-    def walk(sys, eqs, depth):
+    def walk(sys, depth):
         if not feasible(sys, n):
             return 0
         if depth == len(choices):
+            eqs = [coeffs for coeffs, _const, rel in sys if rel == EQ]
             return (-1) ** (n - (rational_rank(eqs) if eqs else 0))
         coeffs = choices[depth]
-        return (walk(sys + [(coeffs, 0, GT)], eqs, depth + 1)
-                + walk(sys + [(coeffs, 0, EQ)], eqs + [coeffs], depth + 1))
+        return walk(sys + [(coeffs, 0, GT)], depth + 1) + walk(sys + [(coeffs, 0, EQ)], depth + 1)
 
-    return walk(root, root_eqs, 0)
+    return walk(root, 0)
 
 
 def _positive_on_closure(cone: Cone, form) -> bool:
-    if not cone.n:  # closure minus 0 is empty: every form is positive
-        return True
-    sys = cone._closure_system() + [((1,) * cone.n, -1, EQ)]
-    return extremum(form, sys, cone.n, maximize=False) > 0
+    # No point of the compact slice has form <= 0.  In dimension 0 the
+    # slice row reads -1 = 0, so every form is positive there.
+    sys = cone._closure_system() + [((1,) * cone.n, -1, EQ), (tuple(-c for c in form), 0, GE)]
+    return not feasible(sys, cone.n)
 
 
 def form_positive_on_closure(cone: Cone, form) -> bool:
@@ -337,7 +327,8 @@ def _integer_range(rows, prefix):
 
 def _count_points(levels, ell, nu) -> dict:
     """{(l(k), -nu(k)): count} over the integer points k of the system
-    whose levels are given, fixing x_0, x_1, ... in turn."""
+    whose levels are given, fixing x_0, x_1, ... in turn.  Raises
+    ValueError once more than MAX_EXPAND_TERMS points have been visited."""
     nvars = len(ell)
     if not nvars:
         return {(0, 0): 1}  # the one point of Z^0
@@ -346,14 +337,21 @@ def _count_points(levels, ell, nu) -> dict:
             for k in range(nvars)]
     counts = {}
     prefix = []
+    visited = 0
 
     def scan(k, deg, e):
+        nonlocal visited
         span = _integer_range(rows[k], prefix)
         if span is None:
             return
         values = range(span[0], span[1] + 1)
         l, m = ell[k], nu[k]
         if k == nvars - 1:
+            visited += len(values)
+            if visited > MAX_EXPAND_TERMS:
+                raise ValueError(
+                    f"lattice point scan visits more than MAX_EXPAND_TERMS = {MAX_EXPAND_TERMS} points"
+                )
             for v in values:
                 key = (deg + l * v, e - m * v)
                 counts[key] = counts.get(key, 0) + 1
@@ -375,7 +373,8 @@ def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
     One elimination of {cone rows, x_i >= 1, l(x) <= n} keeps its
     projection onto every prefix of the coordinates; the scan then fixes
     x_0, x_1, ... in turn, each over the exact integer range that the
-    level before x_k is eliminated gives it.
+    level before x_k is eliminated gives it.  Raises ValueError once the
+    scan passes MAX_EXPAND_TERMS points.
     """
     ell, nu = _int_row(ell, "ell"), _int_row(nu, "nu")
     if cone.is_empty():
@@ -431,14 +430,8 @@ def stays_bounded(nvars: int, rows, num_form, den_form) -> bool:
     rows = [_int_row(row, f"row {i}") for i, row in enumerate(rows)]
     num_form = _int_row(num_form, "num_form")
     den_form = _int_row(den_form, "den_form")
-    nonempty, _dim = kernel_cone(nvars, rows)
-    if not nonempty:
+    cone = Cone(nvars, tuple((row, EQ) for row in rows))
+    if cone.is_empty() or not any(den_form):
         return False
-    if not any(den_form):
-        return False
-    sys = [_unit_constraint(nvars, i, GE) for i in range(nvars)]
-    sys += [(row, 0, EQ) for row in rows]
-    sys.append((tuple(-c for c in den_form), 0, GE))
-    sys.append((den_form, 0, GE))
-    sys.append((num_form, 0, GT))
+    sys = cone._closure_system() + [(den_form, 0, EQ), (num_form, 0, GT)]
     return not feasible(sys, nvars)

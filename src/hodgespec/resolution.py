@@ -35,7 +35,8 @@ the base point):
 * ``multiplicity_ratio`` -- sup of Nf/Ng over components with Ng > 0, the
                         validity bound for power-perturbation identities;
 * ``jet_count_zeta``     -- independent zeta oracle for monomial functions
-                        by direct jet counting.
+                        by direct jet counting: the jets are the lattice
+                        points that ``cones.lattice_series`` scans.
 
 JSON schema (UTF-8, exact field names)::
 
@@ -69,11 +70,11 @@ vanishing-cycle correction in the workbench.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .cones import Cone, lattice_series
 from .lattice import SchemaError, _int_row, _strict_int
 from .monclass import MonodromicClass, embed, torus_fiber_class
 from .series import MAX_EXPAND_TERMS, RationalSeries, TruncatedPoly, _points_bound
@@ -336,13 +337,12 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
 
     Jets of exact coordinate orders k (all k_i >= 1) with sum a_i k_i = n
     contribute the fiber class of [a] times L^(-sum k_i) to the T^n
-    coefficient; this is a direct count, independent of the resolution
-    formula.
-
-    The walk visits the same lattice points (and prefixes of them) as the
-    tables of ``RationalSeries.expand`` for this monomial, so a degree whose
+    coefficient.  Those k are the lattice points of the open orthant that
+    ``cones.lattice_series`` counts, so the oracle shares no code with the
+    resolution formula or with ``RationalSeries.expand``.  A degree whose
     ``_points_bound`` exceeds ``MAX_EXPAND_TERMS`` raises ``ValueError``
-    before any jet is counted.
+    before any jet is counted, and so do more than 6 exponents (the
+    dimension bound of ``Cone``).
     """
     a = _int_row(exponents, "exponents", 1)
     if not a:
@@ -355,27 +355,8 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
             f"more than MAX_EXPAND_TERMS = {MAX_EXPAND_TERMS}"
         )
     fiber = torus_fiber_class([a])
-    coeffs: dict[int, MonodromicClass] = {}
-
-    def walk(idx: int, degree_left: int, depth: int):
-        # Enumerate k_idx.. with remaining degree budget; collect sum k_i.
-        if idx == len(a) - 1:
-            if degree_left % a[idx] == 0 and degree_left >= a[idx]:
-                k = degree_left // a[idx]
-                yield depth + k
-            return
-        k = 1
-        while a[idx] * k <= degree_left - sum(a[idx + 1:]):
-            yield from walk(idx + 1, degree_left - a[idx] * k, depth + k)
-            k += 1
-
-    for n in range(1, n_max + 1):
-        # Jets of degree n counted per value of sum k_i, then one product.
-        counts = Counter(walk(0, n, 0))
-        if counts:
-            powers = MonodromicClass(1, [(((0,), -s, -s), c) for s, c in counts.items()])
-            coeffs[n] = powers * fiber
-    return TruncatedPoly(1, coeffs)
+    counts = lattice_series(Cone(len(a)), a, (1,) * len(a), n_max)
+    return TruncatedPoly._trusted(1, {n: embed(c, 1, ()) * fiber for n, c in counts._terms.items()})
 
 
 # ---------------------------------------------------------------------------

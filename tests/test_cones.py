@@ -206,20 +206,50 @@ def test_one_emptiness_test_per_series_call(monkeypatch):
 
 
 def test_one_elimination_per_series_call(monkeypatch):
-    # The only LPs of a series call are the ell and nu positivity checks;
-    # the points come from one elimination, scanned level by level.
+    # A series call on a nonempty cone asks three yes/no questions (the
+    # cone is nonempty, ell and nu are positive on its closure) and runs no
+    # LP; the points come from one more elimination, scanned level by level.
     calls = []
-    original = cones.extremum
+    for name in ("feasible", "_levels", "extremum"):
+        def counting(*args, _name=name, _original=getattr(cones, name)):
+            calls.append(_name)
+            return _original(*args)
 
-    def counting(obj, cons, nvars, maximize=True):
-        calls.append(tuple(obj))
-        return original(obj, cons, nvars, maximize)
-
-    monkeypatch.setattr(cones, "extremum", counting)
+        monkeypatch.setattr(cones, name, counting)
     for cone in (Cone(2), Cone(3, (((1, -2, 1), ">="), ((0, 1, -1), "=")))):
         calls.clear()
         lattice_series(cone, (1,) * cone.n, (2,) * cone.n, 9)
-        assert calls == [(1,) * cone.n, (2,) * cone.n]
+        assert calls.count("feasible") == 3
+        assert calls.count("_levels") == 4
+        assert "extremum" not in calls
+
+
+def test_positivity_matches_the_minimum_over_the_slice():
+    # A form is positive on closure - 0 exactly when its minimum over the
+    # compact slice {sum x = 1} of the closed cone is positive.
+    rng = random.Random(43)
+    verdicts = set()
+    for trial in range(300):
+        n = 1 + trial % 4
+        cone = Cone(n, tuple(
+            (tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice((">=", ">=", ">", "=")))
+            for _ in range(rng.randint(0, 3))
+        ))
+        if cone.is_empty():
+            continue
+        form = tuple(rng.randint(-2, 3) for _ in range(n))
+        sys = cone._closure_system() + [((1,) * n, -1, "=")]
+        want = extremum(form, sys, n, maximize=False) > 0
+        assert form_positive_on_closure(cone, form) == want, (cone, form)
+        verdicts.add((n, want))
+    assert verdicts == {(n, v) for n in (1, 2, 3, 4) for v in (True, False)}
+
+
+def test_series_refuses_an_oversized_scan():
+    # The open 4-dimensional orthant holds C(n, 4) points of degree <= n:
+    # 487,635 at n = 60, and far more than MAX_EXPAND_TERMS at n = 400.
+    with pytest.raises(ValueError, match="MAX_EXPAND_TERMS"):
+        lattice_series(Cone(4), (1,) * 4, (1,) * 4, 400)
 
 
 def test_extremum_refuses_an_infeasible_system():

@@ -80,9 +80,12 @@ def test_jet_count_examples():
 
 
 def test_jet_count_refuses_oversized_degrees_up_front():
-    # The walk over four variables grows like n^4; 160 is refused before it starts.
+    # Jets in four variables grow like n^4; 160 is refused before the scan starts.
     with pytest.raises(ValueError, match="MAX_EXPAND_TERMS"):
         jet_count_zeta((1, 1, 1, 1), 160)
+    # Seven exponents exceed the dimension bound of the cone the jets are counted in.
+    with pytest.raises(ValueError, match="dimension"):
+        jet_count_zeta((1,) * 7, 5)
     assert jet_count_zeta((1, 1, 1, 1), 40) == zeta_series(monomial_datum((1, 1, 1, 1))).expand(40)
 
 
