@@ -20,8 +20,12 @@ provides
 * the Euler characteristic with compact supports, via the decomposition of
   the cone into the relatively open sign cells of its defining hyperplane
   arrangement (a nonempty cell of dimension d contributes (-1)^d); the
-  cells are reached by a depth-first search over sign choices that drops
-  every subtree whose partial system is already infeasible;
+  cells are reached by a depth-first search over sign choices, each cell
+  held as the extreme rays of its closure and cut by one hyperplane at a
+  time as in the double description method (Motzkin et al. 1953;
+  Fukuda-Prodon 1996): Fourier-Motzkin on generators instead of rows, with
+  the combinatorial adjacency test, so a cell's emptiness and dimension
+  are read off the signs of dot products and no elimination is run;
 * the limit of the generating series at T -> infinity, which equals that
   Euler characteristic whenever l and nu are positive on the closed cone
   minus the origin.  Positivity is tested as infeasibility: no point of the
@@ -245,36 +249,83 @@ def extremum(obj, cons, nvars: int, maximize: bool = True):
 # ---------------------------------------------------------------------------
 
 
+def _cut(rays, h, bit):
+    """Cut the closed cell spanned by rays with the hyperplane h . x = 0.
+
+    rays holds the extreme rays of the cell's closure as (ray, mask)
+    pairs, mask being the set of constraint bits tight at the ray.
+    Returns (pos, on, neg): the rays where h is positive, the extreme rays
+    of the closure cut by h = 0 (tight at bit), and whether h is negative
+    at some ray.  A ray of the cut is a zero ray of h or one new ray per
+    adjacent pair (p, q) with h.p > 0 > h.q; p and q are adjacent when no
+    third ray is tight on every constraint tight at both (the
+    combinatorial test of the double description method; distinct extreme
+    rays have distinct masks).
+    """
+    pos, on, neg = [], [], []
+    for ray, mask in rays:
+        v = dot(h, ray)
+        if v > 0:
+            pos.append((ray, mask, v))
+        elif v < 0:
+            neg.append((ray, mask, v))
+        else:
+            on.append((ray, mask | bit))
+    for p, mp, vp in pos:
+        for q, mq, vq in neg:
+            common = mp & mq
+            if any(m & common == common and m != mp and m != mq for _r, m in rays):
+                continue
+            values = [vp * b - vq * a for a, b in zip(p, q)]
+            g = gcd(*values)
+            on.append((tuple(v // g for v in values), common | bit))
+    return [(ray, mask) for ray, mask, _v in pos], on, bool(neg)
+
+
 def euler_char(cone: Cone) -> int:
     """Euler characteristic with compact supports.
 
     Every sign assignment on the defining hyperplanes carves a relatively
     open convex cell out of the open orthant; summing (-1)^dim over the
     nonempty cells compatible with the constraint relations gives chi_c.
-    The `>` and `=` constraints have one sign each and form the root
-    system; a depth-first search then chooses `>` or `=` for each `>=`
-    constraint in turn and drops the whole subtree below an infeasible
-    partial system, so only nonempty cells are reached as leaves.
+    A cell is held as the extreme rays of its closure, starting from the
+    unit vectors of the orthant, and each hyperplane is applied by one
+    `_cut`.  The cell is the relative interior of that closure, so its
+    `>` side is nonempty exactly when some ray is positive, and its `=`
+    side when rays of both signs exist (one dimension less) or none (h
+    vanishes on the cell).  The `>` and `=` constraints are cut first; a
+    depth-first search then chooses `>` or `=` for each `>=` constraint
+    in turn, so only nonempty cells are reached as leaves.
     """
     n = cone.n
-    root = [_unit_constraint(n, i, GT) for i in range(n)]
+    orthant = (1 << n) - 1
+    rays = [(tuple(int(j == i) for j in range(n)), orthant & ~(1 << i)) for i in range(n)]
+    dim = n
     choices = []
-    for coeffs, rel in cone.constraints:
+    for bit, (coeffs, rel) in enumerate(cone.constraints, n):
         if rel == GE:
-            choices.append(coeffs)
-        else:
-            root.append((coeffs, 0, rel))
-
-    def walk(sys, depth):
-        if not feasible(sys, n):
+            choices.append((coeffs, 1 << bit))
+            continue
+        pos, on, neg = _cut(rays, coeffs, 1 << bit)
+        if rel == GT:
+            if not pos:
+                return 0
+            rays = pos + on
+        elif bool(pos) != neg:
             return 0
-        if depth == len(choices):
-            eqs = [coeffs for coeffs, _const, rel in sys if rel == EQ]
-            return (-1) ** (n - (rational_rank(eqs) if eqs else 0))
-        coeffs = choices[depth]
-        return walk(sys + [(coeffs, 0, GT)], depth + 1) + walk(sys + [(coeffs, 0, EQ)], depth + 1)
+        else:
+            rays, dim = on, dim - bool(pos)
 
-    return walk(root, 0)
+    def walk(rays, dim, depth):
+        if depth == len(choices):
+            return (-1) ** dim
+        pos, on, neg = _cut(rays, *choices[depth])
+        total = walk(pos + on, dim, depth + 1) if pos else 0
+        if bool(pos) == neg:
+            total += walk(on, dim - bool(pos), depth + 1)
+        return total
+
+    return walk(rays, dim, 0)
 
 
 def _positive_on_closure(cone: Cone, form) -> bool:

@@ -76,7 +76,8 @@ class TruncatedPoly(_ArityMap):
         return _strict_int(n, "T-degree", 0)
 
     def coefficient(self, n: int) -> MonodromicClass:
-        return self._terms.get(self._key(n), MonodromicClass.zero(self.arity))
+        c = self._terms.get(self._key(n))
+        return MonodromicClass.zero(self.arity) if c is None else c
 
     def degrees(self):
         return sorted(self._terms)

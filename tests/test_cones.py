@@ -454,22 +454,74 @@ def test_feasible_and_extremum_match_fraction_elimination():
     assert verdicts == {True, False}
 
 
-def test_euler_char_reaches_feasible_through_the_module(monkeypatch):
+def test_euler_char_cuts_only_the_hyperplanes_it_reaches(monkeypatch):
     calls = []
-    original = cones.feasible
+    for name in ("feasible", "_levels", "rational_rank", "_cut"):
+        def counting(*args, _name=name, _original=getattr(cones, name)):
+            calls.append(_name)
+            return _original(*args)
 
-    def counting(cons, nvars):
-        calls.append(len(cons))
-        return original(cons, nvars)
-
-    monkeypatch.setattr(cones, "feasible", counting)
+        monkeypatch.setattr(cones, name, counting)
     # y - x > 0 leaves neither sign x - y > 0 nor x - y = 0, so the search
-    # stops after the root and those two children; the sign cells of the
-    # four later hyperplanes are never visited.
+    # stops after the root's cut and the first split; the four later
+    # hyperplanes are never cut, and no elimination or rank is computed.
     later = (((1, 0), ">="), ((0, 1), ">="), ((1, 1), ">="), ((2, -1), ">="))
     cone = Cone(2, (((-1, 1), ">"), ((1, -1), ">=")) + later)
     assert euler_char(cone) == ref_euler_char(2, cone.constraints) == 0
-    assert calls == [3, 4, 4]
+    assert calls == ["_cut", "_cut"]
+
+
+def _chain(n, rel):
+    """x_0 REL x_1 REL ... REL x_(n-1), as n - 1 constraints."""
+    return tuple((tuple(int(j == i) - int(j == i + 1) for j in range(n)), rel)
+                 for i in range(n - 1))
+
+
+def test_euler_char_closed_forms():
+    for n in (4, 5, 6):
+        # An open n-cell; a closed chamber, whose walls cancel its
+        # interior; and the diagonal ray x_0 = ... = x_(n-1), a 1-cell.
+        cycle = ((tuple(int(j == n - 1) - int(j == 0) for j in range(n)), ">="),)
+        assert euler_char(Cone(n, _chain(n, ">"))) == (-1) ** n
+        assert euler_char(Cone(n, _chain(n, ">="))) == 0
+        assert euler_char(Cone(n, _chain(n, ">=") + cycle)) == -1
+    # R^0 is one point: every row reads 0, which is not > 0.
+    for rel, want in ((">=", 1), (">", 0), ("=", 1)):
+        cons = (((), rel),)
+        assert euler_char(Cone(0, cons)) == ref_euler_char(0, cons) == want
+
+
+def test_euler_char_matches_sign_cells_on_degenerate_rows():
+    # Dimensions 5 and 6, where the extreme rays of a cell are many, with
+    # rows that repeat, negate, vanish or add up earlier rows, so that
+    # several hyperplanes meet in one face and rays lie on many of them.
+    rng = random.Random(47)
+    seen = set()
+    for trial in range(120):
+        n = 5 + trial % 2
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.choice(("new", "new", "copy", "negate", "zero", "sum"))
+            if len(rows) < 2 and kind != "zero":
+                kind = "new"
+            if kind == "zero":
+                row = (0,) * n
+            elif kind == "new":
+                row = tuple(rng.randint(-2, 2) for _ in range(n))
+            elif kind == "copy":
+                row = rng.choice(rows)
+            elif kind == "negate":
+                row = tuple(-c for c in rng.choice(rows))
+            else:
+                a, b = rng.sample(rows, 2)
+                row = tuple(x + y for x, y in zip(a, b))
+            rows.append(row)
+            seen.add(kind)
+        cons = tuple((row, rng.choice((">=", ">=", ">", "="))) for row in rows)
+        got = euler_char(Cone(n, cons))
+        assert got == ref_euler_char(n, cons), (n, cons)
+        seen.add(got)
+    assert {"copy", "negate", "zero", "sum", -1, 0, 1} <= seen
 
 
 def test_random_unimodular_cone_forms_invert_the_generators():

@@ -153,6 +153,24 @@ def test_expand_drops_cancelled_degrees():
         assert poly == _expand_by_products(series, 3)
 
 
+def test_coefficient_builds_a_zero_only_for_an_absent_degree(monkeypatch):
+    zeros = []
+    original = MC.zero
+
+    def counting(arity):
+        zeros.append(arity)
+        return original(arity)
+
+    poly = TP(2, {3: MC.unit(2)})
+    monkeypatch.setattr(MC, "zero", counting)
+    assert poly.coefficient(3) == MC.unit(2)
+    assert zeros == []
+    assert poly.coefficient(4) == original(2)
+    assert zeros == [2]
+    with pytest.raises(ValueError, match="T-degree"):
+        poly.coefficient(-1)
+
+
 def test_expand_matches_generator_products_on_fixtures():
     for fx in fixtures():
         if fx.datum.arity == 1:
