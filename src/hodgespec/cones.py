@@ -8,9 +8,13 @@ provides
   one-dimensional extrema) on primitive integer rows: denominators are
   cleared once on entry, equalities are substituted before any inequality
   pair is formed, every derived row is divided by its gcd, and strict
-  inequalities are tracked symbolically.  Rows keep their full width (an
-  eliminated coefficient is 0), and the elimination keeps every level: the
-  system before x_k is eliminated is the exact projection onto x_0..x_k;
+  inequalities are tracked symbolically.  Each row carries the set of
+  input inequalities it combines, and a row formed during the j-th pair
+  elimination from more than j + 1 of them is redundant and dropped
+  (Chernikov 1965).  Rows keep their full width (an eliminated coefficient
+  is 0), and the elimination keeps every level: the system before x_k is
+  eliminated is the exact projection onto x_0..x_k.  Elimination runs only
+  in `feasible`, `extremum` and the lattice-point scan;
 * the lattice-point generating series sum over k in the cone with positive
   integer coordinates of T^(l(k)) L^(-nu(k)) up to a degree bound, by one
   elimination scanned level by level (Ancourt-Irigoin): with x_0..x_(k-1)
@@ -26,10 +30,15 @@ provides
   Fukuda-Prodon 1996): Fourier-Motzkin on generators instead of rows, with
   the combinatorial adjacency test, so a cell's emptiness and dimension
   are read off the signs of dot products and no elimination is run;
+* the extreme rays of a closed cone {x >= 0 : rows}, each with the set of
+  rows tight at it, built by the same cut from the unit rays; every yes/no
+  question is read off the rays of the cone's closure with no elimination:
+  the cone is nonempty when each strict row (x_i > 0 and every `>` row) is
+  untight at some ray, and a form is positive on the closure minus 0 when
+  it is positive at every ray;
 * the limit of the generating series at T -> infinity, which equals that
   Euler characteristic whenever l and nu are positive on the closed cone
-  minus the origin.  Positivity is tested as infeasibility: no point of the
-  compact slice {sum x_i = 1} of the closed cone has form <= 0.
+  minus the origin.
 
 Cone data is strictly integral: bool, float, str and non-integral values
 are rejected.  Dimensions are desk scale (<= 6), so no effort is spent on
@@ -41,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .lattice import _int_row, _strict_int, rational_rank
 from .monclass import MonodromicClass
@@ -51,7 +61,7 @@ _RELS = (GE, GT, EQ)
 
 
 def dot(form, x):
-    return sum(a * b for a, b in zip(form, x))
+    return sum(map(mul, form, x))
 
 
 @dataclass(frozen=True)
@@ -80,25 +90,29 @@ class Cone:
         return all(x > 0 for x in point) and all(
             _holds(dot(coeffs, point), rel) for coeffs, rel in self.constraints)
 
-    def _strict_system(self):
-        sys = [_unit_constraint(self.n, i, GT) for i in range(self.n)]
-        sys += [(coeffs, 0, rel) for coeffs, rel in self.constraints]
-        return sys
+    def _closure_rays(self):
+        """The extreme rays of the closure, or None when the cone is empty.
 
-    def _closure_system(self):
-        # Valid as the closure only when the cone is nonempty (a nonempty
-        # set cut out by equalities and strict/weak inequalities has the
-        # relaxed system as its closure).
-        sys = [_unit_constraint(self.n, i, GE) for i in range(self.n)]
-        sys += [(coeffs, 0, GE if rel == GT else rel) for coeffs, rel in self.constraints]
-        return sys
+        The rays span the relaxed cone {x >= 0 : every `>` read as `>=`},
+        which is the closure whenever the cone is nonempty.  A strict row
+        (x_i > 0, or a `>` constraint) that is tight at every ray vanishes
+        on the whole relaxed cone, so the cone is empty; otherwise the sum
+        of the rays is a point of the cone.  With no ray the relaxed cone
+        is {0}, which is a point of the cone only in R^0 with no `>` row.
+        """
+        rays = extreme_rays(self.n, [(coeffs, GE if rel == GT else rel)
+                                     for coeffs, rel in self.constraints])
+        strict = (1 << self.n) - 1
+        for bit, (_coeffs, rel) in enumerate(self.constraints, self.n):
+            if rel == GT:
+                strict |= 1 << bit
+        tight = -1
+        for _ray, mask in rays:
+            tight &= mask
+        return None if tight & strict else rays
 
     def is_empty(self) -> bool:
-        return not feasible(self._strict_system(), self.n)
-
-
-def _unit_constraint(n, i, rel, const=0):
-    return (tuple(int(j == i) for j in range(n)), const, rel)
+        return self._closure_rays() is None
 
 
 # ---------------------------------------------------------------------------
@@ -140,69 +154,87 @@ def _combine(a, row1, b, row2, rel):
     return _primitive(values, rel)
 
 
-def _eliminate(cons, k):
-    """Project the system onto the coordinates other than x_k."""
-    # Equality substitution wins when available: exact and size-stable.
-    # Scaling the other row by |p| > 0 keeps its direction.
-    for idx, pivot in enumerate(cons):
-        p = pivot[0][k]
-        if pivot[2] == EQ and p:
-            ap = abs(p)
-            sign = 1 if p > 0 else -1
-            out = []
-            for j, row in enumerate(cons):
-                if j == idx:
-                    continue
-                c = row[0][k]
-                out.append(_combine(ap, row, -sign * c, pivot, row[2]) if c else row)
-            return out
-    lowers, uppers, rest = [], [], []
-    for row in cons:
+def _substitute(system, k, pivot):
+    """Eliminate x_k with the `=` row pivot: (row, set) pairs.  Scaling the
+    other row by |p| > 0 keeps its direction, and its set is unchanged:
+    the substitution is a change of coordinates on the pivot's hyperplane."""
+    p = pivot[0][k]
+    ap, sign = abs(p), 1 if p > 0 else -1
+    return [(_combine(ap, row, -sign * row[0][k], pivot, row[2]) if row[0][k] else row, hist)
+            for row, hist in system.items() if row is not pivot]
+
+
+def _pair_off(system, k, limit):
+    """Eliminate x_k, which no `=` row involves, by pairing every lower
+    bound with every upper one: (row, set) pairs.  A pair row whose set
+    has more than limit members is dropped."""
+    lowers, uppers, out = [], [], []
+    for row, hist in system.items():
         c = row[0][k]
         if c > 0:
-            lowers.append(row)
+            lowers.append((row, hist))
         elif c < 0:
-            uppers.append(row)
+            uppers.append((row, hist))
         else:
-            rest.append(row)
-    for low in lowers:
-        for up in uppers:
-            # low[k] * upper + (-up[k]) * lower eliminates x_k.
-            rel = GT if GT in (low[2], up[2]) else GE
-            rest.append(_combine(low[0][k], up, -up[0][k], low, rel))
-    return rest
+            out.append((row, hist))
+    for low, low_hist in lowers:
+        for up, up_hist in uppers:
+            hist = low_hist | up_hist
+            if hist.bit_count() <= limit:
+                # low[k] * upper + (-up[k]) * lower eliminates x_k.
+                rel = GT if GT in (low[2], up[2]) else GE
+                out.append((_combine(low[0][k], up, -up[0][k], low, rel), hist))
+    return out
 
 
-def _settle(cons):
-    """Deduplicate, and drop a `>=` row whose `>` twin is present and the
-    rows with no variable left that hold.  None when one of those fails,
+def _settle(rows):
+    """{row: set} from (row, set) pairs: a repeated row keeps its smaller
+    set, and a `>=` row whose `>` twin is present and the rows with no
+    variable left that hold are dropped.  None when one of those fails,
     which proves the system infeasible."""
-    rows = dict.fromkeys(cons)
-    out = []
-    for row in rows:
+    system = {}
+    for row, hist in rows:
+        old = system.get(row)
+        if old is None or hist.bit_count() < old.bit_count():
+            system[row] = hist
+    for row in list(system):
         coeffs, const, rel = row
         if not any(coeffs):
             if not _holds(const, rel):
                 return None
-        elif rel != GE or (coeffs, const, GT) not in rows:
-            out.append(row)
-    return out
+            del system[row]
+        elif rel == GE and (coeffs, const, GT) in system:
+            del system[row]
+    return system
 
 
 def _levels(cons, nvars: int):
     """Eliminate x_(nvars-1), ..., x_0 from rational constraints, keeping
     every intermediate system; None if the system is infeasible.
 
+    A level maps each row to the set of input inequalities it combines (a
+    bitmask; `=` rows carry none), and iterates over its rows.
     levels[k + 1] is the system before x_k is eliminated, the exact
     projection of the input onto x_0..x_k; levels[nvars] is the primitive
-    input, and the last level, levels[0], holds no row.
+    input, and the last level, levels[0], holds no row.  Chernikov's rule
+    keeps the levels small: a row formed during the j-th pair elimination
+    from more than j + 1 input inequalities is a positive combination of
+    rows with smaller sets, so it is redundant and dropped.
     """
-    system = _settle([_normalize(c) for c in cons])
+    rows = [_normalize(c) for c in cons]
+    system = _settle((row, 0 if row[2] == EQ else 1 << i) for i, row in enumerate(rows))
     levels = [system]
+    pairs = 0
     for k in range(nvars - 1, -1, -1):
         if system is None:
             break
-        system = _settle(_eliminate(system, k))
+        # Equality substitution wins when available: exact and size-stable.
+        pivot = next((row for row in system if row[2] == EQ and row[0][k]), None)
+        if pivot is None:
+            pairs += 1
+            system = _settle(_pair_off(system, k, pairs + 1))
+        else:
+            system = _settle(_substitute(system, k, pivot))
         levels.append(system)
     if system is None:
         return None
@@ -282,6 +314,33 @@ def _cut(rays, h, bit):
     return [(ray, mask) for ray, mask, _v in pos], on, bool(neg)
 
 
+def _unit_rays(n):
+    """The extreme rays e_i of the orthant {x >= 0} in R^n, each tight at
+    every orthant bit but its own."""
+    orthant, zeros = (1 << n) - 1, (0,) * n
+    return [(zeros[:i] + (1,) + zeros[i + 1:], orthant ^ (1 << i)) for i in range(n)]
+
+
+def extreme_rays(nvars: int, rows) -> list:
+    """Extreme rays of the closed cone {x in R^nvars : x >= 0, rows}.
+
+    Each row is (coeffs, rel) with rel `>=` or `=`.  Returns (ray, mask)
+    pairs: ray is a primitive integer vector, and mask has bit i set when
+    x_i = 0 at the ray and bit nvars + j when row j is tight there.  The
+    rays are built from the unit rays by one `_cut` per row; the list is
+    empty when the cone is {0}.
+    """
+    rays = _unit_rays(nvars)
+    for bit, (coeffs, rel) in enumerate(rows, nvars):
+        if rel not in (GE, EQ):
+            raise ValueError(f"row {bit - nvars}: extreme_rays takes `>=` and `=` rows, got {rel!r}")
+        if len(coeffs) != nvars:
+            raise ValueError(f"row {bit - nvars}: length does not match ambient dimension")
+        pos, on, _neg = _cut(rays, coeffs, 1 << bit)
+        rays = pos + on if rel == GE else on
+    return rays
+
+
 def euler_char(cone: Cone) -> int:
     """Euler characteristic with compact supports.
 
@@ -298,8 +357,7 @@ def euler_char(cone: Cone) -> int:
     in turn, so only nonempty cells are reached as leaves.
     """
     n = cone.n
-    orthant = (1 << n) - 1
-    rays = [(tuple(int(j == i) for j in range(n)), orthant & ~(1 << i)) for i in range(n)]
+    rays = _unit_rays(n)
     dim = n
     choices = []
     for bit, (coeffs, rel) in enumerate(cone.constraints, n):
@@ -328,27 +386,26 @@ def euler_char(cone: Cone) -> int:
     return walk(rays, dim, 0)
 
 
-def _positive_on_closure(cone: Cone, form) -> bool:
-    # No point of the compact slice has form <= 0.  In dimension 0 the
-    # slice row reads -1 = 0, so every form is positive there.
-    sys = cone._closure_system() + [((1,) * cone.n, -1, EQ), (tuple(-c for c in form), 0, GE)]
-    return not feasible(sys, cone.n)
-
-
 def form_positive_on_closure(cone: Cone, form) -> bool:
     """Whether an integral linear form is positive on closure(cone) - {0}.
 
-    Checked on the compact slice {sum x_i = 1} of the closed cone, which
-    meets every ray; vacuously true for the empty cone.
+    Checked at the extreme rays of the closure, which span it; vacuously
+    true for the empty cone.
     """
     form = _int_row(form, "form")
-    return cone.is_empty() or _positive_on_closure(cone, form)
+    rays = cone._closure_rays()
+    return rays is None or _positive_at(rays, form)
 
 
-def _require_positive(cone: Cone, ell, nu) -> None:
-    """Raise unless ell and nu are positive on the nonempty cone's closure."""
+def _positive_at(rays, form) -> bool:
+    return all(dot(form, ray) > 0 for ray, _mask in rays)
+
+
+def _require_positive(rays, ell, nu) -> None:
+    """Raise unless ell and nu are positive at every extreme ray of a
+    nonempty cone's closure."""
     for name, form in (("ell", ell), ("nu", nu)):
-        if not _positive_on_closure(cone, form):
+        if not _positive_at(rays, form):
             raise ValueError(f"form {name} is not positive on the closed cone minus 0")
 
 
@@ -421,18 +478,20 @@ def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
     """Sum of T^(l(k)) L^(-nu(k)) over lattice points of the cone with all
     coordinates >= 1 and l(k) <= n.
 
-    One elimination of {cone rows, x_i >= 1, l(x) <= n} keeps its
-    projection onto every prefix of the coordinates; the scan then fixes
+    The rays of the cone's closure answer emptiness and the positivity of
+    l and nu.  One elimination of {cone rows, x_i >= 1, l(x) <= n} keeps
+    its projection onto every prefix of the coordinates; the scan then fixes
     x_0, x_1, ... in turn, each over the exact integer range that the
     level before x_k is eliminated gives it.  Raises ValueError once the
     scan passes MAX_EXPAND_TERMS points.
     """
     ell, nu = _int_row(ell, "ell"), _int_row(nu, "nu")
-    if cone.is_empty():
+    rays = cone._closure_rays()
+    if rays is None:
         return TruncatedPoly.zero(0)
-    _require_positive(cone, ell, nu)
+    _require_positive(rays, ell, nu)
     sys = [(coeffs, 0, rel) for coeffs, rel in cone.constraints]
-    sys += [_unit_constraint(cone.n, i, GE, -1) for i in range(cone.n)]
+    sys += [(unit, -1, GE) for unit, _mask in _unit_rays(cone.n)]
     sys.append((tuple(-c for c in ell), n, GE))
     levels = _levels(sys, cone.n)
     if levels is None:
@@ -448,9 +507,10 @@ def series_limit(cone: Cone, ell, nu) -> int:
     """Limit at T -> infinity of the lattice-point series: the compactly
     supported Euler characteristic of the cone."""
     ell, nu = _int_row(ell, "ell"), _int_row(nu, "nu")
-    if cone.is_empty():
+    rays = cone._closure_rays()
+    if rays is None:
         return 0
-    _require_positive(cone, ell, nu)
+    _require_positive(rays, ell, nu)
     return euler_char(cone)
 
 
@@ -474,15 +534,16 @@ def stays_bounded(nvars: int, rows, num_form, den_form) -> bool:
 
     num_form and den_form have nonnegative coefficients.  Unboundedness of
     the ratio is witnessed by a direction in the closed kernel cone where
-    the denominator form vanishes and the numerator form is positive; the
-    check is an exact LP on the closure.  An identically zero denominator
+    the denominator form vanishes and the numerator form is positive; that
+    cone is spanned by the extreme rays of the closure cut by den = 0, so
+    the numerator is tested at those.  An identically zero denominator
     (empty support) fails outright.
     """
     rows = [_int_row(row, f"row {i}") for i, row in enumerate(rows)]
     num_form = _int_row(num_form, "num_form")
     den_form = _int_row(den_form, "den_form")
-    cone = Cone(nvars, tuple((row, EQ) for row in rows))
-    if cone.is_empty() or not any(den_form):
+    rays = Cone(nvars, tuple((row, EQ) for row in rows))._closure_rays()
+    if rays is None or not any(den_form):
         return False
-    sys = cone._closure_system() + [(den_form, 0, EQ), (num_form, 0, GT)]
-    return not feasible(sys, nvars)
+    _pos, on, _neg = _cut(rays, den_form, 1 << (nvars + len(rows)))
+    return all(dot(num_form, ray) <= 0 for ray, _mask in on)

@@ -10,6 +10,7 @@ from hodgespec.cones import (
     Cone,
     dot,
     euler_char,
+    extreme_rays,
     extremum,
     feasible,
     form_positive_on_closure,
@@ -181,14 +182,15 @@ def test_dimension_and_coefficients_are_strict_integers():
 
 
 def test_one_emptiness_test_per_series_call(monkeypatch):
+    # One ray cut answers emptiness and both positivity questions.
     calls = []
-    original = Cone.is_empty
+    original = cones.extreme_rays
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(Cone, "is_empty", counting)
+    monkeypatch.setattr(cones, "extreme_rays", counting)
     full, empty = Cone(2), Cone(2, (((-1, -1), ">="),))
     for cone in (full, empty):
         for run in (lambda: lattice_series(cone, (1, 1), (1, 1), 3),
@@ -207,8 +209,9 @@ def test_one_emptiness_test_per_series_call(monkeypatch):
 
 def test_one_elimination_per_series_call(monkeypatch):
     # A series call on a nonempty cone asks three yes/no questions (the
-    # cone is nonempty, ell and nu are positive on its closure) and runs no
-    # LP; the points come from one more elimination, scanned level by level.
+    # cone is nonempty, ell and nu are positive on its closure) and answers
+    # them from rays, with no LP; the points come from one elimination,
+    # scanned level by level.
     calls = []
     for name in ("feasible", "_levels", "extremum"):
         def counting(*args, _name=name, _original=getattr(cones, name)):
@@ -219,18 +222,34 @@ def test_one_elimination_per_series_call(monkeypatch):
     for cone in (Cone(2), Cone(3, (((1, -2, 1), ">="), ((0, 1, -1), "=")))):
         calls.clear()
         lattice_series(cone, (1,) * cone.n, (2,) * cone.n, 9)
-        assert calls.count("feasible") == 3
-        assert calls.count("_levels") == 4
+        assert calls.count("feasible") == 0
+        assert calls.count("_levels") == 1
         assert "extremum" not in calls
+
+
+def _unit_rows(n, rel):
+    return [(tuple(int(j == i) for j in range(n)), 0, rel) for i in range(n)]
+
+
+def _strict_system(cone):
+    """The cone as an LP: x_i > 0 and its own rows."""
+    return _unit_rows(cone.n, ">") + [(coeffs, 0, rel) for coeffs, rel in cone.constraints]
+
+
+def _closure_rows(cone):
+    """Its closure when it is nonempty, as (coeffs, rel) rows on x >= 0."""
+    return [(coeffs, ">=" if rel == ">" else rel) for coeffs, rel in cone.constraints]
 
 
 def test_positivity_matches_the_minimum_over_the_slice():
     # A form is positive on closure - 0 exactly when its minimum over the
-    # compact slice {sum x = 1} of the closed cone is positive.
+    # compact slice {sum x = 1} of the closed cone is positive.  The minimum
+    # comes from an elimination, independent of the rays that
+    # form_positive_on_closure reads.
     rng = random.Random(43)
     verdicts = set()
-    for trial in range(300):
-        n = 1 + trial % 4
+    for trial in range(360):
+        n = 1 + trial % 6
         cone = Cone(n, tuple(
             (tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice((">=", ">=", ">", "=")))
             for _ in range(rng.randint(0, 3))
@@ -238,11 +257,11 @@ def test_positivity_matches_the_minimum_over_the_slice():
         if cone.is_empty():
             continue
         form = tuple(rng.randint(-2, 3) for _ in range(n))
-        sys = cone._closure_system() + [((1,) * n, -1, "=")]
-        want = extremum(form, sys, n, maximize=False) > 0
+        sys = _unit_rows(n, ">=") + [(coeffs, 0, rel) for coeffs, rel in _closure_rows(cone)]
+        want = extremum(form, sys + [((1,) * n, -1, "=")], n, maximize=False) > 0
         assert form_positive_on_closure(cone, form) == want, (cone, form)
         verdicts.add((n, want))
-    assert verdicts == {(n, v) for n in (1, 2, 3, 4) for v in (True, False)}
+    assert verdicts == {(n, v) for n in range(1, 7) for v in (True, False)}
 
 
 def test_series_refuses_an_oversized_scan():
@@ -452,6 +471,67 @@ def test_feasible_and_extremum_match_fraction_elimination():
                 assert got == ref_extremum(obj, cons, n, maximize), (obj, cons, maximize)
                 assert got is None or type(got) is Fraction
     assert verdicts == {True, False}
+
+
+def test_chernikov_rule_keeps_strict_systems_exact(monkeypatch):
+    # Integer systems with many strict rows, repeated rows and nonzero
+    # constants, checked against the reference elimination, which drops no
+    # row; the rule must drop rows here, or the test shows nothing.
+    dropped = []
+    original = cones._pair_off
+
+    def counting(system, k, limit):
+        rows = original(system, k, limit)
+        # No system here has 64 input rows, so that limit drops nothing.
+        dropped.append(len(original(system, k, 64)) - len(rows))
+        return rows
+
+    monkeypatch.setattr(cones, "_pair_off", counting)
+    rng = random.Random(53)
+    verdicts = set()
+    for trial in range(400):
+        n = 1 + trial % 4
+        cons = []
+        for _ in range(rng.randint(1, 8)):
+            if cons and rng.random() < 0.2:
+                coeffs, const, _rel = rng.choice(cons)
+            else:
+                coeffs = tuple(rng.randint(-2, 2) for _ in range(n))
+                const = rng.choice((-2, -1, 1, 2))
+            cons.append((coeffs, const, rng.choice((">", ">", ">=", "="))))
+        ok = ref_feasible(cons, n)
+        assert feasible(cons, n) == ok, cons
+        verdicts.add(ok)
+        if ok:
+            obj = tuple(rng.randint(-2, 2) for _ in range(n))
+            for maximize in (True, False):
+                assert extremum(obj, cons, n, maximize) == ref_extremum(obj, cons, n, maximize), (obj, cons)
+    assert verdicts == {True, False}
+    assert sum(dropped) > 100
+
+
+def test_emptiness_and_a_point_from_the_rays():
+    # {x >= y >= 0}: the ray (1, 0) lies on y = 0, and (1, 1) on the row.
+    assert extreme_rays(2, [((1, -1), ">=")]) == [((1, 0), 0b010), ((1, 1), 0b100)]
+    assert extreme_rays(2, [((1, 1), "=")]) == []
+    for bad in (((1, -1), ">"), ((1, -1, 0), ">="), ((1,), "=")):
+        with pytest.raises(ValueError, match="row 1"):
+            extreme_rays(2, [((1, 1), ">="), bad])
+    rng = random.Random(59)
+    seen = set()
+    for trial in range(360):
+        n = 1 + trial % 6
+        cone = Cone(n, tuple(
+            (tuple(rng.randint(-2, 2) for _ in range(n)), rng.choice((">=", ">", ">", "=")))
+            for _ in range(rng.randint(0, 4 if n > 4 else 6))
+        ))
+        empty = cone.is_empty()
+        assert empty == (not ref_feasible(_strict_system(cone), n)), cone
+        if not empty:
+            rays = extreme_rays(n, _closure_rows(cone))
+            assert cone.contains([sum(x) for x in zip(*(ray for ray, _mask in rays))]), cone
+        seen.add((n, empty))
+    assert seen == {(n, e) for n in range(1, 7) for e in (True, False)}
 
 
 def test_euler_char_cuts_only_the_hyperplanes_it_reaches(monkeypatch):
