@@ -100,8 +100,8 @@ class Cone:
         of the rays is a point of the cone.  With no ray the relaxed cone
         is {0}, which is a point of the cone only in R^0 with no `>` row.
         """
-        rays = extreme_rays(self.n, [(coeffs, GE if rel == GT else rel)
-                                     for coeffs, rel in self.constraints])
+        rays = _extreme_rays(self.n, [(coeffs, GE if rel == GT else rel)
+                                      for coeffs, rel in self.constraints])
         strict = (1 << self.n) - 1
         for bit, (_coeffs, rel) in enumerate(self.constraints, self.n):
             if rel == GT:
@@ -328,14 +328,22 @@ def extreme_rays(nvars: int, rows) -> list:
     pairs: ray is a primitive integer vector, and mask has bit i set when
     x_i = 0 at the ray and bit nvars + j when row j is tight there.  The
     rays are built from the unit rays by one `_cut` per row; the list is
-    empty when the cone is {0}.
+    empty when the cone is {0}.  Coefficients must be integers: a bool,
+    float or str raises ValueError naming the row and the coefficient.
     """
+    rows = [(_int_row(coeffs, f"row {j}"), rel) for j, (coeffs, rel) in enumerate(rows)]
+    for j, (coeffs, rel) in enumerate(rows):
+        if rel not in (GE, EQ):
+            raise ValueError(f"row {j}: extreme_rays takes `>=` and `=` rows, got {rel!r}")
+        if len(coeffs) != nvars:
+            raise ValueError(f"row {j}: length does not match ambient dimension")
+    return _extreme_rays(nvars, rows)
+
+
+def _extreme_rays(nvars, rows):
+    """`extreme_rays` on rows already checked, as `Cone` checks its own."""
     rays = _unit_rays(nvars)
     for bit, (coeffs, rel) in enumerate(rows, nvars):
-        if rel not in (GE, EQ):
-            raise ValueError(f"row {bit - nvars}: extreme_rays takes `>=` and `=` rows, got {rel!r}")
-        if len(coeffs) != nvars:
-            raise ValueError(f"row {bit - nvars}: length does not match ambient dimension")
         pos, on, _neg = _cut(rays, coeffs, 1 << bit)
         rays = pos + on if rel == GE else on
     return rays

@@ -20,7 +20,9 @@ The ingredients:
   system with residues a_s on k' >= 2 essential punctures has middle
   compact-support cohomology of rank k' - 2 split as (sum a_s - 1) classes
   of type (1,0) and (k' - 1 - sum a_s) of type (0,1), plus one type-(0,0)
-  class for every puncture where the local monodromy is trivial;
+  class for every puncture where the local monodromy is trivial.  The torus
+  fibre's odometer walks the characters on integer numerators over
+  L = lcm(n_i), so each class is read off two integers, k' and sum a_s;
 * the equivariant-quotient bookkeeping that turns those tables into the
   collapse of a two-monodromy class;
 * a root-of-unity enumeration of torus fibers of monomial maps, an
@@ -40,8 +42,8 @@ from math import lcm, prod
 from typing import Optional
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
-from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass
-from .spectra import _merge, mod1
+from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass, _character_columns
+from .spectra import _merge, _reduced, mod1
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +105,10 @@ def collapse_pair_bruteforce(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass
     out: dict = {}
     for (evs, p, q), mult in x.terms():
         a, b = evs[i - 1], evs[j - 1]
-        fused = mod1(a + b)
-        rest_prefix = list(evs[: i - 1])
-        rest_mid = list(evs[i: j - 1])
-        rest_suffix = list(evs[j:])
+        fused = evs[: i - 1] + (mod1(a + b),) + evs[i: j - 1] + evs[j:]
         for pieces, sign in ((fermat_one_at(a, b), -1), (fermat_zero_at(a, b), 1)):
-            for (pf, qf, mf) in pieces:
-                key = (
-                    tuple(rest_prefix + [fused] + rest_mid + rest_suffix),
-                    p + pf,
-                    q + qf,
-                )
-                _merge(out, key, sign * mf * mult)
+            for pf, qf, mf in pieces:
+                _merge(out, (fused, p + pf, q + qf), sign * mf * mult)
     return MonodromicClass(x.arity - 1, out)
 
 
@@ -123,36 +117,17 @@ def collapse_pair_bruteforce(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_class_terms(eigs, residues, npunct):
-    """Signed (evs, p, q, mult) contributions of one eigensystem.
-
-    eigs: eigenvalue tuple of the deck characters; residues: local
-    monodromy residues at the punctures; npunct: total puncture count.
-    """
-    terms = []
-    if all(r == 0 for r in residues):
-        # Trivial local system (deck-trivial or not): the full class of
-        # P^1 minus npunct points.
-        terms.append((eigs, 1, 1, 1))
-        if npunct != 1:
-            terms.append((eigs, 0, 0, 1 - npunct))
-        return terms
-    ess = [r for r in residues if r != 0]
-    total = sum(ess)
-    if total.denominator != 1:
-        raise ValueError("inconsistent residues: they must sum to an integer")
-    total = int(total)
-    kp = len(ess)
-    if kp < 2:
-        raise ValueError("a single nontrivial puncture is impossible")
-    zeros = len(residues) - kp
-    if zeros:
-        terms.append((eigs, 0, 0, -zeros))
-    if total - 1:
-        terms.append((eigs, 1, 0, -(total - 1)))
-    if kp - 1 - total:
-        terms.append((eigs, 0, 1, -(kp - 1 - total)))
-    return terms
+def _rank_one_class_terms(residues, big):
+    """Signed (p, q, mult) rows of a rank-one eigensystem on P^1 minus
+    len(residues) punctures, read off two numbers: how many residues
+    (numerators over ``big``) are nonzero, and their sum over ``big``."""
+    npunct, kp = len(residues), len(residues) - residues.count(0)
+    if not kp:  # the trivial system: the class of P^1 minus the punctures
+        rows = ((1, 1, 1), (0, 0, 1 - npunct))
+    else:
+        total = sum(residues) // big
+        rows = ((0, 0, kp - npunct), (1, 0, 1 - total), (0, 1, total + 1 - kp))
+    return [row for row in rows if row[2]]
 
 
 def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
@@ -163,7 +138,9 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
     phi_i at puncture s (every zero or pole of every phi_i must be among
     the punctures).  The (j_1..j_r) character has local residue
     sum_i j_i * phi_orders[i][s] / n_i at puncture s, so the cover depends
-    only on the orders mod n_i, and each row must sum to 0 mod n_i.  A deck
+    only on the orders mod n_i, and each row must sum to 0 mod n_i.  The
+    characters are walked by ``monclass._character_columns`` on integer
+    numerators over L = lcm(n_i), eigenvalues and residues alike.  A deck
     group of more than ``MAX_TORUS_CHARACTERS`` characters raises
     ``ValueError`` before any is enumerated.
     """
@@ -183,16 +160,22 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
             raise ValueError("ragged puncture data")
         if sum(row) % n:
             raise ValueError(f"phi_{i} orders must sum to 0 mod n_{i} over the punctures")
-    out: dict = {}
-    for js in itertools.product(*(range(n) for n in deck_orders)):
-        eigs = tuple(Fraction(j, n) for j, n in zip(js, deck_orders))
-        residues = [
-            mod1(sum(Fraction(j * phi_orders[i][s], n) for i, (j, n) in enumerate(zip(js, deck_orders))))
-            for s in range(npunct)
-        ]
-        for evs, p, q, mult in _rank_one_class_terms(eigs, residues, npunct):
-            _merge(out, (evs, p, q), mult)
-    return MonodromicClass(r, out)
+    # Deck generator i gives its own eigenvalue L / n_i and puncture s the
+    # residue phi_orders[i][s] * L / n_i, so each residue sum is 0 mod L.
+    big = lcm(*deck_orders)
+    gens = [
+        [big // n if k == i else 0 for k in range(r)] + [o * (big // n) % big for o in row]
+        for i, (n, row) in enumerate(zip(deck_orders, phi_orders))
+    ]
+    cols = _character_columns(deck_orders, gens, big)
+    reduced = [{v: _reduced(v, big) for v in set(col)} for col in cols[:r]]
+    # Characters have distinct eigenvalue tuples; the trivial group has one.
+    eigs = zip(*(map(red.__getitem__, col) for red, col in zip(reduced, cols))) if r else [()]
+    out = {}
+    for evs, *residues in zip(eigs, *cols[r:]):
+        for p, q, mult in _rank_one_class_terms(residues, big):
+            out[evs, p, q] = mult
+    return MonodromicClass._trusted(r, out)
 
 
 def stratum_cover_class(multiplicity: int, crossing_multiplicities) -> MonodromicClass:

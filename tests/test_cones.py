@@ -182,15 +182,17 @@ def test_dimension_and_coefficients_are_strict_integers():
 
 
 def test_one_emptiness_test_per_series_call(monkeypatch):
-    # One ray cut answers emptiness and both positivity questions.
+    # One ray cut answers emptiness and both positivity questions.  `Cone`
+    # has checked its rows, so the cut loop is reached without
+    # `extreme_rays`'s entry check.
     calls = []
-    original = cones.extreme_rays
+    original = cones._extreme_rays
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cones, "extreme_rays", counting)
+    monkeypatch.setattr(cones, "_extreme_rays", counting)
     full, empty = Cone(2), Cone(2, (((-1, -1), ">="),))
     for cone in (full, empty):
         for run in (lambda: lattice_series(cone, (1, 1), (1, 1), 3),
@@ -517,6 +519,11 @@ def test_emptiness_and_a_point_from_the_rays():
     for bad in (((1, -1), ">"), ((1, -1, 0), ">="), ((1,), "=")):
         with pytest.raises(ValueError, match="row 1"):
             extreme_rays(2, [((1, 1), ">="), bad])
+    # Only integer coefficients pass; each used to return rays (the bool)
+    # or raise a TypeError.
+    for coeffs in ((1.5, -1), (True, -1), ("1", -1)):
+        with pytest.raises(ValueError, match="^row 1, coefficient 0: "):
+            extreme_rays(2, [((1, 1), ">="), (coeffs, ">=")])
     rng = random.Random(59)
     seen = set()
     for trial in range(360):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import shutil
 import time
 from fractions import Fraction as F
@@ -15,7 +17,7 @@ from hodgespec.resolution import (
     vanishing_cycles,
     zeta_series,
 )
-from hodgespec.spectra import Spectrum
+from hodgespec.spectra import Spectrum, mod1
 from hodgespec.workbench import (
     TransversalBranch,
     fixture_datum,
@@ -300,6 +302,51 @@ def test_p1_cover_refuses_oversized_decks_up_front():
     with pytest.raises(ValueError, match="MAX_TORUS_CHARACTERS"):
         p1_cover_class([600, 600], [[1, -1], [1, -1]])
     assert time.perf_counter() - start < 0.1
+
+
+def ref_p1_cover_class(deck_orders, phi_orders):
+    """The cover rule by plain enumeration: one Fraction residue per
+    character and puncture, and the rank-one rule of the ``oracles``
+    docstring applied to them."""
+    npunct = len(phi_orders[0]) if deck_orders else 0
+    terms = []
+    for js in itertools.product(*(range(n) for n in deck_orders)):
+        eigs = tuple(F(j, n) for j, n in zip(js, deck_orders))
+        residues = [
+            mod1(sum(F(j * row[s], n) for j, n, row in zip(js, deck_orders, phi_orders)))
+            for s in range(npunct)
+        ]
+        ess = [a for a in residues if a]
+        if not ess:
+            rows = [(1, 1, 1), (0, 0, 1 - npunct)]
+        else:
+            total, kp = sum(ess), len(ess)
+            assert total.denominator == 1 and kp >= 2, (deck_orders, phi_orders, js)
+            rows = [(0, 0, kp - npunct), (1, 0, 1 - total), (0, 1, total + 1 - kp)]
+        terms += [((eigs, p, q), int(mult)) for p, q, mult in rows]
+    return MC(len(deck_orders), terms)
+
+
+def test_p1_cover_matches_the_fraction_enumeration():
+    rng = random.Random(61)
+    for _ in range(120):
+        deck = [rng.randint(1, 12) for _ in range(rng.randint(1, 3))]
+        npunct = rng.randint(0, 6)
+        phi = []
+        for n in deck:
+            row = [rng.randint(-30, 30) for _ in range(npunct)]
+            if row:
+                row[rng.randrange(npunct)] -= sum(row) % n
+            phi.append(row)
+        assert p1_cover_class(deck, phi) == ref_p1_cover_class(deck, phi), (deck, phi)
+    for _ in range(60):
+        n = rng.randint(1, 200)
+        ms = [rng.randint(-3 * n, 3 * n) for _ in range(rng.randint(0, 5))]
+        if ms:
+            ms[-1] -= sum(ms) % n
+        assert stratum_cover_class(n, ms) == ref_p1_cover_class((n,), ([-m for m in ms],)), (n, ms)
+    # The trivial deck group has one character: the class L + 1 of P^1.
+    assert p1_cover_class((), ()) == ref_p1_cover_class((), ()) == MC.lefschetz(0) + MC.unit(0)
 
 
 def test_fixture_registry():
