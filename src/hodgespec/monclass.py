@@ -8,11 +8,10 @@ int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
 ``terms()`` returns them as Fractions, and ``render`` sorts and formats the
 pairs without that view, through ``_class_renderer``: one table for every
 class in a printed output, which ranks and formats each distinct eigenvalue
-tuple once.  Multiplication is the group-ring
-product (eigenvalues add mod 1, bidegrees add), which realizes the tensor
-product of Hodge structures with automorphisms.  The distinguished class
-``L`` (all-zero eigenvalues, bidegree (1, 1)) is the Lefschetz motive; it
-is invertible.
+tuple once.  Multiplication is the group-ring product (eigenvalues add mod
+1, bidegrees add), which realizes the tensor product of Hodge structures
+with automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
+bidegree (1, 1)) is the Lefschetz motive; it is invertible.
 
 Arity 0 classes are plain virtual Hodge-Deligne classes, arity 1 carries a
 single monodromy, arity 2 two commuting monodromies.
@@ -119,13 +118,17 @@ class MonodromicClass(_ArityMap):
         (e1, p1, q1), (e2, p2, q2) = k1, k2
         return tuple(map(_add_mod1, e1, e2)), p1 + p2, q1 + q2
 
-    @staticmethod
-    def _key_view(key):
-        evs, p, q = key
-        return tuple(map(_to_frac, evs)), p, q
-
     def _rank(self):
         return _rank_classes((self,))[0]
+
+    def terms(self):
+        """``_SparseMap.terms``, converting each distinct eigenvalue tuple once."""
+        views, out = {}, []
+        for (evs, p, q), coef in self._sorted():
+            if (view := views.get(evs)) is None:
+                view = views[evs] = tuple(map(_to_frac, evs))
+            out.append(((view, p, q), coef))
+        return tuple(out)
 
     @classmethod
     def unit(cls, arity: int) -> "MonodromicClass":

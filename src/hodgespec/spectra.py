@@ -25,11 +25,11 @@ Q/Z and ``c`` in Z.  All arithmetic is exact.
 Inside a key every rational is stored as a reduced pair of ints
 ``(num, den)``: ``den > 0`` and ``gcd(num, den) == 1``, and a residue mod 1
 also has ``0 <= num < den``.  Keys then hash and compare as plain ints.
-``_reduced`` makes the key pair of n / d with one ``math.gcd``;
-``_pair_add`` and ``_add_mod1`` add two keys through it.  The public API
-speaks ``Fraction``: constructors and ``coefficient`` take any
-``FracLike``, and ``terms()`` hands keys back as ``fractions.Fraction``
-values in ascending rational order.
+``_reduced`` makes the key pair of n / d with one ``math.gcd``.  The
+``Spectrum`` product adds exponents as the ints n * (L // d), L the lcm of
+every denominator of both factors, and reduces each distinct sum once.
+The public API speaks ``Fraction``: constructors and ``coefficient`` take
+any ``FracLike``; ``terms()`` returns ascending ``Fraction`` keys.
 
 Sorting and rendering never build that ``Fraction`` view.  ``_sorted_items``
 sorts the stored items on one rank per item, which each ring's ``_rank``
@@ -89,12 +89,6 @@ def _reduced(n: int, d: int) -> Pair:
     """The key pair of n / d, for d > 0."""
     g = gcd(n, d)
     return n // g, d // g
-
-
-def _pair_add(x: Pair, y: Pair) -> Pair:
-    """Sum of two reduced pairs, reduced."""
-    (a, b), (c, d) = x, y
-    return _reduced(a * d + c * b, b * d)
 
 
 def _add_mod1(x: Pair, y: Pair) -> Pair:
@@ -165,12 +159,12 @@ class _SparseMap:
     supplies ``_key`` (a raw key to its canonical form, ValueError on
     anything else), optionally ``_coef`` (the default takes a strict-int
     multiplicity), ``_key_mul`` (the product of two keys, canonical when
-    both are), ``_key_view`` (a stored key in its public form, for
-    ``terms()``), ``_rank`` (when keys hold rational pairs, the sort key
-    ``_sorted_items`` uses on this map's items: the keys' slots as exact
-    integers over one scale table for the whole map) and ``render``.
-    ``_scalars`` lists the types ``*`` treats as coefficient scalars, the
-    only ones ``scale`` accepts.
+    both are; ``Spectrum`` multiplies in ``__mul__``), ``_key_view`` (a
+    stored key in its public form, for ``terms()``), ``_rank`` (when keys
+    hold rational pairs, the sort key ``_sorted_items`` uses on this map's
+    items: the keys' slots as exact integers over one scale table for the
+    whole map) and ``render``.  ``_scalars`` lists the types ``*`` treats
+    as coefficient scalars, the only ones ``scale`` accepts.
     """
 
     __slots__ = ("_terms",)
@@ -321,8 +315,23 @@ class Spectrum(_SparseMap):
 
     __slots__ = ()
     _key = staticmethod(_pair)
-    _key_mul = staticmethod(_pair_add)
     _key_view = staticmethod(_to_frac)
+
+    def __mul__(self, other):
+        """The product on integer exponents over one denominator (see the
+        module docstring); other operands go to ``_SparseMap.__mul__``."""
+        if type(other) is not Spectrum:
+            return _SparseMap.__mul__(self, other)
+        big = lcm(*[d for terms in (self._terms, other._terms) for _n, d in terms])
+        xs = [(n * (big // d), c) for (n, d), c in self._terms.items()]
+        sums: dict = {}
+        get = sums.get
+        for (n, d), c2 in other._terms.items():
+            b = n * (big // d)
+            for a, c1 in xs:
+                s = a + b
+                sums[s] = get(s, 0) + c1 * c2
+        return Spectrum._trusted({(s // (g := gcd(s, big)), big // g): c for s, c in sums.items() if c})
 
     def _rank(self):
         scale = _scales({d for _n, d in self._terms})
@@ -442,13 +451,10 @@ def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
     added.
     """
     m, N = _strict_int(m, "m", 1), _strict_int(N, "N", 1)
-    steps = geometric_factor(m * N)._terms
-    out: dict[Pair, int] = {}
+    shifts: dict[Pair, int] = {}
     for alpha, beta in pairs:
         alpha, beta = frac(alpha), frac(beta)
         if not 0 <= beta < 1:
             raise ValueError(f"vertical residue {beta} outside [0, 1)")
-        shift = _pair(alpha + beta / (m * N))
-        for step in steps:
-            _merge(out, _pair_add(shift, step), 1)
-    return Spectrum._trusted(out)
+        _merge(shifts, _pair(alpha + beta / (m * N)), 1)
+    return Spectrum._trusted(shifts) * geometric_factor(m * N)

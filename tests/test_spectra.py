@@ -116,6 +116,55 @@ def test_ring_axioms_random():
         assert x * Spectrum.one() == x
 
 
+def _fraction_product(x, y):
+    """The product of two spectra summed over Fraction exponents, zeros dropped."""
+    out = {}
+    for a, m in x.terms():
+        for b, n in y.terms():
+            out[a + b] = out.get(a + b, 0) + m * n
+    return {e: m for e, m in out.items() if m}
+
+
+def test_product_matches_fraction_exponents():
+    rng = random.Random(23)
+
+    def rand():
+        terms = []
+        for _ in range(rng.randint(0, 8)):
+            # Small denominators make sums collide, and some cancel to zero.
+            den = rng.choice((1, 2, 3, 6, rng.randint(1, 60)))
+            terms.append((F(rng.randint(-den, den), den), rng.choice((-1, 1, -1, 1, 2))))
+        return Spectrum(terms)
+
+    cancelled = 0
+    for _ in range(400):
+        x, y = rand(), rand()
+        want = _fraction_product(x, y)
+        got = x * y
+        assert dict(got.terms()) == want
+        # Equal term maps: every stored key is the reduced pair.
+        assert got == Spectrum(list(want.items()))
+        cancelled += len({a + b for a, _m in x.terms() for b, _n in y.terms()}) - len(want)
+    assert cancelled > 30
+
+
+def test_product_with_scalars_and_other_types():
+    s = 3 * t(F(1, 2)) - t(F(-2, 3)) + t(4)
+    assert s * 1 == s == 1 * s
+    assert s * 0 == Spectrum.zero() and not s * 0
+    assert 2 * s == s + s == s * 2
+    with pytest.raises(ValueError, match="is not an integer"):
+        s * True
+    with pytest.raises(TypeError):
+        s * 1.5
+    with pytest.raises(TypeError):
+        s * MonodromicClass.unit(1)
+    with pytest.raises(TypeError):
+        MonodromicClass.unit(1) * s
+    with pytest.raises(TypeError):
+        s * BiSpectrum.one()
+
+
 def test_render_format():
     assert (t(F(5, 6)) + t(F(7, 6))).render() == "t^(5/6) + t^(7/6)"
     assert Spectrum.zero().render() == "0"

@@ -58,6 +58,14 @@ def test_quasihomogeneous_spectrum():
     assert quasihomogeneous_spectrum((1, 5)) == Spectrum.zero()
 
 
+def test_quasihomogeneous_spectrum_is_the_spectrum_of_the_class_join():
+    rng = random.Random(23)
+    for _ in range(40):
+        exps = tuple(rng.randint(1, 16) for _ in range(rng.randint(1, 4)))
+        classes = map(one_variable_vanishing, exps)
+        assert quasihomogeneous_spectrum(exps) == hodge_spectrum(thom_sebastiani(*classes)), exps
+
+
 def test_cusp_two_pipelines():
     engine = hodge_spectrum(vanishing_cycles(fixture_datum("cusp")))
     join = quasihomogeneous_spectrum((2, 3))
