@@ -6,11 +6,12 @@ recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
 automorphisms, and a Hodge bidegree.  Each residue is stored as a reduced
 int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
 ``terms()`` returns them as Fractions, and ``render`` sorts and formats the
-pairs without that view, through ``_class_renderer``: one table for every
-class in a printed output, which ranks and formats each distinct eigenvalue
-tuple once.  Multiplication is the group-ring product (eigenvalues add mod
-1, bidegrees add), which realizes the tensor product of Hodge structures
-with automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
+pairs without that view, through ``_evs_table``: one table for every class
+in a printed output, which ranks and formats each distinct eigenvalue tuple
+once; ``_term_texts`` then formats each term in one f-string.
+Multiplication is the group-ring product (eigenvalues add mod 1, bidegrees
+add), which realizes the tensor product of Hodge structures with
+automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
 bidegree (1, 1)) is the Lefschetz motive; it is invertible.
 
 Arity 0 classes are plain virtual Hodge-Deligne classes, arity 1 carries a
@@ -37,12 +38,11 @@ from .spectra import (
     Spectrum,
     _add_mod1,
     _ArityMap,
+    _lead,
     _merge,
     _pair,
     _reduced,
     _render_pair,
-    _render_terms,
-    _sorted_items,
     _to_frac,
     frac,
 )
@@ -83,19 +83,35 @@ def _rank_classes(classes):
     return rank, ranks
 
 
+def _evs_table(classes):
+    """The ranks of ``_rank_classes`` and the text of every distinct
+    eigenvalue tuple in the classes (of one arity), each built once."""
+    _rank, ranks = _rank_classes(classes)
+    return ranks, {evs: ",".join(map(_render_pair, evs)) for evs in ranks}
+
+
+def _term_texts(rows, evs_text) -> list:
+    """The sorted rows (d, rank, p, q, mult, evs) as `(evs;p,q)` term texts,
+    each one f-string with its separator: the rule of ``_render_terms``."""
+    return [
+        f" + ({evs_text[evs]};{p},{q})" if mult == 1
+        else f" - ({evs_text[evs]};{p},{q})" if mult == -1
+        else f" + {mult}*({evs_text[evs]};{p},{q})" if mult > 0
+        else f" - {-mult}*({evs_text[evs]};{p},{q})"
+        for _d, _rank, p, q, mult, evs in rows
+    ]
+
+
 def _class_renderer(classes):
     """One renderer for the classes (of one arity): a function giving the
-    ``render`` text of any of them, through one table in which every
-    distinct eigenvalue tuple is ranked and formatted once."""
-    rank, ranks = _rank_classes(classes)
-    text = {evs: ",".join(map(_render_pair, evs)) for evs in ranks}
-
-    def mono(key):
-        evs, p, q = key
-        return f"({text[evs]};{p},{q})"
+    ``render`` text of any of them, through one ``_evs_table``."""
+    ranks, evs_text = _evs_table(classes)
 
     def render(x) -> str:
-        return _render_terms(_sorted_items(x._terms, rank), mono)
+        if not x._terms:
+            return "0"
+        rows = sorted([(0, ranks[evs], p, q, mult, evs) for (evs, p, q), mult in x._terms.items()])
+        return _lead("".join(_term_texts(rows, evs_text)))
 
     return render
 

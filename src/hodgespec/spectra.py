@@ -135,19 +135,25 @@ def _render_pair(x: Pair) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def _lead(text: str) -> str:
+    """Term texts joined with their ` + ` / ` - ` separators, the first
+    separator cut (a negative first term keeps its `-`)."""
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
+
+
 def _render_terms(items, monomial_str) -> str:
-    # items: list of (key, mult) already sorted; monomial_str(key) -> str
+    """The text of sorted (key, mult) items, monomial_str(key) giving each
+    monomial: `m*x` terms, `1*` omitted, joined with ` + ` / ` - `.  Each
+    term is one f-string, its separator included (see ``_lead``)."""
     if not items:
         return "0"
-    parts = []
-    for i, (key, mult) in enumerate(items):
-        mag = abs(mult)
-        body = monomial_str(key) if mag == 1 else f"{mag}*{monomial_str(key)}"
-        if i == 0:
-            parts.append(body if mult > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if mult > 0 else f" - {body}")
-    return "".join(parts)
+    return _lead("".join([
+        f" + {monomial_str(key)}" if mult == 1
+        else f" - {monomial_str(key)}" if mult == -1
+        else f" + {mult}*{monomial_str(key)}" if mult > 0
+        else f" - {-mult}*{monomial_str(key)}"
+        for key, mult in items
+    ]))
 
 
 class _SparseMap:
@@ -366,8 +372,18 @@ class Spectrum(_SparseMap):
 
     def render(self) -> str:
         """Canonical text form: ascending exponents, `mult*t^(num/den)` terms,
-        `1*` and `/1` omitted, joined with ` + ` / ` - `."""
-        return _render_terms(self._sorted(), lambda e: f"t^({_render_pair(e)})")
+        `1*` and `/1` omitted, joined with ` + ` / ` - `: the rule of
+        ``_render_terms``, with the exponent text inlined, since the largest
+        printed outputs (``ts``) are spectra."""
+        if not self._terms:
+            return "0"
+        return _lead("".join([
+            f" + t^({e})" if mult == 1
+            else f" - t^({e})" if mult == -1
+            else f" + {mult}*t^({e})" if mult > 0
+            else f" - {-mult}*t^({e})"
+            for (n, d), mult in self._sorted() for e in [n if d == 1 else f"{n}/{d}"]
+        ]))
 
 
 class BiSpectrum(_SparseMap):

@@ -7,7 +7,15 @@ import pytest
 
 from hodgespec.monclass import MonodromicClass as MC
 from hodgespec.resolution import zeta_series
-from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP, _points_bound
+from hodgespec.series import (
+    INT_KEYS_FROM,
+    RationalSeries as RS,
+    TruncatedPoly as TP,
+    _expand_ints,
+    _expand_tables,
+    _points_bound,
+    _spreads,
+)
 from hodgespec.spectra import _render_terms
 from hodgespec.workbench import fixtures
 
@@ -123,24 +131,58 @@ def test_expand_matches_generator_products():
             terms.append(((evs, rng.randint(-3, 3), rng.randint(-3, 3)), rng.choice((-2, -1, 1, 3))))
         return MC(arity, terms)
 
-    def rand_factors():
-        pool = [(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(2)]
+    def orbit_difference(arity):
+        # c * (L^a - L^b) on one L-orbit: merged counts pass through 0.
+        evs = tuple(F(rng.randrange(d), d) for d in (rng.randint(1, 6) for _ in range(arity)))
+        p, q, a, b = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-2, 2)
+        c = rng.choice((-2, -1, 1, 3))
+        return MC(arity, [((evs, p + a, q + a), c), ((evs, p + b, q + b), -c)]) or rand_class(arity)
+
+    def rand_factors(least, most, weight):
+        pool = [(rng.randint(-5, 5), rng.randint(1, weight)) for _ in range(2)]
         # Drawing from a pool of two makes repeated generators common.
-        return tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+        return tuple(rng.choice(pool) for _ in range(rng.randint(least, most)))
 
     def cancelling_pair(arity):
         # c p(e, j) - c L^(e - f) p(f, j): their T^j coefficients cancel.
         e, f, j, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 6), rand_class(arity)
         return [(((e, j),), c), (((f, j),), -c * MC.lefschetz(arity, e - f))]
 
-    for _ in range(300):
+    paths = {False: 0, True: 0}
+    for k in range(400):
         arity = rng.randint(0, 2)
-        terms = [(rand_factors(), rand_class(arity)) for _ in range(rng.randint(1, 3))]
+        # Every other series has 2 to 4 terms of one or two factors of
+        # T-weight at most 3, with n from 30 to 60, so that many reach the
+        # integer-key path of expand.
+        least, most, weight, count, low, top = (0, 3, 6, 1, 0, 40) if k % 2 else (1, 2, 3, 2, 30, 60)
+        coef = orbit_difference if rng.random() < 0.5 else rand_class
+        terms = [(rand_factors(least, most, weight), coef(arity)) for _ in range(rng.randint(count, count + 2))]
         if rng.random() < 0.25:
             terms += cancelling_pair(arity)
         series = RS(arity, terms)
-        n = rng.randint(0, 40)
+        # Now and then below every T-weight, so that every table is empty.
+        n = rng.randint(0, 5) if rng.random() < 0.1 else rng.randint(low, top)
         assert series.expand(n) == _expand_by_products(series, n), (series, n)
+        size = sum(_points_bound(f, n) * len(c._terms) for f, c in series._terms.items())
+        paths[size >= INT_KEYS_FROM and _spreads(series._terms)] += 1
+        if n:
+            # Both paths on every input, whichever expand chose.
+            tables = {d: t for d, t in _expand_tables(series._terms, n).items() if t}
+            assert _expand_ints(series._terms, n) == tables, (series, n)
+    assert min(paths.values()) >= 40, paths
+
+
+def test_expand_ints_on_three_factor_terms_with_a_constant():
+    # A constant term beside 3-factor terms; _spreads keeps expand itself on
+    # tables here, so the integer path is called directly.
+    u, inv = MC.unit(1), MC.lefschetz(1, -1)
+    c = MC(1, [(((F(1, 3),), 0, 0), 1), (((F(1, 3),), 1, 1), -1)])
+    series = RS(1, [((), u - inv), (((-1, 1), (-2, 3), (-5, 2)), c), (((-1, 1), (-1, 1), (-3, 2)), u * 2 - c)])
+    for n in (1, 2, 7, 30):
+        expected = _expand_by_products(series, n)
+        assert series.expand(n) == expected
+        got = _expand_ints(series._terms, n)
+        assert TP._trusted(1, {d: MC._trusted(1, t) for d, t in got.items()}) == expected, n
 
 
 def test_expand_drops_cancelled_degrees():
@@ -220,6 +262,20 @@ def test_truncated_render_shares_one_table_across_degrees():
         poly = TP(arity, coefs)
         expected = " + ".join(f"({_fraction_render(c)})*T^{n}" for n, c in poly.terms()) or "0"
         assert poly.render() == expected, poly
+    # One monomial in every degree, with multiplicities +-1 and +-2, first
+    # and last among the monomials of a degree by turns.
+    key = ((F(1, 2), F(2, 3)), 0, 1)
+    coefs = {}
+    for n in range(40):
+        others = [(((F(1, 3), F(0)), n % 3 - 1, 0), 1)] if n % 3 else []
+        others += [(((F(5, 6), F(1, 2)), 2, -1), -2)] if n % 4 == 1 else []
+        coefs[n] = MC(2, [(key, (1, -1, 2, -2)[n % 4])] + others)
+    poly = TP(2, coefs)
+    expected = " + ".join(f"({_fraction_render(c)})*T^{n}" for n, c in poly.terms())
+    assert poly.render() == expected
+    for text in ("((1/3,0;0,0) - (1/2,2/3;0,1) - 2*(5/6,1/2;2,-1))*T^1 + ", " + (-2*(1/2,2/3;0,1))*T^3 + ",
+                 " + (-(1/2,2/3;0,1) - 2*(5/6,1/2;2,-1))*T^9 + ", " + (2*(1/2,2/3;0,1))*T^6 + "):
+        assert text in expected, text
 
 
 def test_points_bound_bounds_the_lattice_points():
