@@ -6,9 +6,10 @@ recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
 automorphisms, and a Hodge bidegree.  Each residue is stored as a reduced
 int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
 ``terms()`` returns them as Fractions, and ``render`` sorts and formats the
-pairs without that view, through ``_evs_table``: one table for every class
-in a printed output, which ranks and formats each distinct eigenvalue tuple
-once; ``_term_texts`` then formats each term in one f-string.
+pairs without that view.  Every printed class goes through
+``_render_classes``, which takes all the classes of one printed output (a
+truncated polynomial's degrees, say), ranks and formats each distinct
+eigenvalue tuple among them once, and sorts all their terms once.
 Multiplication is the group-ring product (eigenvalues add mod 1, bidegrees
 add), which realizes the tensor product of Hodge structures with
 automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
@@ -30,7 +31,7 @@ characters of ``oracles.p1_cover_class``.
 
 from __future__ import annotations
 
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .lattice import _int_matrix, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
@@ -38,11 +39,13 @@ from .spectra import (
     Spectrum,
     _add_mod1,
     _ArityMap,
+    _heads,
     _lead,
     _merge,
     _pair,
     _reduced,
     _render_pair,
+    _scales,
     _to_frac,
     frac,
 )
@@ -57,63 +60,49 @@ from .spectra import (
 MAX_TORUS_CHARACTERS = 250_000
 
 
-def _rank_classes(classes):
-    """The sort key on the items of any of the classes (of one arity), and
-    the rank it gives each distinct eigenvalue tuple in them.
-
-    Each tuple is ranked once, as one integer: with L the lcm of every
-    denominator in every tuple, a residue n / d is the digit n * (L // d) in
-    [0, L), and the tuple reads as a base-L number, which orders tuples
-    slot by slot as the rationals they stand for.  A term then ranks as
-    (the rank of its tuple, p, q).
-    """
+def _tuple_ranks(classes) -> dict:
+    """The rank of each distinct eigenvalue tuple in the classes (of one
+    arity), as one integer: with L the lcm of every denominator in every
+    tuple, a residue n / d is the digit n * (L // d) in [0, L), and the
+    tuple reads as a base-L number, which orders tuples slot by slot as the
+    rationals they stand for."""
     tuples = {evs for x in classes for evs, _p, _q in x._terms}
-    big = lcm(*{d for evs in tuples for _n, d in evs})
+    # 1 leaves the lcm as it is and reads it back as scale[1].
+    scale = _scales({d for evs in tuples for _n, d in evs} | {1})
+    big = scale[1]
     ranks = {}
     for evs in tuples:
         r = 0
         for n, d in evs:
-            r = r * big + n * (big // d)
+            r = r * big + n * scale[d]
         ranks[evs] = r
-
-    def rank(item):
-        (evs, p, q), _mult = item
-        return ranks[evs], p, q
-
-    return rank, ranks
+    return ranks
 
 
-def _evs_table(classes):
-    """The ranks of ``_rank_classes`` and the text of every distinct
-    eigenvalue tuple in the classes (of one arity), each built once."""
-    _rank, ranks = _rank_classes(classes)
-    return ranks, {evs: ",".join(map(_render_pair, evs)) for evs in ranks}
+def _render_classes(classes) -> list:
+    """The ``render`` text of each of the classes (of one arity), in order.
 
-
-def _term_texts(rows, evs_text) -> list:
-    """The sorted rows (d, rank, p, q, mult, evs) as `(evs;p,q)` term texts,
-    each one f-string with its separator: the rule of ``_render_terms``."""
-    return [
-        f" + ({evs_text[evs]};{p},{q})" if mult == 1
-        else f" - ({evs_text[evs]};{p},{q})" if mult == -1
-        else f" + {mult}*({evs_text[evs]};{p},{q})" if mult > 0
-        else f" - {-mult}*({evs_text[evs]};{p},{q})"
-        for _d, _rank, p, q, mult, evs in rows
-    ]
-
-
-def _class_renderer(classes):
-    """One renderer for the classes (of one arity): a function giving the
-    ``render`` text of any of them, through one ``_evs_table``."""
-    ranks, evs_text = _evs_table(classes)
-
-    def render(x) -> str:
-        if not x._terms:
-            return "0"
-        rows = sorted([(0, ranks[evs], p, q, mult, evs) for (evs, p, q), mult in x._terms.items()])
-        return _lead("".join(_term_texts(rows, evs_text)))
-
-    return render
+    Every distinct eigenvalue tuple among them is ranked (``_tuple_ranks``)
+    and formatted once, and every multiplicity's sign text comes from one
+    ``_heads`` table.  The terms of all the classes are sorted once, on
+    (class index, tuple rank, p, q), printed as `(evs;p,q)` terms and cut
+    back into one text per class: a sort per class would hold less at once,
+    but costs the many small classes of a high-degree truncation more.
+    """
+    ranks = _tuple_ranks(classes)
+    texts = {evs: ",".join(map(_render_pair, evs)) for evs in ranks}
+    head = _heads(mult for x in classes for mult in x._terms.values())
+    terms = [f"{head[mult]}({evs};{p},{q})" for _i, _r, p, q, mult, evs in sorted([
+        (i, ranks[evs], p, q, mult, texts[evs])
+        for i, x in enumerate(classes) for (evs, p, q), mult in x._terms.items()
+    ])]
+    out = []
+    start = 0
+    for x in classes:
+        stop = start + len(x._terms)
+        out.append(_lead("".join(terms[start:stop])) if stop > start else "0")
+        start = stop
+    return out
 
 
 class MonodromicClass(_ArityMap):
@@ -135,7 +124,13 @@ class MonodromicClass(_ArityMap):
         return tuple(map(_add_mod1, e1, e2)), p1 + p2, q1 + q2
 
     def _rank(self):
-        return _rank_classes((self,))[0]
+        ranks = _tuple_ranks((self,))
+
+        def rank(item):
+            (evs, p, q), _mult = item
+            return ranks[evs], p, q
+
+        return rank
 
     def terms(self):
         """``_SparseMap.terms``, converting each distinct eigenvalue tuple once."""
@@ -171,7 +166,7 @@ class MonodromicClass(_ArityMap):
         return out
 
     def render(self) -> str:
-        return _class_renderer((self,))(self)
+        return _render_classes((self,))[0]
 
     def __repr__(self):
         return f"MonodromicClass({self.arity}, {self.render()})"

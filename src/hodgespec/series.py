@@ -32,8 +32,8 @@ from __future__ import annotations
 from operator import add
 
 from .lattice import _int_row, _strict_int
-from .monclass import MonodromicClass, _class_renderer, _evs_table, _term_texts
-from .spectra import _ArityMap, _lead, _merge
+from .monclass import MonodromicClass, _render_classes
+from .spectra import _ArityMap, _merge
 
 
 # expand refuses a truncation that may merge more class terms than this
@@ -41,7 +41,7 @@ from .spectra import _ArityMap, _lead, _merge
 # summed over the series) before it builds any table.  The shipped fixtures
 # reach 16,790 at n = 160 (d_curve_N4), the largest truncation the tests and
 # the benchmark ask for; d_curve_N5 at n = 1,250 (941,662; 314,498 terms
-# out) takes 1.05-1.25 s and 88 MB peak RSS as a whole `hodgespec zeta
+# out) takes 0.93-1.17 s and 87 MB peak RSS as a whole `hodgespec zeta
 # --truncate` process on a 2-core Xeon (CPython 3.11), about half the time
 # of one table per term; CI runs it within 10 s and checks its output.
 MAX_EXPAND_TERMS = 1_000_000
@@ -254,22 +254,10 @@ class TruncatedPoly(_ArityMap):
 
     def render(self) -> str:
         """`(class)*T^d` groups in ascending degree, each class as its own
-        ``render`` gives it: one ``_evs_table`` for every degree, and all
-        terms sorted once, on (degree, rank, p, q)."""
-        if not self._terms:
-            return "0"
-        ranks, evs_text = _evs_table(self._terms.values())
-        terms = _term_texts(sorted([
-            (d, ranks[evs], p, q, mult, evs)
-            for d, c in self._terms.items() for (evs, p, q), mult in c._terms.items()
-        ]), evs_text)
-        parts = []
-        start = 0
-        for d in sorted(self._terms):
-            stop = start + len(self._terms[d]._terms)
-            parts.append(f"({_lead(''.join(terms[start:stop]))})*T^{d}")
-            start = stop
-        return " + ".join(parts)
+        ``render`` gives it: one ``_render_classes`` over every degree."""
+        degrees = sorted(self._terms)
+        texts = _render_classes([self._terms[d] for d in degrees])
+        return " + ".join([f"({text})*T^{d}" for d, text in zip(degrees, texts)]) or "0"
 
 
 class RationalSeries(_ArityMap):
@@ -346,11 +334,12 @@ class RationalSeries(_ArityMap):
         })
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        text = _class_renderer(self._terms.values())
+        """`(class)*p(e,j)*...` terms in ascending key order, the empty
+        product printed as `1`: one ``_render_classes`` over every term."""
+        items = self._sorted()
+        texts = _render_classes([coef for _factors, coef in items])
         parts = []
-        for factors, coef in self._sorted():
+        for (factors, _coef), text in zip(items, texts):
             gens = "*".join(f"p({e},{j})" for e, j in factors) or "1"
-            parts.append(f"({text(coef)})*{gens}")
-        return " + ".join(parts)
+            parts.append(f"({text})*{gens}")
+        return " + ".join(parts) or "0"

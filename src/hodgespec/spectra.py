@@ -31,13 +31,15 @@ every denominator of both factors, and reduces each distinct sum once.
 The public API speaks ``Fraction``: constructors and ``coefficient`` take
 any ``FracLike``; ``terms()`` returns ascending ``Fraction`` keys.
 
-Sorting and rendering never build that ``Fraction`` view.  ``_sorted_items``
+Sorting and rendering never build that ``Fraction`` view.  ``_sorted``
 sorts the stored items on one rank per item, which each ring's ``_rank``
-hook builds over one scale table for the whole map: with L the lcm of every
-denominator in every pair slot of every key, a pair (num, den) ranks as the
-integer ``num * (L // den)``, which orders the pairs as the rationals they
-stand for (any common multiple of the denominators would do); an int slot
-ranks as itself.  ``render`` formats the pairs as they are.
+hook builds over one ``_scales`` table for the whole map: with L the lcm of
+every denominator in every pair slot of every key, a pair (num, den) ranks
+as the integer ``num * (L // den)``, which orders the pairs as the
+rationals they stand for (any common multiple of the denominators would
+do); an int slot ranks as itself.  Every ``render`` formats the pairs as
+they are and takes the sign and multiplicity text of each term from one
+``_heads`` table, the only place the sign rule is written.
 
 The folding maps between the two rings send ``t^a u^b v^c`` to
 ``t^{s(a) + s(b)/N + c}`` where ``s`` picks the canonical representative of
@@ -124,12 +126,6 @@ def _scales(dens) -> dict:
     return {d: big // d for d in dens}
 
 
-def _sorted_items(terms: dict, rank=None) -> list:
-    """The (key, coef) items of a term dict in ascending key order: sorted on
-    ``rank(item)`` when given, else on the stored key."""
-    return sorted(terms.items(), key=rank or itemgetter(0))
-
-
 def _render_pair(x: Pair) -> str:
     n, d = x
     return str(n) if d == 1 else f"{n}/{d}"
@@ -141,19 +137,23 @@ def _lead(text: str) -> str:
     return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
+def _heads(mults) -> dict:
+    """The sign rule of every printed ring: each distinct multiplicity m to
+    the text before its monomial, separator included -- ` + `, ` - `,
+    ` + m*` or ` - |m|*` (`1*` omitted; ``_lead`` cuts the first)."""
+    return {
+        m: " + " if m == 1 else " - " if m == -1 else f" + {m}*" if m > 0 else f" - {-m}*"
+        for m in set(mults)
+    }
+
+
 def _render_terms(items, monomial_str) -> str:
     """The text of sorted (key, mult) items, monomial_str(key) giving each
-    monomial: `m*x` terms, `1*` omitted, joined with ` + ` / ` - `.  Each
-    term is one f-string, its separator included (see ``_lead``)."""
+    monomial after its ``_heads`` text, joined as ``_lead`` says."""
     if not items:
         return "0"
-    return _lead("".join([
-        f" + {monomial_str(key)}" if mult == 1
-        else f" - {monomial_str(key)}" if mult == -1
-        else f" + {mult}*{monomial_str(key)}" if mult > 0
-        else f" - {-mult}*{monomial_str(key)}"
-        for key, mult in items
-    ]))
+    head = _heads(mult for _key, mult in items)
+    return _lead("".join([f"{head[mult]}{monomial_str(key)}" for key, mult in items]))
 
 
 class _SparseMap:
@@ -167,7 +167,7 @@ class _SparseMap:
     multiplicity), ``_key_mul`` (the product of two keys, canonical when
     both are; ``Spectrum`` multiplies in ``__mul__``), ``_key_view`` (a
     stored key in its public form, for ``terms()``), ``_rank`` (when keys
-    hold rational pairs, the sort key ``_sorted_items`` uses on this map's
+    hold rational pairs, the sort key ``_sorted`` uses on this map's
     items: the keys' slots as exact integers over one scale table for the
     whole map) and ``render``.  ``_scalars`` lists the types ``*`` treats
     as coefficient scalars, the only ones ``scale`` accepts.
@@ -213,8 +213,9 @@ class _SparseMap:
         return None
 
     def _sorted(self) -> list:
-        """Stored (key, coef) items in ascending key order."""
-        return _sorted_items(self._terms, self._rank())
+        """Stored (key, coef) items in ascending key order: sorted on the
+        ``_rank`` sort key, or on the stored keys."""
+        return sorted(self._terms.items(), key=self._rank() or itemgetter(0))
 
     def terms(self):
         """Term list with keys in their public form, sorted by ascending key."""
@@ -372,16 +373,14 @@ class Spectrum(_SparseMap):
 
     def render(self) -> str:
         """Canonical text form: ascending exponents, `mult*t^(num/den)` terms,
-        `1*` and `/1` omitted, joined with ` + ` / ` - `: the rule of
-        ``_render_terms``, with the exponent text inlined, since the largest
-        printed outputs (``ts``) are spectra."""
+        `1*` and `/1` omitted, joined with ` + ` / ` - `: ``_render_terms``
+        with the exponent text inlined, since the largest printed outputs
+        (``ts``) are spectra."""
         if not self._terms:
             return "0"
+        head = _heads(self._terms.values())
         return _lead("".join([
-            f" + t^({e})" if mult == 1
-            else f" - t^({e})" if mult == -1
-            else f" + {mult}*t^({e})" if mult > 0
-            else f" - {-mult}*t^({e})"
+            f"{head[mult]}t^({e})"
             for (n, d), mult in self._sorted() for e in [n if d == 1 else f"{n}/{d}"]
         ]))
 

@@ -69,11 +69,12 @@ def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
     """Spectrum of x_1^(a_1) + ... + x_d^(a_d): by Thom-Sebastiani, the
     product of the spectra of the one-variable classes.
 
-    A join that would hold more than ``MAX_TS_TERMS`` terms raises
-    ``ValueError`` before any product is computed.
+    Every exponent is checked first, then the size: a join that would hold
+    more than ``MAX_TS_TERMS`` terms raises ``ValueError`` before any
+    one-variable class is built.
     """
-    factors = [hodge_spectrum(one_variable_vanishing(a)) for a in exponents]
-    if not factors:
+    exponents = [_strict_int(a, "exponent", 1) for a in exponents]
+    if not exponents:
         raise ValueError("need at least one exponent")
     size = 1
     for a in exponents:
@@ -83,6 +84,11 @@ def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
                 f"exponents {','.join(map(str, exponents))} need a join of more than "
                 f"MAX_TS_TERMS = {MAX_TS_TERMS} terms"
             )
+    if not size:
+        # An exponent 1 has the zero class, so the join is 0 however large
+        # the other exponents are.
+        return Spectrum.zero()
+    factors = [hodge_spectrum(one_variable_vanishing(a)) for a in exponents]
     return prod(factors[1:], start=factors[0])
 
 

@@ -16,7 +16,6 @@ from hodgespec.series import (
     _points_bound,
     _spreads,
 )
-from hodgespec.spectra import _render_terms
 from hodgespec.workbench import fixtures
 
 u0 = MC.unit(0)
@@ -225,9 +224,18 @@ def _zeta_fixtures():
 
 
 def _fraction_render(c):
-    """A class's text from its Fraction terms, sorted by Fraction comparison."""
-    items = sorted(c.terms(), key=itemgetter(0))
-    return _render_terms(items, lambda k: f"({','.join(map(str, k[0]))};{k[1]},{k[2]})")
+    """A class's text from its Fraction terms, sorted by Fraction comparison,
+    with a sign rule written apart from the library: `m*` omitted at 1, a
+    `-` on a negative first term, the others joined with ` + ` / ` - `."""
+    text = ""
+    for i, ((evs, p, q), mult) in enumerate(sorted(c.terms(), key=itemgetter(0))):
+        body = f"({','.join(map(str, evs))};{p},{q})"
+        body = body if abs(mult) == 1 else f"{abs(mult)}*{body}"
+        if i == 0:
+            text = body if mult > 0 else f"-{body}"
+        else:
+            text += (" + " if mult > 0 else " - ") + body
+    return text or "0"
 
 
 def test_truncated_render_is_the_per_degree_join():

@@ -66,6 +66,29 @@ def test_quasihomogeneous_spectrum_is_the_spectrum_of_the_class_join():
         assert quasihomogeneous_spectrum(exps) == hodge_spectrum(thom_sebastiani(*classes)), exps
 
 
+def test_quasihomogeneous_spectrum_refuses_before_building_a_class(monkeypatch):
+    calls = []
+    build = workbench.one_variable_vanishing
+    monkeypatch.setattr(workbench, "one_variable_vanishing", lambda a: calls.append(a) or build(a))
+    for exps in ((10**6,), (1000, 1000, 1000)):
+        with pytest.raises(ValueError, match="MAX_TS_TERMS"):
+            quasihomogeneous_spectrum(exps)
+    # An exponent 1 makes the join 0 without building the other classes.
+    assert quasihomogeneous_spectrum((1, 10**6)) == Spectrum.zero()
+    assert calls == []
+    # The exponents are checked before the size, the size before anything
+    # is built, and the empty tuple has its own error.
+    with pytest.raises(ValueError, match="^need at least one exponent$"):
+        quasihomogeneous_spectrum(())
+    with pytest.raises(ValueError, match="^exponent: 0 is less than 1$"):
+        quasihomogeneous_spectrum((1000, 1000, 1000, 0))
+    with pytest.raises(ValueError, match="^exponents 1000,1000,1000 need a join of more than MAX_TS_TERMS"):
+        quasihomogeneous_spectrum((1000, 1000, 1000))
+    assert calls == []
+    assert quasihomogeneous_spectrum((2, 3)) == t(F(5, 6)) + t(F(7, 6))
+    assert calls == [2, 3]
+
+
 def test_cusp_two_pipelines():
     engine = hodge_spectrum(vanishing_cycles(fixture_datum("cusp")))
     join = quasihomogeneous_spectrum((2, 3))
