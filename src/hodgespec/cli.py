@@ -38,7 +38,7 @@ import sys
 
 from .checks import SUITES, run_suite
 from .convolution import convolve
-from .lattice import _strict_int
+from .lattice import SchemaError, _strict_int
 from .monclass import hodge_spectrum, hodge_spectrum2
 from .resolution import (
     datum_to_dict,
@@ -105,7 +105,14 @@ def _cmd_convolve(args):
 
 def _cmd_steenbrink(args):
     N = _strict_int(args.N, "--N", 1)
-    report = steenbrink_check(load_datum(args.f), load_datum(args.fg), load_datum(args.joint), N)
+    data = [load_datum(path) for path in (args.f, args.fg, args.joint)]
+    try:
+        report = steenbrink_check(*data, N)
+    except SchemaError as exc:
+        # The size refusal names N; a datum's own error keeps its name.
+        if exc.path != "N":
+            raise
+        raise ValueError(f"--{exc}") from exc
     print(report.render())
     if report.equal or not report.hypothesis_ok:
         return 0

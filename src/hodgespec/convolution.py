@@ -22,25 +22,25 @@ monodromy acts with eigenvalue a + b.  The brute-force version of that
 computation lives in ``hodgespec.oracles`` and the test suite re-derives
 every row from it.
 
-``convolve`` is the induced product: for two classes
-convolve(x, y) = collapse_pair(box(x, y)), and that identity is part of
-the contract.  The product is commutative, associative, and unital, and
-the one-monodromy Hodge spectrum is a ring morphism for it.  ``convolve``
-is n-ary: it takes L over every input, folds the table left to right on
-integer residues without building any box product, and reduces each
-distinct result residue once at the end.  ``collapse_triple`` collapses
-three gradings at once; the result does not depend on which pair goes
-first.  ``power_pushforward`` realizes the pushforward along the N-th
+``convolve`` is the induced product, convolve(x, y) =
+collapse_pair(box(x, y)), and it is computed that way, so the table is
+applied to classes in ``collapse_pair`` alone.  The product is
+commutative, associative, and unital, and the one-monodromy Hodge spectrum
+is a ring morphism for it; ``convolve`` of several classes is the left
+fold of the binary product.  ``collapse_triple`` collapses three gradings
+at once; the result does not depend on which pair goes first.
+``power_pushforward`` realizes the pushforward along the N-th
 power map on one monodromy slot: an eigenvalue residue b fans out to the
 N residues (b + j)/N.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 
 from .lattice import _strict_int
-from .monclass import MonodromicClass
+from .monclass import MonodromicClass, box
 from .spectra import _merge, _reduced
 
 
@@ -78,40 +78,17 @@ def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
 
 
 def convolve(*classes: MonodromicClass) -> MonodromicClass:
-    """Convolution product of one or more one-monodromy classes.
+    """Convolution product of one or more one-monodromy classes: the left
+    fold of collapse_pair(box(x, y)).
 
     The unit is the class with trivial eigenvalue and bidegree (0, 0).
+    ``box`` refuses a product of more than ``MAX_TS_TERMS`` term pairs.
     """
     if not classes:
         raise ValueError("convolve needs at least one class")
     if any(x.arity != 1 for x in classes):
         raise ValueError("convolve is defined for arity-1 classes")
-    L = lcm(*{d for x in classes for ((_n, d),), _p, _q in x._terms})
-    ints = [[(n * (L // d), p, q, m) for (((n, d),), p, q), m in x._terms.items()] for x in classes]
-    # Residue numerators over L are injective on residues, so the first
-    # class's keys stay distinct; later sums may hold zeros until the end.
-    acc = {(a, p, q): m for a, p, q, m in ints[0]}
-    for terms in ints[1:]:
-        out: dict = {}
-        get = out.get
-        for (a, p, q), m in acc.items():
-            if not m:
-                continue
-            for b, p2, q2, m2 in terms:
-                s, dp, dq = _collapse_int(a, b, L)
-                key = (s, p + p2 + dp, q + q2 + dq)
-                out[key] = get(key, 0) + m * m2
-        acc = out
-    # Reduce each distinct numerator once, in term order, and drop zeros.
-    evs: dict = {}
-    result: dict = {}
-    for (s, p, q), m in acc.items():
-        if m:
-            ev = evs.get(s)
-            if ev is None:
-                ev = evs[s] = (_reduced(s, L),)
-            result[ev, p, q] = m
-    return MonodromicClass._trusted(1, result)
+    return reduce(lambda x, y: collapse_pair(box(x, y)), classes)
 
 
 def collapse_triple(x: MonodromicClass) -> MonodromicClass:

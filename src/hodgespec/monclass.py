@@ -59,6 +59,20 @@ from .spectra import (
 # characters on 3 and 4 punctures 0.8 and 1.0 s (CI: within 10 s).
 MAX_TORUS_CHARACTERS = 250_000
 
+# The term-pair budget of a join.  ``box`` meets len(x) * len(y) term pairs
+# and refuses more before its loop; every class join (``convolve``,
+# ``thom_sebastiani``, the CLI ``convolve``) goes through it.
+# ``workbench.quasihomogeneous_spectrum`` refuses a ``ts`` tuple whose join
+# would hold more terms, and ``workbench.steenbrink_check`` an N whose
+# right-hand side would meet more term pairs.  The largest join a shipped
+# input, check suite or CI step reaches is 5,7,9,11,13: its last box meets
+# 1,920 x 12 = 23,040 pairs, and its spectrum holds 23,040 terms; this
+# bound leaves a margin of about ten.  At 207,360 terms (7,11,13,17,19) the
+# whole `hodgespec ts` process takes 0.7-1.1 s and 91 MB peak RSS on a
+# 2-core Xeon (CPython 3.11), where rendering the spectrum outweighs the
+# product; CI requires it to finish within 30 s.
+MAX_TS_TERMS = 250_000
+
 
 def _tuple_ranks(classes) -> dict:
     """The rank of each distinct eigenvalue tuple in the classes (of one
@@ -190,7 +204,17 @@ def embed(x: MonodromicClass, arity: int, slots) -> MonodromicClass:
 
 
 def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
-    """External product: eigenvalue tuples concatenate, bidegrees add."""
+    """External product: eigenvalue tuples concatenate, bidegrees add.
+
+    A product of more than ``MAX_TS_TERMS`` term pairs raises ``ValueError``
+    before any pair is formed.
+    """
+    pairs = len(x._terms) * len(y._terms)
+    if pairs > MAX_TS_TERMS:
+        raise ValueError(
+            f"box of a {len(x._terms)}-term and a {len(y._terms)}-term class meets "
+            f"{pairs} term pairs, more than MAX_TS_TERMS = {MAX_TS_TERMS}"
+        )
     out: dict[tuple, int] = {}
     for (e1, p1, q1), m1 in x._terms.items():
         for (e2, p2, q2), m2 in y._terms.items():

@@ -26,8 +26,15 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .convolution import convolve
-from .lattice import _int_row, _strict_int
-from .monclass import MonodromicClass, embed, hodge_spectrum, hodge_spectrum2, torus_fiber_class
+from .lattice import SchemaError, _int_row, _strict_int
+from .monclass import (
+    MAX_TS_TERMS,
+    MonodromicClass,
+    embed,
+    hodge_spectrum,
+    hodge_spectrum2,
+    torus_fiber_class,
+)
 from .oracles import root_of_unity_class, stratum_cover_class
 from .resolution import (
     Component,
@@ -53,16 +60,6 @@ def one_variable_vanishing(a: int) -> MonodromicClass:
     """Vanishing-cycle class of x^a at the origin of the line."""
     a = _strict_int(a, "exponent", 1)
     return MonodromicClass._trusted(1, {((_reduced(k, a),), 0, 0): 1 for k in range(1, a)})
-
-
-# quasihomogeneous_spectrum multiplies the one-variable spectra left to
-# right; the product that takes in the first k exponents meets prod(a_i - 1)
-# term pairs over them.  The largest the benchmark and tests reach is 23,040
-# terms (5,7,9,11,13); this bound leaves a margin of about ten.  At 207,360
-# terms (7,11,13,17,19) the whole `hodgespec ts` process takes 0.7-1.1 s
-# and 91 MB peak RSS on a 2-core Xeon (CPython 3.11), where rendering the
-# spectrum outweighs the product; CI requires it to finish within 30 s.
-MAX_TS_TERMS = 250_000
 
 
 def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
@@ -171,10 +168,21 @@ def steenbrink_check(
     ``multiplicity_ratio(joint)``.  The check reports rather than asserts:
     when N is at or below the threshold the hypothesis failure is flagged
     and the comparison still runs.
+
+    The geometric factor has N terms and meets N term pairs per term of the
+    folded spectrum; an N for which that is more than ``MAX_TS_TERMS``
+    raises a ``SchemaError`` naming N before the factor is built.
     """
     N = _strict_int(N, "N", 1)
     lhs = hodge_spectrum(vanishing_cycles(f)) - hodge_spectrum(vanishing_cycles(fg))
-    rhs = geometric_factor(N) * fold_bispectrum(hodge_spectrum2(iterated_vanishing(joint)), N)
+    folded = fold_bispectrum(hodge_spectrum2(iterated_vanishing(joint)), N)
+    if N * max(len(folded._terms), 1) > MAX_TS_TERMS:
+        raise SchemaError(
+            "N",
+            f"{N} times the {len(folded._terms)}-term folded spectrum is more than "
+            f"MAX_TS_TERMS = {MAX_TS_TERMS} term pairs",
+        )
+    rhs = geometric_factor(N) * folded
     return SteenbrinkReport(N, multiplicity_ratio(joint), lhs, rhs)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgespec import workbench
+from hodgespec import convolution, workbench
 from hodgespec.cli import build_parser, main
 from hodgespec.resolution import _class_to_json, datum_to_dict, load_class, load_datum
 from hodgespec.workbench import fixtures
@@ -256,6 +256,33 @@ def test_oversized_ts_fails_fast(capsys):
     # The largest tuple the benchmark and tests join stays under the bound.
     assert workbench.MAX_TS_TERMS >= 4 * 6 * 8 * 10 * 12
     assert run(capsys, "ts", "--exponents", "5,7,9,11,13")[0] == 0
+
+
+def test_oversized_convolve_and_steenbrink_fail_fast(capsys, tmp_path, monkeypatch):
+    calls = []
+    collapse, factor = convolution._collapse_int, workbench.geometric_factor
+    monkeypatch.setattr(convolution, "_collapse_int", lambda *args: calls.append(args) or collapse(*args))
+    monkeypatch.setattr(workbench, "geometric_factor", lambda m: calls.append(m) or factor(m))
+    # 600 x 600 term pairs for the box the convolution collapses.
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps([[[k, 601], 0, 0, 1] for k in range(1, 601)]), encoding="utf-8")
+    steenbrink = (
+        "steenbrink", "--f", str(FIXTURES / "x2y.json"), "--fg", str(FIXTURES / "d_curve_N3.json"),
+        "--joint", str(FIXTURES / "x2y_y_joint.json"),
+    )
+    for argv, message in (
+        (("convolve", "--left", str(big), "--right", str(big)),
+         "error: box of a 600-term and a 600-term class meets 360000 term pairs, more than MAX_TS_TERMS"),
+        ((*steenbrink, "--N", "1000000000"),
+         "error: --N: 1000000000 times the 1-term folded spectrum is more than MAX_TS_TERMS"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith(message)
+    assert calls == []
+    assert run(capsys, *steenbrink, "--N", "3")[0] == 0
 
 
 def test_oversized_truncation_fails_fast(capsys):

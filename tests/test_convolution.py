@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from hodgespec import convolution
 from hodgespec.convolution import collapse_pair, collapse_triple, convolve, power_pushforward
-from hodgespec.monclass import MonodromicClass as MC, box, hodge_spectrum, hodge_spectrum2
+from hodgespec.monclass import MAX_TS_TERMS, MonodromicClass as MC, box, hodge_spectrum, hodge_spectrum2
 from hodgespec.oracles import collapse_pair_bruteforce
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor
 
@@ -73,6 +74,25 @@ def test_convolve_unit_and_join():
     assert convolve(half, half) == mono(1, (0,), 1, 1)
     got = convolve(half, third) + convolve(half, mono(1, (F(2, 3),), 0, 0))
     assert got == mono(1, (F(5, 6),), 0, 1) + mono(1, (F(1, 6),), 1, 0)
+
+
+def test_oversized_box_refuses_before_any_collapse(monkeypatch):
+    calls = []
+    table = convolution._collapse_int
+    monkeypatch.setattr(convolution, "_collapse_int", lambda *args: calls.append(args) or table(*args))
+    # 600 x 600 = 360,000 term pairs, past the budget; 600 x 416 = 249,600 is inside it.
+    x = MC(1, [(((F(k, 601),), 0, 0), 1) for k in range(1, 601)])
+    y = MC(1, [(((F(k, 417),), 0, 0), 1) for k in range(1, 417)])
+    assert len(x._terms) * len(y._terms) <= MAX_TS_TERMS < len(x._terms) ** 2
+    message = "^box of a 600-term and a 600-term class meets 360000 term pairs, more than MAX_TS_TERMS"
+    for join in (lambda: box(x, x), lambda: convolve(x, x), lambda: convolve(x, x, y)):
+        with pytest.raises(ValueError, match=message):
+            join()
+    assert calls == []
+    assert len(box(x, y)._terms) == len(x._terms) * len(y._terms)
+    # The table runs once per term pair of the one box that convolve builds.
+    assert convolve(mono(1, (F(1, 2),), 0, 0), mono(1, (F(1, 2),), 0, 0)) == mono(1, (0,), 1, 1)
+    assert calls == [(1, 1, 2)]
 
 
 def test_convolve_ring_laws():

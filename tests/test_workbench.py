@@ -9,6 +9,7 @@ import pytest
 
 from hodgespec import workbench
 from hodgespec.convolution import collapse_pair, power_pushforward
+from hodgespec.lattice import SchemaError
 from hodgespec.monclass import MonodromicClass as MC, hodge_spectrum
 from hodgespec.oracles import p1_cover_class, stratum_cover_class
 from hodgespec.resolution import (
@@ -19,12 +20,14 @@ from hodgespec.resolution import (
 )
 from hodgespec.spectra import Spectrum, mod1
 from hodgespec.workbench import (
+    MAX_TS_TERMS,
     TransversalBranch,
     fixture_datum,
     fixtures,
     iterated_vanishing,
     monomial_datum,
     one_variable_vanishing,
+    product_joint_datum,
     quasihomogeneous_spectrum,
     rederive,
     steenbrink_check,
@@ -273,6 +276,24 @@ def test_steenbrink_out_of_hypothesis_reported():
     assert not report.hypothesis_ok
     assert not report.equal
     assert "WARNING" in report.render()
+
+
+def test_steenbrink_check_refuses_a_large_N_before_the_geometric_factor(monkeypatch):
+    calls = []
+    build = workbench.geometric_factor
+    monkeypatch.setattr(workbench, "geometric_factor", lambda m: calls.append(m) or build(m))
+    x2y, fg, joint = (fixture_datum(name) for name in ("x2y", "d_curve_N3", "x2y_y_joint"))
+    # The x2y fold has one term, so N alone counts the term pairs; the fold
+    # of (x^3, y^5) has ten, so N = 25,001 is already past the budget.
+    for joint_datum, N, k in (
+        (joint, MAX_TS_TERMS + 1, 1), (joint, 10**9, 1), (product_joint_datum(3, 5), 25_001, 10)
+    ):
+        message = f"^N: {N} times the {k}-term folded spectrum is more than MAX_TS_TERMS"
+        with pytest.raises(SchemaError, match=message):
+            steenbrink_check(x2y, fg, joint_datum, N)
+    assert calls == []
+    assert len(steenbrink_check(x2y, fg, joint, 10_000).rhs._terms) == 10_000
+    assert calls == [10_000]
 
 
 def test_conjecture_rhs_examples():
