@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .lattice import _int_row, _strict_int, rational_rank
+from .lattice import SchemaError, _frac_row, _int_matrix, _int_row, _strict_int, rational_rank
 from .monclass import MonodromicClass
 from .series import MAX_EXPAND_TERMS, TruncatedPoly
 
@@ -77,9 +77,7 @@ class Cone:
             raise ValueError("cone dimension above the supported bound of 6")
         cleaned = []
         for i, (coeffs, rel) in enumerate(self.constraints):
-            coeffs = _int_row(coeffs, f"constraint {i}")
-            if len(coeffs) != self.n:
-                raise ValueError(f"constraint {i}: length does not match ambient dimension")
+            coeffs = _int_row(coeffs, f"constraint {i}", length=self.n)
             if rel not in _RELS:
                 raise ValueError(f"constraint {i}: unknown relation {rel!r}")
             cleaned.append((coeffs, rel))
@@ -91,34 +89,39 @@ class Cone:
             _holds(dot(coeffs, point), rel) for coeffs, rel in self.constraints)
 
     def _closure_rays(self):
-        """The extreme rays of the closure, or None when the cone is empty.
-
-        The rays span the relaxed cone {x >= 0 : every `>` read as `>=`},
-        which is the closure whenever the cone is nonempty.  A strict row
-        (x_i > 0, or a `>` constraint) that is tight at every ray vanishes
-        on the whole relaxed cone, so the cone is empty; otherwise the sum
-        of the rays is a point of the cone.  With no ray the relaxed cone
-        is {0}, which is a point of the cone only in R^0 with no `>` row.
-        """
-        rays = _extreme_rays(self.n, [(coeffs, GE if rel == GT else rel)
-                                      for coeffs, rel in self.constraints])
-        strict = (1 << self.n) - 1
-        for bit, (_coeffs, rel) in enumerate(self.constraints, self.n):
-            if rel == GT:
-                strict |= 1 << bit
-        tight = -1
-        for _ray, mask in rays:
-            tight &= mask
-        return None if tight & strict else rays
+        """The extreme rays of the closure, or None when the cone is empty."""
+        return _closure_rays(self.n, self.constraints)
 
     def is_empty(self) -> bool:
         return self._closure_rays() is None
 
 
+def _closure_rays(n: int, rows):
+    """The extreme rays of the closure of {x > 0 : rows} (checked rows),
+    or None when that cone is empty.
+
+    The rays span the relaxed cone {x >= 0 : every `>` read as `>=`},
+    which is the closure whenever the cone is nonempty.  A strict row
+    (x_i > 0, or a `>` constraint) tight at every ray vanishes on the
+    relaxed cone, so the cone is empty; otherwise the sum of the rays is a
+    point of it.  With no ray the relaxed cone is {0}, which is a point of
+    the cone only in R^0 with no `>` row.
+    """
+    rays = _extreme_rays(n, [(coeffs, GE if rel == GT else rel) for coeffs, rel in rows])
+    strict = (1 << n) - 1
+    for bit, (_coeffs, rel) in enumerate(rows, n):
+        if rel == GT:
+            strict |= 1 << bit
+    tight = -1
+    for _ray, mask in rays:
+        tight &= mask
+    return None if tight & strict else rays
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin machinery.  A constraint is (coeffs, const, rel) meaning
-# dot(coeffs, x) + const REL 0.  Callers may pass Fractions; internally every
-# row is primitive: integer entries with gcd 1, one per variable.
+# dot(coeffs, x) + const REL 0.  Callers may pass Fractions, cleared once by
+# `_system`; every row is primitive: integer entries with gcd 1.
 # ---------------------------------------------------------------------------
 
 
@@ -135,16 +138,23 @@ def _primitive(values, rel):
     return (tuple(values[:-1]), values[-1], rel)
 
 
-def _normalize(con):
-    """Clear the denominators of a rational constraint: a primitive row."""
-    coeffs, const, rel = con
-    values = [*coeffs, const]
-    try:
-        return _primitive(values, rel)
-    except TypeError:  # gcd takes ints only: clear the denominators first
-        pass
+def _normalize(values, rel):
+    """Clear the denominators of rational coeffs + [const]: a primitive row."""
     scale = lcm(*(v.denominator for v in values))
     return _primitive([v.numerator * (scale // v.denominator) for v in values], rel)
+
+
+def _system(cons, nvars: int) -> list:
+    """Primitive rows, strictly: constraint i holds nvars coefficients, a
+    constant (ints and Fractions) and a known relation, or is refused."""
+    rows = []
+    for i, (coeffs, const, rel) in enumerate(cons):
+        where = f"constraint {i}"
+        if rel not in _RELS:
+            raise SchemaError(where, f"unknown relation {rel!r}")
+        values = _frac_row(coeffs, where, nvars) + _frac_row((const,), f"{where} constant")
+        rows.append(_normalize(values, rel))
+    return rows
 
 
 def _combine(a, row1, b, row2, rel):
@@ -208,9 +218,9 @@ def _settle(rows):
     return system
 
 
-def _levels(cons, nvars: int):
-    """Eliminate x_(nvars-1), ..., x_0 from rational constraints, keeping
-    every intermediate system; None if the system is infeasible.
+def _levels(rows, nvars: int):
+    """Eliminate x_(nvars-1), ..., x_0 from primitive rows, keeping every
+    intermediate system; None if the system is infeasible.
 
     A level maps each row to the set of input inequalities it combines (a
     bitmask; `=` rows carry none), and iterates over its rows.
@@ -221,7 +231,6 @@ def _levels(cons, nvars: int):
     from more than j + 1 input inequalities is a positive combination of
     rows with smaller sets, so it is redundant and dropped.
     """
-    rows = [_normalize(c) for c in cons]
     system = _settle((row, 0 if row[2] == EQ else 1 << i) for i, row in enumerate(rows))
     levels = [system]
     pairs = 0
@@ -244,7 +253,7 @@ def _levels(cons, nvars: int):
 
 def feasible(cons, nvars: int) -> bool:
     """Exact feasibility of a system of affine constraints over Q."""
-    return _levels(cons, nvars) is not None
+    return _levels(_system(cons, nvars), nvars) is not None
 
 
 def extremum(obj, cons, nvars: int, maximize: bool = True):
@@ -253,11 +262,12 @@ def extremum(obj, cons, nvars: int, maximize: bool = True):
     The bound returned is the exact supremum/infimum whether or not it is
     attained.  Raises ValueError when the system is infeasible.
     """
+    obj = _frac_row(obj, "objective", nvars)
     # t = obj . x is a fresh first variable, so it is eliminated last: the
     # level before it goes bounds t alone, and the last level proves the
     # whole system feasible.
-    ext = [((0, *coeffs), const, rel) for coeffs, const, rel in cons]
-    ext.append(((1, *(-c for c in obj)), 0, EQ))
+    ext = [((0, *coeffs), const, rel) for coeffs, const, rel in _system(cons, nvars)]
+    ext.append(_normalize([1, *(-c for c in obj), 0], EQ))
     levels = _levels(ext, nvars + 1)
     if levels is None:
         raise ValueError("extremum over an infeasible system")
@@ -328,15 +338,14 @@ def extreme_rays(nvars: int, rows) -> list:
     pairs: ray is a primitive integer vector, and mask has bit i set when
     x_i = 0 at the ray and bit nvars + j when row j is tight there.  The
     rays are built from the unit rays by one `_cut` per row; the list is
-    empty when the cone is {0}.  Coefficients must be integers: a bool,
-    float or str raises ValueError naming the row and the coefficient.
+    empty when the cone is {0}.  Coefficients must be nvars integers: a
+    bool, float or str, or a row of another length, raises ValueError
+    naming the row.
     """
-    rows = [(_int_row(coeffs, f"row {j}"), rel) for j, (coeffs, rel) in enumerate(rows)]
-    for j, (coeffs, rel) in enumerate(rows):
+    rows = [(_int_row(coeffs, f"row {j}", length=nvars), rel) for j, (coeffs, rel) in enumerate(rows)]
+    for j, (_coeffs, rel) in enumerate(rows):
         if rel not in (GE, EQ):
             raise ValueError(f"row {j}: extreme_rays takes `>=` and `=` rows, got {rel!r}")
-        if len(coeffs) != nvars:
-            raise ValueError(f"row {j}: length does not match ambient dimension")
     return _extreme_rays(nvars, rows)
 
 
@@ -400,7 +409,7 @@ def form_positive_on_closure(cone: Cone, form) -> bool:
     Checked at the extreme rays of the closure, which span it; vacuously
     true for the empty cone.
     """
-    form = _int_row(form, "form")
+    form = _int_row(form, "form", length=cone.n)
     rays = cone._closure_rays()
     return rays is None or _positive_at(rays, form)
 
@@ -493,14 +502,15 @@ def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
     level before x_k is eliminated gives it.  Raises ValueError once the
     scan passes MAX_EXPAND_TERMS points.
     """
-    ell, nu = _int_row(ell, "ell"), _int_row(nu, "nu")
+    ell, nu = _int_row(ell, "ell", length=cone.n), _int_row(nu, "nu", length=cone.n)
+    n = _strict_int(n, "n")
     rays = cone._closure_rays()
     if rays is None:
         return TruncatedPoly.zero(0)
     _require_positive(rays, ell, nu)
-    sys = [(coeffs, 0, rel) for coeffs, rel in cone.constraints]
+    sys = [_primitive([*coeffs, 0], rel) for coeffs, rel in cone.constraints]
     sys += [(unit, -1, GE) for unit, _mask in _unit_rays(cone.n)]
-    sys.append((tuple(-c for c in ell), n, GE))
+    sys.append(_primitive([*(-c for c in ell), n], GE))
     levels = _levels(sys, cone.n)
     if levels is None:
         return TruncatedPoly.zero(0)
@@ -514,7 +524,7 @@ def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
 def series_limit(cone: Cone, ell, nu) -> int:
     """Limit at T -> infinity of the lattice-point series: the compactly
     supported Euler characteristic of the cone."""
-    ell, nu = _int_row(ell, "ell"), _int_row(nu, "nu")
+    ell, nu = _int_row(ell, "ell", length=cone.n), _int_row(nu, "nu", length=cone.n)
     rays = cone._closure_rays()
     if rays is None:
         return 0
@@ -532,9 +542,7 @@ def kernel_cone(nvars: int, rows):
     cone = Cone(nvars, tuple((row, EQ) for row in rows))
     if cone.is_empty():
         return False, None
-    rows = [coeffs for coeffs, _rel in cone.constraints]
-    rank = rational_rank(rows) if rows else 0
-    return True, nvars - rank
+    return True, cone.n - rational_rank([coeffs for coeffs, _rel in cone.constraints])
 
 
 def stays_bounded(nvars: int, rows, num_form, den_form) -> bool:
@@ -547,10 +555,11 @@ def stays_bounded(nvars: int, rows, num_form, den_form) -> bool:
     the numerator is tested at those.  An identically zero denominator
     (empty support) fails outright.
     """
-    rows = [_int_row(row, f"row {i}") for i, row in enumerate(rows)]
-    num_form = _int_row(num_form, "num_form")
-    den_form = _int_row(den_form, "den_form")
-    rays = Cone(nvars, tuple((row, EQ) for row in rows))._closure_rays()
+    nvars = Cone(nvars).n  # the dimension rule of every cone
+    rows = _int_matrix(rows, width=nvars)
+    num_form = _int_row(num_form, "num_form", length=nvars)
+    den_form = _int_row(den_form, "den_form", length=nvars)
+    rays = _closure_rays(nvars, [(row, EQ) for row in rows])
     if rays is None or not any(den_form):
         return False
     _pos, on, _neg = _cut(rays, den_form, 1 << (nvars + len(rows)))

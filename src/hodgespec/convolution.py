@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import reduce
 from math import lcm
 
-from .lattice import _strict_int
+from .lattice import _int_row, _strict_int
 from .monclass import MonodromicClass, box
 from .spectra import _merge, _reduced
 
@@ -60,7 +60,7 @@ def _collapse_int(a: int, b: int, L: int):
 
 def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
     """Collapse monodromy slots i < j into a single slot at position i."""
-    i, j = pair
+    i, j = _int_row(pair, "pair", length=2)
     if not 1 <= i < j <= x.arity:
         raise ValueError(f"slot pair {pair} out of range for arity {x.arity}")
     L = lcm(*{evs[k][1] for evs, _p, _q in x._terms for k in (i - 1, j - 1)})

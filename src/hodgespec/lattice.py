@@ -26,6 +26,10 @@ Fraction becomes its int, and anything else (bool, float, str, a
 non-integral value) raises ``SchemaError`` naming the field, as does a
 value below the optional ``minimum``.  ``SchemaError`` is a ValueError
 carrying the offending field path in ``.path``.
+The row rule rides on it: ``_int_row``, ``_frac_row`` (a given ``length``)
+and ``_int_matrix`` (a given ``width``, else the first row's) refuse a row
+of another length with a ``SchemaError`` naming it; every row, matrix,
+form, slot tuple and constraint system of the package enters through them.
 """
 
 from __future__ import annotations
@@ -55,31 +59,43 @@ def _strict_int(value, where: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _int_row(values, where: str, minimum: int | None = None) -> tuple:
-    """An integer row, strictly (see ``_strict_int``); an error names
-    `where` and the index."""
-    return tuple(
-        v if type(v) is int and (minimum is None or v >= minimum)
-        else _strict_int(v, f"{where}, coefficient {j}", minimum)
-        for j, v in enumerate(values)
-    )
-
-
-def _frac_row(values, where: str) -> list:
-    """A Fraction row, strictly: only ints and Fractions pass; a bool, a
-    float (binary-rounded) or a str raises a ValueError naming `where` and
-    the index."""
-    row = []
-    for j, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise ValueError(f"{where}, coefficient {j}: {v!r} is not an exact rational")
-        row.append(Fraction(v))
+def _sized(row, where: str, length: int | None):
+    """row, or a SchemaError naming `where` if it is not of a given length."""
+    if length is not None and len(row) != length:
+        raise SchemaError(where, f"has length {len(row)}, expected {length}")
     return row
 
 
-def _int_matrix(rows) -> list:
-    """Mutable integer copy of a matrix, strictly (see ``_strict_int``)."""
-    return [list(_int_row(row, f"row {i}")) for i, row in enumerate(rows)]
+def _int_row(values, where: str, minimum: int | None = None, length: int | None = None) -> tuple:
+    """An integer row, strictly (see ``_strict_int``), of the given length
+    if any; an error names `where` and the index."""
+    return _sized(tuple(
+        v if type(v) is int and (minimum is None or v >= minimum)
+        else _strict_int(v, f"{where}, coefficient {j}", minimum)
+        for j, v in enumerate(values)
+    ), where, length)
+
+
+def _frac_row(values, where: str, length: int | None = None) -> list:
+    """A Fraction row, strictly, of the given length if any: only ints and
+    Fractions pass; a bool, a float (binary-rounded) or a str raises a
+    SchemaError naming `where` and the index."""
+    row = []
+    for j, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise SchemaError(f"{where}, coefficient {j}", f"{v!r} is not an exact rational")
+        row.append(Fraction(v))
+    return _sized(row, where, length)
+
+
+def _int_matrix(rows, where: str = "row {}", width: int | None = None) -> list:
+    """Mutable integer copy of a matrix, strictly (see ``_strict_int``):
+    row i, named ``where.format(i)``, has ``width`` entries, or the first's."""
+    out = []
+    for i, row in enumerate(rows):
+        out.append(list(_int_row(row, where.format(i), length=width)))
+        width = len(out[-1])
+    return out
 
 
 def identity(n: int):
@@ -109,11 +125,11 @@ def rational_solve(rows, rhs):
 
     Gauss-Jordan elimination on the augmented Fraction matrix, pivoting on
     the leftmost column left; free variables are set to 0.  Entries must be
-    ints or Fractions (see ``_frac_row``).
+    ints or Fractions (see ``_frac_row``), in rows of one width.
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
-    rhs = _frac_row(rhs, "right-hand side")
-    aug = [_frac_row(rows[i], f"row {i}") + [rhs[i]] for i in range(nr)]
+    rhs = _frac_row(rhs, "right-hand side", nr)
+    aug = [_frac_row(row, f"row {i}", nc) + [rhs[i]] for i, row in enumerate(rows)]
     pivots = []
     for col in range(nc):
         rank = len(pivots)

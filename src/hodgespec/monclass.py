@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import comb, prod
 
-from .lattice import _int_matrix, _strict_int, smith_normal_form, snf_divisors
+from .lattice import _int_matrix, _int_row, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
     BiSpectrum,
     Spectrum,
@@ -188,10 +188,9 @@ class MonodromicClass(_ArityMap):
 
 def embed(x: MonodromicClass, arity: int, slots) -> MonodromicClass:
     """Place x's monodromy gradings into the given 1-based slots of a larger
-    arity, with trivial eigenvalue elsewhere."""
-    slots = tuple(slots)
-    if len(slots) != x.arity:
-        raise ValueError("slot count must match the arity of x")
+    arity, with trivial eigenvalue elsewhere: one slot per grading of x."""
+    arity = _strict_int(arity, "arity", 0)
+    slots = _int_row(slots, "slots", length=x.arity)
     if any(not 1 <= s <= arity for s in slots) or len(set(slots)) != len(slots):
         raise ValueError("slots must be distinct and within range")
     out = {}
@@ -274,8 +273,7 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     than ``MAX_TORUS_CHARACTERS`` elements raises ``ValueError``.
     """
     M = _int_matrix(rows)
-    r = len(M)
-    m = len(M[0]) if M else 0
+    r, m = len(M), len(M[0]) if M else 0
     if r == 0 or m == 0:
         raise ValueError("exponent matrix must be nonempty")
     for j in range(m):

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
-from typing import Optional
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
 from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass, _character_columns
@@ -99,9 +98,9 @@ def collapse_pair_bruteforce(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass
     add and the collapsed grading carries the residue sum.  Independent of
     the production collapse table.
     """
-    i, j = pair
+    i, j = _int_row(pair, "pair", length=2)
     if not 1 <= i < j <= x.arity:
-        raise ValueError("slot pair out of range")
+        raise ValueError(f"slot pair {pair} out of range for arity {x.arity}")
     out: dict = {}
     for (evs, p, q), mult in x.terms():
         a, b = evs[i - 1], evs[j - 1]
@@ -145,7 +144,7 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
     ``ValueError`` before any is enumerated.
     """
     deck_orders = _int_row(deck_orders, "deck orders", 1)
-    phi_orders = [_int_row(row, f"phi_{i} orders") for i, row in enumerate(phi_orders)]
+    phi_orders = _int_matrix(phi_orders, "phi_{} orders")
     r = len(deck_orders)
     if len(phi_orders) != r:
         raise ValueError(f"{len(phi_orders)} phi rows for {r} deck orders")
@@ -154,10 +153,7 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
             f"a deck group of {prod(deck_orders)} characters is more than "
             f"MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS}"
         )
-    npunct = len(phi_orders[0]) if r else 0
     for i, (n, row) in enumerate(zip(deck_orders, phi_orders)):
-        if len(row) != npunct:
-            raise ValueError("ragged puncture data")
         if sum(row) % n:
             raise ValueError(f"phi_{i} orders must sum to 0 mod n_{i} over the punctures")
     # Deck generator i gives its own eigenvalue L / n_i and puncture s the
@@ -248,18 +244,25 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
     return ncomp, sorted(multiset)
 
 
-def root_of_unity_class(rows) -> Optional[MonodromicClass]:
+def root_of_unity_class(rows) -> MonodromicClass:
     """The torus fiber class of a monomial map, rebuilt from
     ``torus_fiber_bruteforce``: one eigenvalue monomial per component times
-    (L - 1) to the fiber's torus dimension m - r; None when the needed root
-    order exceeds the default cap.  Shares no step with
+    (L - 1) to the fiber's torus dimension m - r.  An enumeration of more
+    than ``MAX_TORUS_CHARACTERS`` root tuples (Q^m for root order Q and m
+    columns) raises ``ValueError`` before it starts.  Shares no step with
     ``torus_fiber_class``."""
-    bf = torus_fiber_bruteforce(rows)
+    r, m = len(rows), len(rows[0]) if rows else 0
+    # The largest root order Q with Q^m within the budget.
+    cap = round(MAX_TORUS_CHARACTERS ** (1 / max(m, 1)))
+    cap -= cap ** m > MAX_TORUS_CHARACTERS
+    bf = torus_fiber_bruteforce(rows, q_cap=cap)
     if bf is None:
-        return None
+        raise ValueError(
+            f"the root-of-unity enumeration of {rows} visits more than "
+            f"MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS} root tuples"
+        )
     ncomp, eigen = bf
     if ncomp != len(eigen):
         raise AssertionError("component count mismatch")
-    r, m = len(rows), len(rows[0])
     torus = MonodromicClass.lefschetz(r) - MonodromicClass.unit(r)
     return MonodromicClass(r, [((key, 0, 0), 1) for key in eigen]) * torus ** (m - r)

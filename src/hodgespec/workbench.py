@@ -278,7 +278,9 @@ def rederive(fx: Fixture) -> list:
     curve stratum must equal the cyclic-cover class with its crossings read
     off the dual graph, a point stratum the root-of-unity enumeration of its
     multiplicity rows (the class of a point is 1, so no oracle reads the
-    shipped base class).  Any other stratum has no oracle and fails.  On
+    shipped base class; it refuses more than ``MAX_TORUS_CHARACTERS`` root
+    tuples, Q^m for root order Q and m components).  Any other stratum has
+    no oracle and fails.  On
     one-function data two datum-level lines follow: the identity resolution
     of a monomial expands through degree 30 to the jet count of its Ng row,
     and an expected spectrum equals the engine's vanishing-cycle spectrum.

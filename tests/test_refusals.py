@@ -1,0 +1,132 @@
+"""Every malformed input named below is refused with a ValueError whose
+text names the row, argument or field at fault; none returns an answer or
+escapes as an IndexError, TypeError or AttributeError."""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from hodgespec.cones import (
+    Cone,
+    extremum,
+    feasible,
+    form_positive_on_closure,
+    kernel_cone,
+    lattice_series,
+    series_limit,
+    stays_bounded,
+)
+from hodgespec.convolution import collapse_pair, collapse_triple, power_pushforward
+from hodgespec.lattice import (
+    SchemaError,
+    elementary_divisors,
+    integer_kernel_basis,
+    rational_rank,
+    rational_solve,
+)
+from hodgespec.monclass import (
+    MonodromicClass as MC,
+    embed,
+    hodge_spectrum,
+    hodge_spectrum2,
+    torus_fiber_class,
+)
+from hodgespec.oracles import collapse_pair_bruteforce, p1_cover_class, root_of_unity_class
+from hodgespec.resolution import (
+    Component,
+    ResolutionDatum,
+    Stratum,
+    datum_from_dict,
+    jet_count_zeta,
+)
+from hodgespec.series import TruncatedPoly
+from hodgespec.workbench import Fixture, rederive
+
+x = MC(2, [(((F(1, 2), F(1, 3)), 0, 0), 1)])  # arity 2
+y = MC(1, [(((F(1, 2),), 0, 0), 1)])  # arity 1
+unit0 = MC.unit(0)
+comp = Component("a", 0, 2, 1)
+
+
+def _datum(components=(comp,), strata=None, zero_locus_nearby=None):
+    if strata is None:
+        strata = (Stratum(("a",), base=unit0),)
+    return ResolutionDatum(1, True, ("g",), components, strata, zero_locus_nearby)
+
+
+# (call, message from its start): refusals of the row rule, each a SchemaError.
+_ROW_RULE = [
+    (lambda: elementary_divisors([[2], [3, 4]]), "row 1: has length 2, expected 1"),
+    (lambda: rational_rank([[2], [3, 4]]), "row 1: has length 2, expected 1"),
+    (lambda: integer_kernel_basis([[2], [3, 4]]), "row 1: has length 2, expected 1"),
+    (lambda: torus_fiber_class([[1, 2], [3]]), "row 1: has length 1, expected 2"),
+    (lambda: rational_solve([[2, 1]], [1, 1]), "right-hand side: has length 2, expected 1"),
+    (lambda: rational_solve([[2, 1], [1, 1]], [1]), "right-hand side: has length 1, expected 2"),
+    (lambda: rational_solve([[2, 1], [1]], [1, 1]), "row 1: has length 1, expected 2"),
+    (lambda: form_positive_on_closure(Cone(2), (1, 1, -5)), "form: has length 3"),
+    (lambda: series_limit(Cone(2), (1, 1, 7), (1, 1, -3)), "ell: has length 3"),
+    (lambda: lattice_series(Cone(2), (1, 1, 1), (1, 1, 1), 4), "ell: has length 3"),
+    (lambda: lattice_series(Cone(2), (1, 1), (1, 1), 4.0), "n: 4.0 is not an integer"),
+    (lambda: stays_bounded(2, [], (1,), (1,)), "num_form: has length 1"),
+    (lambda: stays_bounded(2, [(1, -1), (1,)], (1, 0), (0, 1)), "row 1: has length 1"),
+    (lambda: kernel_cone(2, [(1, -1, 0)]), "constraint 0: has length 3, expected 2"),
+    (lambda: p1_cover_class((2, 2), ([1, 1], [1])), "phi_1 orders: has length 1, expected 2"),
+    (lambda: feasible([((F(1, 10),), 0, ">="), ((0.1,), 0, ">=")], 1), "constraint 1, coefficient 0: 0.1 "),
+    (lambda: feasible([((True,), 0, ">=")], 1), "constraint 0, coefficient 0: True "),
+    (lambda: feasible([(("1",), 0, ">=")], 1), "constraint 0, coefficient 0: '1' "),
+    (lambda: feasible([((1,), 0.5, ">=")], 1), "constraint 0 constant, coefficient 0: 0.5 "),
+    (lambda: feasible([((1, 1), 0, ">=")], 1), "constraint 0: has length 2, expected 1"),
+    (lambda: feasible([((1,), 0, "<")], 1), "constraint 0: unknown relation '<'"),
+    (lambda: extremum((0.5,), [((1,), 0, ">=")], 1), "objective, coefficient 0: 0.5 "),
+    (lambda: collapse_pair(x, (True, 2)), "pair, coefficient 0: True is not an integer"),
+    (lambda: collapse_pair(x, (1.0, 2.0)), "pair, coefficient 0: 1.0 is not an integer"),
+    (lambda: collapse_pair(x, (1, 2, 3)), "pair: has length 3, expected 2"),
+    (lambda: collapse_pair_bruteforce(x, (True, 2)), "pair, coefficient 0: True "),
+    (lambda: embed(y, True, (1,)), "arity: True is not an integer"),
+    (lambda: embed(y, 2, (1.0,)), "slots, coefficient 0: 1.0 is not an integer"),
+    (lambda: embed(y, 2, (1, 2)), "slots: has length 2, expected 1"),
+]
+
+# Refusals with their own text that no other test reaches.
+_OTHER = [
+    (lambda: _datum(components=(), strata=()), "components: at least one component"),
+    (lambda: _datum(strata=(Stratum((), base=unit0),)), r"strata\[0\]\.components: must be nonempty"),
+    (lambda: _datum(strata=(Stratum(("a", "a"), base=unit0),)), r"strata\[0\]\.components: duplicate"),
+    (lambda: _datum(strata=(Stratum(("a",), base=unit0, explicit=y),)), r"strata\[0\]: exactly one of"),
+    (lambda: _datum(strata=(Stratum(("a",)),)), r"strata\[0\]: exactly one of"),
+    (lambda: _datum(zero_locus_nearby=y), "zero_locus_nearby: only meaningful on joint data"),
+    (lambda: datum_from_dict({
+        "dimension": 1, "local": True, "functions": ["g"],
+        "components": [{"id": "a", "Ng": 2, "nu": 1}],
+        "strata": [{"components": ["a"], "cover": "split"}],
+    }), r"strata\[0\]\.base_class: required for split covers"),
+    (lambda: jet_count_zeta([], 4), "need at least one exponent"),
+    (lambda: hodge_spectrum(x), "hodge_spectrum needs an arity-1 class"),
+    (lambda: hodge_spectrum2(y), "hodge_spectrum2 needs an arity-2 class"),
+    (lambda: torus_fiber_class([]), "exponent matrix must be nonempty"),
+    (lambda: collapse_triple(x), "collapse_triple needs an arity-3 class"),
+    (lambda: power_pushforward(x, 3, 2), "slot 3 out of range for arity 2"),
+    (lambda: collapse_pair_bruteforce(x, (2, 1)), re.escape("slot pair (2, 1) out of range for arity 2")),
+    (lambda: TruncatedPoly(0, {1: y}), "coefficient arity mismatch"),
+    (lambda: root_of_unity_class([[501, 1]]), "the root-of-unity enumeration .* MAX_TORUS_CHARACTERS = 250000"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, fragment, schema",
+    [(c, re.escape(f), True) for c, f in _ROW_RULE] + [(c, f, False) for c, f in _OTHER],
+    ids=[f"row-rule-{i}" for i in range(len(_ROW_RULE))] + [f"other-{i}" for i in range(len(_OTHER))],
+)
+def test_refusal_names_what_is_wrong(call, fragment, schema):
+    with pytest.raises(SchemaError if schema else ValueError, match=f"^{fragment}") as info:
+        call()
+    if schema:
+        assert str(info.value).startswith(info.value.path + ": ")
+
+
+def test_rederive_fails_a_stratum_with_no_oracle():
+    # A stratum of dimension 2 (one component in dimension 3) has no oracle.
+    datum = ResolutionDatum(3, True, ("g",), (comp,), (Stratum(("a",), base=unit0),))
+    lines = rederive(Fixture("m", datum, ""))
+    assert ("m: stratum {a} has no oracle", False) in lines

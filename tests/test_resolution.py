@@ -1,10 +1,15 @@
+import contextlib
 import copy
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgespec.cli import main
 from hodgespec.monclass import MonodromicClass as MC, box, torus_fiber_class
 from hodgespec.resolution import (
     Component,
@@ -293,12 +298,32 @@ def _field_paths(node, prefix=()):
         yield from _field_paths(child, prefix + (key,))
 
 
+def _cli(argv) -> tuple:
+    """(exit code, stderr) of one ``hodgespec`` run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _cli_runs(name, path) -> list:
+    """The subcommands that read a datum like ``name`` from ``path``."""
+    if name == "x2y_y_joint":
+        f, fg = (str(FIXTURE_DIR / f"{n}.json") for n in ("x2y", "d_curve_N3"))
+        return [["iterated", "--joint", path],
+                ["steenbrink", "--f", f, "--fg", fg, "--joint", path, "--N", "3"]]
+    return [["spectrum", "--datum", path], ["zeta", "--datum", path, "--truncate", "8"]]
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(sorted(_SHIPPED)), st.data())
 def test_one_mutated_field_loads_or_names_its_path(name, data):
     # One field of a shipped datum is replaced or deleted: loading either
     # succeeds or raises SchemaError with a field path, and the engine
-    # raises nothing but ValueError on what loads.
+    # raises nothing but ValueError on what loads.  Written to a file, the
+    # mutated datum goes through the CLI too: every run exits 0, 1 or 2,
+    # no exception escapes, and a datum that fails to load exits 2 with
+    # the loader's `error: <field path>: ...` line.
     mutated = copy.deepcopy(_SHIPPED[name])
     path = data.draw(st.sampled_from(list(_field_paths(mutated))))
     # Half the draws are integers, which most fields hold, so that a fair
@@ -311,16 +336,28 @@ def test_one_mutated_field_loads_or_names_its_path(name, data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    refusal = None
     try:
         datum = datum_from_dict(mutated)
     except SchemaError as exc:
         assert exc.path
-        return
-    for op in (nearby_cycles, lambda d: zeta_series(d).expand(8), iterated_nearby):
-        try:
-            op(datum)
-        except ValueError:
-            pass
+        refusal = exc
+    else:
+        for op in (nearby_cycles, lambda d: zeta_series(d).expand(8), iterated_nearby):
+            try:
+                op(datum)
+            except ValueError:
+                pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(mutated), encoding="utf-8")
+        for argv in _cli_runs(name, str(path)):
+            code, err = _cli(argv)
+            assert code in (0, 1, 2), argv
+            if refusal is not None:
+                assert (code, err) == (2, f"error: {refusal}\n"), argv
+            elif code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 _SCALARS = st.one_of(
