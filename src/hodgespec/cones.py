@@ -253,6 +253,7 @@ def _levels(rows, nvars: int):
 
 def feasible(cons, nvars: int) -> bool:
     """Exact feasibility of a system of affine constraints over Q."""
+    nvars = _strict_int(nvars, "nvars", 0)
     return _levels(_system(cons, nvars), nvars) is not None
 
 
@@ -262,6 +263,7 @@ def extremum(obj, cons, nvars: int, maximize: bool = True):
     The bound returned is the exact supremum/infimum whether or not it is
     attained.  Raises ValueError when the system is infeasible.
     """
+    nvars = _strict_int(nvars, "nvars", 0)
     obj = _frac_row(obj, "objective", nvars)
     # t = obj . x is a fresh first variable, so it is eliminated last: the
     # level before it goes bounds t alone, and the last level proves the
@@ -340,8 +342,9 @@ def extreme_rays(nvars: int, rows) -> list:
     rays are built from the unit rays by one `_cut` per row; the list is
     empty when the cone is {0}.  Coefficients must be nvars integers: a
     bool, float or str, or a row of another length, raises ValueError
-    naming the row.
+    naming the row; so does an nvars that is not an int >= 0.
     """
+    nvars = _strict_int(nvars, "nvars", 0)
     rows = [(_int_row(coeffs, f"row {j}", length=nvars), rel) for j, (coeffs, rel) in enumerate(rows)]
     for j, (_coeffs, rel) in enumerate(rows):
         if rel not in (GE, EQ):

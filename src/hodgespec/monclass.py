@@ -31,7 +31,7 @@ characters of ``oracles.p1_cover_class``.
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .lattice import _int_matrix, _int_row, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
@@ -41,6 +41,7 @@ from .spectra import (
     _ArityMap,
     _heads,
     _lead,
+    _lowest,
     _merge,
     _pair,
     _reduced,
@@ -68,7 +69,7 @@ MAX_TORUS_CHARACTERS = 250_000
 # input, check suite or CI step reaches is 5,7,9,11,13: its last box meets
 # 1,920 x 12 = 23,040 pairs, and its spectrum holds 23,040 terms; this
 # bound leaves a margin of about ten.  At 207,360 terms (7,11,13,17,19) the
-# whole `hodgespec ts` process takes 0.7-1.1 s and 91 MB peak RSS on a
+# whole `hodgespec ts` process takes 0.66-0.75 s and 57 MB peak RSS on a
 # 2-core Xeon (CPython 3.11), where rendering the spectrum outweighs the
 # product; CI requires it to finish within 30 s.
 MAX_TS_TERMS = 250_000
@@ -230,11 +231,12 @@ def hodge_spectrum(x: MonodromicClass) -> Spectrum:
     """
     if x.arity != 1:
         raise ValueError("hodge_spectrum needs an arity-1 class")
-    out: dict[tuple, int] = {}
+    # n / d + p over big, the lcm of every d: the numerator (n + p * d) * (big // d).
+    big = lcm(*{evs[0][1] for evs, _p, _q in x._terms})
+    out: dict[int, int] = {}
     for (((n, d),), p, _q), mult in x._terms.items():
-        # n / d + p; already reduced, since gcd(n + p * d, d) = gcd(n, d).
-        _merge(out, (n + p * d, d), mult)
-    return Spectrum._trusted(out)
+        _merge(out, (n + p * d) * (big // d), mult)
+    return Spectrum._trusted(*_lowest(out, big))
 
 
 def hodge_spectrum2(x: MonodromicClass) -> BiSpectrum:
@@ -245,6 +247,16 @@ def hodge_spectrum2(x: MonodromicClass) -> BiSpectrum:
     for ((a, b), p, _q), mult in x._terms.items():
         _merge(out, (a, b, p), mult)
     return BiSpectrum._trusted(out)
+
+
+def _exponent_matrix(rows) -> list:
+    """The integer rows of a monomial map's exponent matrix: a ragged row
+    is refused by the row rule, and a matrix with no row or no column with
+    ValueError."""
+    M = _int_matrix(rows)
+    if not M or not M[0]:
+        raise ValueError("exponent matrix must be nonempty")
+    return M
 
 
 def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
@@ -272,10 +284,8 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     so the result does not depend on the choice.  A torsion group of more
     than ``MAX_TORUS_CHARACTERS`` elements raises ``ValueError``.
     """
-    M = _int_matrix(rows)
-    r, m = len(M), len(M[0]) if M else 0
-    if r == 0 or m == 0:
-        raise ValueError("exponent matrix must be nonempty")
+    M = _exponent_matrix(rows)
+    r, m = len(M), len(M[0])
     for j in range(m):
         if all(M[i][j] == 0 for i in range(r)):
             raise ValueError(f"column {j} of the exponent matrix is zero")

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
-from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass, _character_columns
+from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass, _character_columns, _exponent_matrix
 from .spectra import _merge, _reduced, mod1
 
 
@@ -212,7 +212,7 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
     Entries must be integers; the rank, the divisors and the kernel come
     from one Smith normal form.
     """
-    M = _int_matrix(rows)
+    M = _exponent_matrix(rows)
     r, m = len(M), len(M[0])
     D, _U, V, _Vinv = smith_normal_form(M)
     divisors = snf_divisors(D)
@@ -250,12 +250,13 @@ def root_of_unity_class(rows) -> MonodromicClass:
     (L - 1) to the fiber's torus dimension m - r.  An enumeration of more
     than ``MAX_TORUS_CHARACTERS`` root tuples (Q^m for root order Q and m
     columns) raises ``ValueError`` before it starts.  Shares no step with
-    ``torus_fiber_class``."""
-    r, m = len(rows), len(rows[0]) if rows else 0
+    ``torus_fiber_class`` but the input rule ``_exponent_matrix``."""
+    M = _exponent_matrix(rows)
+    r, m = len(M), len(M[0])
     # The largest root order Q with Q^m within the budget.
-    cap = round(MAX_TORUS_CHARACTERS ** (1 / max(m, 1)))
+    cap = round(MAX_TORUS_CHARACTERS ** (1 / m))
     cap -= cap ** m > MAX_TORUS_CHARACTERS
-    bf = torus_fiber_bruteforce(rows, q_cap=cap)
+    bf = torus_fiber_bruteforce(M, q_cap=cap)
     if bf is None:
         raise ValueError(
             f"the root-of-unity enumeration of {rows} visits more than "

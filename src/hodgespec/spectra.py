@@ -12,6 +12,8 @@ data enters only through the one constructor loop of ``_SparseMap``, which
 runs each ring's ``_key`` hook (raw key to canonical key, with that ring's
 checks) and ``_coef`` hook (a strict-int multiplicity unless overridden)
 on every input term; ``coefficient`` normalises through the same ``_key``.
+``Spectrum``, whose keys share one denominator, has its own constructor
+on the same ``_pair`` and ``_coef``.
 A result whose keys are canonical by construction -- a ring operation, a
 morphism such as ``fold_bispectrum`` -- is wrapped as is by the trusted
 constructor ``_trusted``.
@@ -22,24 +24,33 @@ A spectrum here is a finitely supported integer combination of monomials
 together with an integer: monomials ``t^a u^b v^c`` with ``a, b`` in
 Q/Z and ``c`` in Z.  All arithmetic is exact.
 
-Inside a key every rational is stored as a reduced pair of ints
-``(num, den)``: ``den > 0`` and ``gcd(num, den) == 1``, and a residue mod 1
-also has ``0 <= num < den``.  Keys then hash and compare as plain ints.
-``_reduced`` makes the key pair of n / d with one ``math.gcd``.  The
-``Spectrum`` product adds exponents as the ints n * (L // d), L the lcm of
-every denominator of both factors, and reduces each distinct sum once.
-The public API speaks ``Fraction``: constructors and ``coefficient`` take
-any ``FracLike``; ``terms()`` returns ascending ``Fraction`` keys.
+A ``Spectrum`` keeps its exponents as int numerators over one slot ``den``,
+their least common denominator: ``gcd(den, *numerators) == 1``, and
+``den == 1`` when the spectrum is zero, so equal spectra hold equal
+(``den``, term map) pairs.  ``_lowest`` restores that form with one
+``gcd(den, *numerators)``; only a cancelled term or a sum of exponents (in
+a product or a fold) can break it.  The constructor scales its inputs over
+their lcm once, and a product adds numerators over the lcm of both
+denominators, so no exponent is reduced on its own until it is printed.
 
-Sorting and rendering never build that ``Fraction`` view.  ``_sorted``
-sorts the stored items on one rank per item, which each ring's ``_rank``
-hook builds over one ``_scales`` table for the whole map: with L the lcm of
-every denominator in every pair slot of every key, a pair (num, den) ranks
-as the integer ``num * (L // den)``, which orders the pairs as the
-rationals they stand for (any common multiple of the denominators would
-do); an int slot ranks as itself.  Every ``render`` formats the pairs as
-they are and takes the sign and multiplicity text of each term from one
-``_heads`` table, the only place the sign rule is written.
+Inside the keys of the other rings every rational is a reduced pair of
+ints ``(num, den)``: ``den > 0`` and ``gcd(num, den) == 1``, and a residue
+mod 1 also has ``0 <= num < den``.  Keys then hash and compare as plain
+ints; ``_reduced`` makes the key pair of n / d with one ``math.gcd``.  The
+public API speaks ``Fraction``: constructors and ``coefficient`` take any
+``FracLike``; ``terms()`` returns ascending ``Fraction`` keys.
+
+Sorting and rendering never build that ``Fraction`` view.  A spectrum
+sorts on its int numerators as they are.  ``_sorted`` sorts the stored
+items of the pair-keyed rings on one rank per item, which each ring's
+``_rank`` hook builds over one ``_scales`` table for the whole map: with L
+the lcm of every denominator in every pair slot of every key, a pair
+(num, den) ranks as the integer ``num * (L // den)``, which orders the
+pairs as the rationals they stand for (any common multiple of the
+denominators would do); an int slot ranks as itself.  Every ``render``
+formats the pairs as they are and takes the sign and multiplicity text of
+each term from one ``_heads`` table, the only place the sign rule is
+written.
 
 The folding maps between the two rings send ``t^a u^b v^c`` to
 ``t^{s(a) + s(b)/N + c}`` where ``s`` picks the canonical representative of
@@ -98,6 +109,15 @@ def _add_mod1(x: Pair, y: Pair) -> Pair:
     (a, b), (c, d) = x, y
     n, m = a * d + c * b, b * d
     return _reduced(n - m if n >= m else n, m)
+
+
+def _lowest(terms: dict, den: int) -> tuple:
+    """(terms, den) of int numerators over den, divided by their one gcd:
+    den is then the least common denominator (1 when terms is empty)."""
+    g = gcd(den, *terms)
+    if g == 1:
+        return terms, den
+    return {n // g: c for n, c in terms.items()}, den // g
 
 
 def _to_frac(x: Pair) -> Fraction:
@@ -317,37 +337,73 @@ class Spectrum(_SparseMap):
 
     Multiplication follows t^a * t^b = t^(a+b); zero multiplicities are
     never stored, so equality is equality of term maps.  A spectrum also
-    compares equal to the integer n when it is n * t^0.
+    compares equal to the integer n when it is n * t^0.  ``_terms`` maps
+    the int numerator of each exponent over ``den`` to its multiplicity
+    (see the module docstring).
     """
 
-    __slots__ = ()
-    _key = staticmethod(_pair)
-    _key_view = staticmethod(_to_frac)
+    __slots__ = ("den",)
+
+    def __init__(self, terms: Mapping | Iterable = ()):
+        # Reduced pairs merge first; the exponents left are distinct, and
+        # the lcm of their denominators is least, so one scaling ends it.
+        coef = self._coef
+        pairs: dict = {}
+        for raw, value in _items(terms):
+            _merge(pairs, _pair(raw), coef(value))
+        den = self.den = lcm(*{d for _n, d in pairs})
+        self._terms = {n * (den // d): c for (n, d), c in pairs.items()}
+
+    @classmethod
+    def _trusted(cls, terms: dict, den: int) -> "Spectrum":
+        """Wrap numerators over their least common denominator as is."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out.den = den
+        return out
+
+    def _like(self, terms: dict) -> "Spectrum":
+        # Negation and scaling keep every key, or drop them all.
+        return Spectrum._trusted(terms, self.den if terms else 1)
+
+    def __add__(self, other):
+        """The sum over lcm(den, other.den), self's map copied as is when
+        den is already that lcm; only a cancelled term can leave a smaller
+        least denominator, and only then is ``_lowest`` called."""
+        if type(other) is not Spectrum:
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
+        out = dict(self._terms) if s1 == 1 else {n * s1: c for n, c in self._terms.items()}
+        get = out.get
+        for n, c in other._terms.items():
+            n *= s2
+            out[n] = get(n, 0) + c
+        if 0 in out.values():
+            return Spectrum._trusted(*_lowest({n: c for n, c in out.items() if c}, den))
+        return Spectrum._trusted(out, den)
 
     def __mul__(self, other):
-        """The product on integer exponents over one denominator (see the
-        module docstring); other operands go to ``_SparseMap.__mul__``."""
+        """The product on the numerators over lcm(den, other.den), the
+        smaller operand in the outer loop; other operands go to
+        ``_SparseMap.__mul__``."""
         if type(other) is not Spectrum:
             return _SparseMap.__mul__(self, other)
-        big = lcm(*[d for terms in (self._terms, other._terms) for _n, d in terms])
-        xs = [(n * (big // d), c) for (n, d), c in self._terms.items()]
+        if len(self._terms) < len(other._terms):
+            self, other = other, self
+        big = lcm(self.den, other.den)
+        s1, s2 = big // self.den, big // other.den
+        xs = self._terms.items() if s1 == 1 else [(n * s1, c) for n, c in self._terms.items()]
         sums: dict = {}
         get = sums.get
-        for (n, d), c2 in other._terms.items():
-            b = n * (big // d)
+        for n, c2 in other._terms.items():
+            b = n * s2
             for a, c1 in xs:
                 s = a + b
                 sums[s] = get(s, 0) + c1 * c2
-        return Spectrum._trusted({(s // (g := gcd(s, big)), big // g): c for s, c in sums.items() if c})
-
-    def _rank(self):
-        scale = _scales({d for _n, d in self._terms})
-
-        def rank(item):
-            (n, d), _mult = item
-            return n * scale[d]
-
-        return rank
+        if 0 in sums.values():
+            sums = {s: c for s, c in sums.items() if c}
+        return Spectrum._trusted(*_lowest(sums, big))
 
     @classmethod
     def one(cls) -> "Spectrum":
@@ -358,7 +414,14 @@ class Spectrum(_SparseMap):
         return cls([(exponent, mult)])
 
     def coefficient(self, exponent: FracLike) -> int:
-        return self._terms.get(self._key(exponent), 0)
+        n, d = _pair(exponent)
+        scale, rest = divmod(self.den, d)
+        return 0 if rest else self._terms.get(n * scale, 0)
+
+    def terms(self):
+        """Term list with ``Fraction`` exponents, ascending."""
+        den = self.den
+        return tuple((Fraction(n, den), c) for n, c in self._sorted())
 
     def mass(self) -> int:
         """Sum of multiplicities (the virtual rank)."""
@@ -366,22 +429,27 @@ class Spectrum(_SparseMap):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self._terms == ({_pair(0): other} if other else {})
-        return super().__eq__(other)
+            return self.den == 1 and self._terms == ({0: other} if other else {})
+        if type(other) is not Spectrum:
+            return NotImplemented
+        return self.den == other.den and self._terms == other._terms
 
-    __hash__ = _SparseMap.__hash__
+    def __hash__(self):
+        return hash((self.den, frozenset(self._terms.items())))
 
     def render(self) -> str:
         """Canonical text form: ascending exponents, `mult*t^(num/den)` terms,
         `1*` and `/1` omitted, joined with ` + ` / ` - `: ``_render_terms``
         with the exponent text inlined, since the largest printed outputs
-        (``ts``) are spectra."""
+        (``ts``) are spectra.  Each exponent is reduced here, for printing
+        only."""
         if not self._terms:
             return "0"
-        head = _heads(self._terms.values())
+        terms, den = self._terms, self.den
+        head = _heads(terms.values())
         return _lead("".join([
-            f"{head[mult]}t^({e})"
-            for (n, d), mult in self._sorted() for e in [n if d == 1 else f"{n}/{d}"]
+            f"{head[terms[n]]}t^({n // g})" if g == den else f"{head[terms[n]]}t^({n // g}/{den // g})"
+            for n in sorted(terms) for g in [gcd(n, den)]
         ]))
 
 
@@ -442,20 +510,22 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
 
     Additive group morphism; with N = 1 both residues are folded with full
     weight.  Multiplicativity on monomials holds only when neither residue
-    sum wraps past 1, which is why the map is defined termwise.
+    sum wraps past 1, which is why the map is defined termwise.  Every image
+    is a numerator over one denominator, the lcm of every a-denominator and
+    N times every b-denominator.
     """
     N = _strict_int(N, "N", 1)
-    out: dict[Pair, int] = {}
+    big = lcm(*{d for (_an, ad), (_bn, bd), _c in x._terms for d in (ad, bd * N)})
+    out: dict[int, int] = {}
     for ((an, ad), (bn, bd), c), mult in x._terms.items():
-        den = ad * bd * N
-        _merge(out, _reduced(an * bd * N + bn * ad + c * den, den), mult)
-    return Spectrum._trusted(out)
+        _merge(out, an * (big // ad) + bn * (big // (bd * N)) + c * big, mult)
+    return Spectrum._trusted(*_lowest(out, big))
 
 
 def geometric_factor(m: int) -> Spectrum:
     """The exact expansion (1 - t) / (1 - t^(1/m)) = sum_{i<m} t^(i/m)."""
     m = _strict_int(m, "m", 1)
-    return Spectrum._trusted({_reduced(i, m): 1 for i in range(m)})
+    return Spectrum._trusted(dict.fromkeys(range(m), 1), m)
 
 
 def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
@@ -466,10 +536,10 @@ def steenbrink_rhs(pairs, m: int, N: int) -> Spectrum:
     added.
     """
     m, N = _strict_int(m, "m", 1), _strict_int(N, "N", 1)
-    shifts: dict[Pair, int] = {}
+    shifts = []
     for alpha, beta in pairs:
         alpha, beta = frac(alpha), frac(beta)
         if not 0 <= beta < 1:
             raise ValueError(f"vertical residue {beta} outside [0, 1)")
-        _merge(shifts, _pair(alpha + beta / (m * N)), 1)
-    return Spectrum._trusted(shifts) * geometric_factor(m * N)
+        shifts.append((alpha + beta / (m * N), 1))
+    return Spectrum(shifts) * geometric_factor(m * N)

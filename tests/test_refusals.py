@@ -9,6 +9,7 @@ import pytest
 
 from hodgespec.cones import (
     Cone,
+    extreme_rays,
     extremum,
     feasible,
     form_positive_on_closure,
@@ -32,7 +33,12 @@ from hodgespec.monclass import (
     hodge_spectrum2,
     torus_fiber_class,
 )
-from hodgespec.oracles import collapse_pair_bruteforce, p1_cover_class, root_of_unity_class
+from hodgespec.oracles import (
+    collapse_pair_bruteforce,
+    p1_cover_class,
+    root_of_unity_class,
+    torus_fiber_bruteforce,
+)
 from hodgespec.resolution import (
     Component,
     ResolutionDatum,
@@ -86,6 +92,12 @@ _ROW_RULE = [
     (lambda: embed(y, True, (1,)), "arity: True is not an integer"),
     (lambda: embed(y, 2, (1.0,)), "slots, coefficient 0: 1.0 is not an integer"),
     (lambda: embed(y, 2, (1, 2)), "slots: has length 2, expected 1"),
+    (lambda: feasible([((1,), 0, ">=")], True), "nvars: True is not an integer"),
+    (lambda: feasible([((1,), 0, ">=")], 1.0), "nvars: 1.0 is not an integer"),
+    (lambda: extremum((1,), [((1,), 0, ">=")], True), "nvars: True is not an integer"),
+    (lambda: extremum((1,), [((1,), 0, ">=")], 1.0), "nvars: 1.0 is not an integer"),
+    (lambda: extreme_rays(True, [((1,), ">=")]), "nvars: True is not an integer"),
+    (lambda: extreme_rays(1.0, [((1,), ">=")]), "nvars: 1.0 is not an integer"),
 ]
 
 # Refusals with their own text that no other test reaches.
@@ -110,6 +122,8 @@ _OTHER = [
     (lambda: collapse_pair_bruteforce(x, (2, 1)), re.escape("slot pair (2, 1) out of range for arity 2")),
     (lambda: TruncatedPoly(0, {1: y}), "coefficient arity mismatch"),
     (lambda: root_of_unity_class([[501, 1]]), "the root-of-unity enumeration .* MAX_TORUS_CHARACTERS = 250000"),
+    (lambda: torus_fiber_bruteforce([]), "exponent matrix must be nonempty"),
+    (lambda: root_of_unity_class([]), "exponent matrix must be nonempty"),
 ]
 
 

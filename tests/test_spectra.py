@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from operator import itemgetter
 
 import pytest
@@ -205,6 +206,11 @@ def _sign_rule(items, mono):
 
 
 def _fraction_sorted(x, view):
+    """The stored terms in their Fraction view, sorted on it.  A spectrum's
+    keys must be int numerators over its least denominator ``den``."""
+    if isinstance(x, Spectrum):
+        assert all(type(n) is int for n in x._terms) and type(x.den) is int
+        assert x.den > 0 and gcd(x.den, *x._terms) == 1, x
     return tuple(sorted(((view(key), m) for key, m in x._terms.items()), key=itemgetter(0)))
 
 
@@ -232,7 +238,7 @@ def _slot_pool(data, slot):
 @given(st.lists(st.tuples(RATIONALS, MULTS), max_size=40))
 def test_spectrum_sorts_like_fractions(terms):
     x = Spectrum(terms)
-    ref = _fraction_sorted(x, lambda k: F(*k))
+    ref = _fraction_sorted(x, lambda n: F(n, x.den))
     assert x.terms() == ref
     assert x.render() == _sign_rule(ref, lambda e: f"t^({e})")
 

@@ -2,9 +2,10 @@
 
 Ring operations and the morphisms between rings wrap their term dicts
 without re-normalising them.  A non-canonical key (a residue outside
-[0, 1), an unreduced (num, den) pair, a Fraction where a pair belongs)
-would silently break equality, so every such result is rebuilt through its
-public constructor here and must come back with the same term map.
+[0, 1), an unreduced (num, den) pair, a Fraction where a pair belongs) or
+a spectrum denominator that is not the least one would silently break
+equality, so every such result is rebuilt through its public constructor
+here and must come back with the same term map (and ``den``).
 
 The property tests at the end recompute every pair-keyed operation with
 plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
@@ -12,7 +13,7 @@ plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +55,8 @@ def _residue(x):
 
 def _canonical_key(obj, key):
     if isinstance(obj, Spectrum):
-        return _rational(key)
+        # An int numerator over obj.den (checked in ``assert_canonical``).
+        return type(key) is int
     if isinstance(obj, BiSpectrum):
         a, b, c = key
         return _residue(a) and _residue(b) and type(c) is int
@@ -78,7 +80,12 @@ def _rebuild(obj):
 
 
 def assert_canonical(obj):
-    assert obj._terms == _rebuild(obj)._terms, obj
+    rebuilt = _rebuild(obj)
+    assert obj._terms == rebuilt._terms, obj
+    if isinstance(obj, Spectrum):
+        # The least common denominator of the exponents: 1 when obj is 0.
+        assert type(obj.den) is int and obj.den > 0 and gcd(obj.den, *obj._terms) == 1, obj
+        assert obj.den == rebuilt.den, obj
     for key, coef in obj._terms.items():
         assert _canonical_key(obj, key), (obj, key)
         assert coef
@@ -289,6 +296,71 @@ def test_hodge_spectra_pair_keys_match_fractions(x1, x2, N):
     two = hodge_spectrum2(x2)
     _same(two, _ref(((a, b, p), m) for ((a, b), p, _q), m in x2.terms()))
     _same(fold_bispectrum(two, N), _ref((a + b / N + p, m) for ((a, b), p, _q), m in x2.terms()))
+
+
+def _same_spectrum(a, b):
+    """a and b are canonical, equal and hash-equal, and each ``den`` is the
+    lcm of the reduced denominators of its Fraction exponents."""
+    for x in (a, b):
+        assert_canonical(x)
+        assert x.den == lcm(*(e.denominator for e, _m in x.terms())), x
+    assert a == b and hash(a) == hash(b), (a, b)
+
+
+def _dens(fracs):
+    return lcm(*(f.denominator for f in fracs))
+
+
+NOT_ONE = st.integers(-40, 40).filter(lambda n: n != 1)
+NONZERO = SMALL.filter(bool)
+
+
+@PROPERTY
+@given(SPECTRA, st.integers(2, 6), st.lists(st.tuples(NOT_ONE, SMALL), max_size=5), NONZERO)
+def test_spectrum_den_is_least_after_cancellation(x, k, extra, m):
+    # y alone carries the largest denominator, big: x + y is over big, and
+    # taking y away again must give x back over its own denominator.
+    big = x.den * k
+    u = Spectrum.monomial(F(1, big))
+    y = u * m + Spectrum([(F(n, big), c) for n, c in extra])
+    assert y.den == big
+    s = x + y
+    zero = Spectrum.zero()
+    _same_spectrum(s - y, x)
+    _same_spectrum(s + (-y), x)
+    _same_spectrum(-(-s) - s, zero)
+    _same_spectrum(-s + y, -x)
+    _same_spectrum(s.scale(0), zero)
+    _same_spectrum(s * 0, zero)
+    # Exponent sums over big that reduce, and product terms that cancel.
+    _same_spectrum(x * u * Spectrum.monomial(F(-1, big)), x)
+    _same_spectrum(x * (Spectrum.one() + u) - x * u, x)
+    _same_spectrum((Spectrum.one() + u) * (Spectrum.one() - u), Spectrum.one() - u * u)
+
+
+@PROPERTY
+@given(_classes(1), BISPECTRA, st.integers(2, 6), st.integers(1, 6), SMALL, NONZERO)
+def test_morphisms_give_least_den_after_cancellation(x1, x2, k, N, c, m):
+    # A pair of terms of a larger denominator than any other, whose images
+    # cancel: hodge_spectrum drops q, and fold_bispectrum sends
+    # (1/(big N), 0, c) and (0, 1/big, c) to the same exponent.
+    big = k * _dens(e for (evs, _p, _q), _m in x1.terms() for e in evs)
+    twin1 = MC(1, [(((F(1, big),), c, 0), m), (((F(1, big),), c, 1), -m)])
+    _same_spectrum(hodge_spectrum(x1 + twin1), hodge_spectrum(x1))
+    big = k * N * _dens(e for (a, b, _c), _m in x2.terms() for e in (a, b))
+    twin2 = BiSpectrum([((F(1, big * N), 0, c), m), ((0, F(1, big), c), -m)])
+    _same_spectrum(fold_bispectrum(x2 + twin2, N), fold_bispectrum(x2, N))
+    _same_spectrum(fold_bispectrum(x2, N), Spectrum([(a + b / N + v, n) for (a, b, v), n in x2.terms()]))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(RATIONALS, RESIDUES), max_size=4), st.integers(1, 6), st.integers(1, 6))
+def test_steenbrink_rhs_den_is_least(pairs, m, N):
+    # Shifts whose sums with i / (m N) reduce, reached by three routes.
+    got = steenbrink_rhs(pairs, m, N)
+    ref = Spectrum([(a + b / (m * N) + F(i, m * N), 1) for a, b in pairs for i in range(m * N)])
+    _same_spectrum(got, ref)
+    _same_spectrum(got, steenbrink_rhs(pairs, 1, m * N))
 
 
 # Residues over a few small denominators collide often, so the products of
