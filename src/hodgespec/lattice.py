@@ -17,8 +17,9 @@ row's denominators (a nonzero multiple of a row keeps the rank) and counts
 the same divisors.  Gauss-Jordan elimination stays only in
 ``rational_solve``, whose contract is one particular solution (leftmost
 pivots, free variables 0), the one the root-of-unity oracle pairs its
-roots with.  Entry is strict: ``rational_solve`` takes only ints and
-Fractions (``_frac_row``).
+roots with.  It too clears each row's denominators once and eliminates on
+ints, making a Fraction only for each solution entry.  Entry is strict:
+``rational_solve`` takes only ints and Fractions (``_frac_row``).
 
 ``_strict_int`` and ``_int_row`` are the package's one integer rule, used
 by every ring, oracle, datum and CLI path: an int passes, an integral
@@ -35,7 +36,7 @@ form, slot tuple and constraint system of the package enters through them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class SchemaError(ValueError):
@@ -123,13 +124,22 @@ def rational_rank(rows) -> int:
 def rational_solve(rows, rhs):
     """One exact solution of rows * x = rhs over Q, or None if inconsistent.
 
-    Gauss-Jordan elimination on the augmented Fraction matrix, pivoting on
-    the leftmost column left; free variables are set to 0.  Entries must be
-    ints or Fractions (see ``_frac_row``), in rows of one width.
+    Entries must be ints or Fractions (see ``_frac_row``), in rows of one
+    width.  Each augmented row is multiplied once by the lcm of its
+    denominators, and Gauss-Jordan elimination runs on those integer rows,
+    pivoting on the leftmost column left: a row with f in the pivot column
+    becomes p * row - f * pivot_row over its gcd.  Free variables are set
+    to 0, so x[col] = rhs_r / p_r for the row r pivoting on col; the reduced
+    echelon form is unique, so these are the Fractions that Gauss-Jordan
+    on Fractions gives.
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
     rhs = _frac_row(rhs, "right-hand side", nr)
-    aug = [_frac_row(row, f"row {i}", nc) + [rhs[i]] for i, row in enumerate(rows)]
+    aug = []
+    for i, row in enumerate(rows):
+        row = _frac_row(row, f"row {i}", nc) + [rhs[i]]
+        scale = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (scale // x.denominator) for x in row])
     pivots = []
     for col in range(nc):
         rank = len(pivots)
@@ -137,18 +147,20 @@ def rational_solve(rows, rhs):
         if pivot is None:
             continue
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
+        prow = aug[rank]
+        p = prow[col]
         for r in range(nr):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+            f = aug[r][col]
+            if r != rank and f:
+                row = [p * a - f * b for a, b in zip(aug[r], prow)]
+                g = gcd(*row) or 1
+                aug[r] = [a // g for a in row]
         pivots.append(col)
     if any(aug[r][nc] for r in range(len(pivots), nr)):
         return None
     x = [Fraction(0)] * nc
     for r, col in enumerate(pivots):
-        x[col] = aug[r][nc]
+        x[col] = Fraction(aug[r][nc], aug[r][col])
     return x
 
 

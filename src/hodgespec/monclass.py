@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import comb, lcm, prod
 
-from .lattice import _int_matrix, _int_row, _strict_int, smith_normal_form, snf_divisors
+from .lattice import _int_matrix, _int_row, _sized, _strict_int, smith_normal_form, snf_divisors
 from .spectra import (
     BiSpectrum,
     Spectrum,
@@ -277,12 +277,15 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
 
         <chi, theta_i> = sum_k c_k U[k][i] / d_k  (mod 1),
 
-    read off U without solving for any theta.  A supplied ``thetas`` is
-    checked to solve M theta = e_i and then enters as Vinv[k] . theta_i;
-    that pairing equals U[k][i] / d_k for every solution (two solutions
-    differ by a kernel vector, on which the first r rows of Vinv vanish),
-    so the result does not depend on the choice.  A torsion group of more
-    than ``MAX_TORUS_CHARACTERS`` elements raises ``ValueError``.
+    read off U without solving for any theta.  A supplied ``thetas`` must
+    hold r rows of m entries (else a ``ValueError`` naming ``thetas``); each
+    theta_i enters through ``frac`` and is kept as int numerators over their
+    lcm t, checked to solve M theta = e_i as M nums = t e_i, and then enters
+    as the integer Vinv[k] . nums * d_r / t.  That pairing equals
+    U[k][i] / d_k for every solution (two solutions differ by a kernel
+    vector, on which the first r rows of Vinv vanish), so the result does
+    not depend on the choice.  A torsion group of more than
+    ``MAX_TORUS_CHARACTERS`` elements raises ``ValueError``.
     """
     M = _exponent_matrix(rows)
     r, m = len(M), len(M[0])
@@ -305,14 +308,19 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     if thetas is None:
         gens = [[U[k][i] * (big // d) % big for i in range(r)] for k, d in enumerate(divisors)]
     else:
-        thetas = [[frac(t) for t in theta] for theta in thetas]
+        thetas = _sized([
+            _sized([frac(t) for t in theta], f"thetas, row {i}", m) for i, theta in enumerate(thetas)
+        ], "thetas", r)
+        # Theta i is int numerators nums over their lcm t: M nums = t e_i,
+        # and its pairing with Vinv[k] times big is an integer.
+        pairings = []
         for i, theta in enumerate(thetas):
-            if [sum(row[j] * theta[j] for j in range(m)) for row in M] != [int(k == i) for k in range(r)]:
+            t = lcm(*(x.denominator for x in theta))
+            nums = [x.numerator * (t // x.denominator) for x in theta]
+            if [sum(a * n for a, n in zip(row, nums)) for row in M] != [t * (k == i) for k in range(r)]:
                 raise ValueError("supplied theta is not a solution")
-        gens = [
-            [int(sum(v * t for v, t in zip(Vinv[k], theta)) * big) % big for theta in thetas]
-            for k in range(r)
-        ]
+            pairings.append([sum(v * n for v, n in zip(row, nums)) * big // t % big for row in Vinv[:r]])
+        gens = list(zip(*pairings))
 
     cols = _character_columns(divisors, gens, big)
     reduced = [{n: _reduced(n, big) for n in set(col)} for col in cols]

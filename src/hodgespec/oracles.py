@@ -30,15 +30,20 @@ The ingredients:
   U M V = D gives its rank and divisors (D) and the integer kernel (the
   last m - r columns of V); its eigenvalues come from solving
   M theta = e_i with ``rational_solve``, which ``torus_fiber_class`` does
-  not call (that reads them off U), and every root of unity is paired with
-  those solutions in integer numerators mod the root order.
+  not call (that reads them off U).  Every root tuple is visited once, as
+  a pair of halves whose kernel residues and pairings with those solutions,
+  integer numerators mod the root order, are packed as the digits of one
+  int each, so the enumeration, the kernel test and the count run in
+  ``itertools.product``, ``starmap`` and ``Counter``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
+from operator import add, eq
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
 from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass, _character_columns, _exponent_matrix
@@ -211,6 +216,16 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
     (w . theta_i mod 1).  Returns (component count, sorted eigentuples).
     Entries must be integers; the rank, the divisors and the kernel come
     from one Smith normal form.
+
+    Every root tuple w in (Z/Q)^m is visited once, as a pair of its two
+    halves w' (the first m // 2 coordinates) and w'' (the rest), by
+    ``itertools.product`` over one table per half.  For each root tuple of
+    a half, the table holds the residues mod Q of its kernel pairings, or
+    of its theta pairings, as the base-mQ digits of one int.  So w passes
+    when the kernel residues of w'' equal those of -w', and its eigenvalue
+    sum is counted as is (its digits are below 2Q <= mQ, or below Q when
+    m = 1 leaves w' empty); each distinct sum is decoded once, digit by
+    digit mod Q, and the counts of sums with equal digits mod Q are merged.
     """
     M = _exponent_matrix(rows)
     r, m = len(M), len(M[0])
@@ -223,16 +238,26 @@ def torus_fiber_bruteforce(rows, q_cap: int = 24):
     if Q > q_cap:
         return None
     # Theta i scaled by Q is integral, so each eigenvalue is an integer
-    # numerator mod Q; Fractions are made once per distinct key.
+    # numerator mod Q.  The last m - r columns of V span the integer kernel.
     scaled = [[int(t * Q) for t in theta] for theta in thetas]
-    # The last m - r columns of V span the integer kernel.
     kernel = [[V[i][j] for i in range(m)] for j in range(r, m)]
-    counts: dict[tuple, int] = {}
-    for w in itertools.product(range(Q), repeat=m):
-        if any(sum(wi * ki for wi, ki in zip(w, k)) % Q for k in kernel):
-            continue
-        key = tuple(sum(wi * ti for wi, ti in zip(w, theta)) % Q for theta in scaled)
-        counts[key] = counts.get(key, 0) + 1
+    base = m * Q
+    places = [base**i for i in range(max(r, m - r))]
+
+    def packed(vecs, coords):  # per root tuple over coords, its pairings with vecs mod Q
+        table = [0]
+        for j in coords:  # at most m digits below Q add up, so none carries
+            col = [sum(v * vec[j] % Q * b for vec, b in zip(vecs, places)) for v in range(Q)]
+            table = [a + c for a in table for c in col]
+        return [sum(a // b % base % Q * b for b in places[: len(vecs)]) for a in table]
+
+    first, rest = range(m // 2), range(m // 2, m)
+    negated = [[-k for k in vec] for vec in kernel]
+    passing = itertools.starmap(eq, itertools.product(packed(negated, first), packed(kernel, rest)))
+    sums = itertools.starmap(add, itertools.product(packed(scaled, first), packed(scaled, rest)))
+    counts = Counter()
+    for key, count in Counter(itertools.compress(sums, passing)).items():
+        counts[tuple(key // b % base % Q for b in places[:r])] += count
     eigen = {tuple(Fraction(n, Q) for n in key): count for key, count in counts.items()}
     ncomp = prod(divisors)
     overcount = Q ** r // ncomp  # every d_k divides Q

@@ -129,12 +129,15 @@ def test_rational_solve_keeps_exact_solutions_and_refuses_floats():
             rational_solve(rows, rhs)
 
 
-def _gauss_jordan_rank(rows):
-    """Reference rank over Q: Gauss-Jordan elimination on a Fraction copy,
-    independent of the Smith normal form behind rational_rank."""
+def _gauss_jordan(rows):
+    """Reference reduced echelon form over Q: Gauss-Jordan elimination on a
+    Fraction copy, leftmost pivots, each pivot scaled to 1.  Returns the
+    reduced rows and the pivot columns; independent of the Smith normal
+    form behind rational_rank and of the integer rows of rational_solve."""
     m = [[F(x) for x in row] for row in rows]
-    rank = 0
+    pivots = []
     for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
@@ -145,8 +148,57 @@ def _gauss_jordan_rank(rows):
             if r != rank and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def _gauss_jordan_rank(rows):
+    return len(_gauss_jordan(rows)[1])
+
+
+def _gauss_jordan_solve(rows, rhs):
+    """Reference solution: None when the right-hand side column pivots,
+    else each pivot row's right-hand side at its column, free variables 0."""
+    nc = len(rows[0])
+    m, pivots = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)])
+    if nc in pivots:
+        return None
+    x = [F(0)] * nc
+    for r, col in enumerate(pivots):
+        x[col] = m[r][nc]
+    return x
+
+
+def test_rational_solve_matches_fraction_gauss_jordan():
+    rng = random.Random(37)
+
+    def entry():
+        # Mixed denominators, so each row clears over a different lcm.
+        return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 5, 6, 12)))
+
+    solved = inconsistent = 0
+    for _ in range(2400):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[entry() if rng.random() < 0.6 else rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
+        rhs = [entry() for _ in range(nr)]
+        if nr > 1:
+            i, j = rng.sample(range(nr), 2)
+            kind = rng.randrange(4)  # row j scaled, duplicate, zero, or drawn
+            if kind < 3:
+                c = (F(rng.choice((-3, -2, 2, 3)), rng.randint(1, 4)), 1, 0)[kind]
+                rows[j] = [c * a for a in rows[i]]
+                # Half of the dependent rows get an inconsistent right-hand side.
+                rhs[j] = c * rhs[i] + rng.choice((0, 0, 1, F(-1, 7)))
+        expect = _gauss_jordan_solve(rows, rhs)
+        got = rational_solve(rows, rhs)
+        assert got == expect, (rows, rhs)
+        if got is None:
+            inconsistent += 1
+        else:
+            assert all(type(v) is F for v in got), got
+            solved += 1
+    # The draw reaches both outcomes often.
+    assert solved > 500 and inconsistent > 500, (solved, inconsistent)
 
 
 def test_rational_rank_matches_gauss_jordan():

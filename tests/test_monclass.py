@@ -11,7 +11,6 @@ from hodgespec.lattice import (
     elementary_divisors,
     integer_kernel_basis,
     rational_rank,
-    rational_solve,
     smith_normal_form,
     snf_divisors,
 )
@@ -127,8 +126,30 @@ def test_fiber_class_preconditions():
 
 
 def _default_thetas(M):
-    r = len(M)
-    return [rational_solve(M, [1 if k == i else 0 for k in range(r)]) for i in range(r)]
+    """The solutions of M theta = e_i that rational_solve returns (leftmost
+    pivots, free variables 0), by Gauss-Jordan elimination on Fractions of
+    M augmented with the identity; M must have rank r."""
+    r, m = len(M), len(M[0])
+    aug = [[F(x) for x in row] + [F(int(k == i)) for k in range(r)] for i, row in enumerate(M)]
+    pivots = []
+    for col in range(m):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, r) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [x * inv for x in aug[rank]]
+        for i in range(r):
+            if i != rank and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank])]
+        pivots.append(col)
+    thetas = [[F(0)] * m for _ in range(r)]
+    for row, col in enumerate(pivots):
+        for i in range(r):
+            thetas[i][col] = aug[row][m + i]
+    return thetas
 
 
 def _shifted_thetas(M, rng):
@@ -223,6 +244,16 @@ def test_fiber_class_vs_root_of_unity_enumeration():
     assert checked >= 25
 
 
+def test_root_of_unity_oracle_grows_with_its_root_tuples():
+    # Twelve columns at root order 1 and 2: 1 and 4,096 root tuples.  No
+    # table of the oracle may grow faster than the tuples it visits; one
+    # entry per combination of kernel digits would be 12^11 or 12^10 here.
+    for M in ([[1] * 12], [[2] * 12], [[2] * 6 + [4] * 6, [0] * 11 + [2]]):
+        start = time.perf_counter()
+        assert oracles.root_of_unity_class(M) == torus_fiber_class(M), M
+        assert time.perf_counter() - start < 0.5, M
+
+
 def _fraction_key_bruteforce(M, q_cap):
     """torus_fiber_bruteforce with every eigenvalue key summed in Fractions."""
     r, m = len(M), len(M[0])
@@ -253,9 +284,13 @@ def _fraction_key_bruteforce(M, q_cap):
 
 def test_integer_oracle_matches_fraction_keys():
     # The (rows, columns, root order Q) shapes of the benchmark's torus
-    # items, eight matrices each that need exactly that Q.
+    # items, then square ones (no kernel digit), five columns (the most
+    # packed digits) and three rows; eight matrices each that need exactly
+    # that Q.
     rng = random.Random(43)
-    for r, m, q in ((1, 3, 4), (2, 3, 6), (2, 4, 4), (1, 4, 4), (2, 2, 12), (1, 2, 4)):
+    shapes = [(1, 3, 4), (2, 3, 6), (2, 4, 4), (1, 4, 4), (2, 2, 12), (1, 2, 4)]
+    shapes += [(1, 1, 4), (3, 3, 6), (1, 5, 4), (2, 5, 3), (3, 4, 4), (3, 5, 4)]
+    for r, m, q in shapes:
         found = 0
         while found < 8:
             M = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(r)]

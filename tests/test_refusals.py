@@ -67,6 +67,8 @@ _ROW_RULE = [
     (lambda: rational_rank([[2], [3, 4]]), "row 1: has length 2, expected 1"),
     (lambda: integer_kernel_basis([[2], [3, 4]]), "row 1: has length 2, expected 1"),
     (lambda: torus_fiber_class([[1, 2], [3]]), "row 1: has length 1, expected 2"),
+    (lambda: torus_fiber_class([[2, 1], [0, 1]], thetas=[[F(1, 2), 0]]), "thetas: has length 1, expected 2"),
+    (lambda: torus_fiber_class([[2, 1], [0, 1]], thetas=[[F(1, 2)], [0, 1]]), "thetas, row 0: has length 1, expected 2"),
     (lambda: rational_solve([[2, 1]], [1, 1]), "right-hand side: has length 2, expected 1"),
     (lambda: rational_solve([[2, 1], [1, 1]], [1]), "right-hand side: has length 1, expected 2"),
     (lambda: rational_solve([[2, 1], [1]], [1, 1]), "row 1: has length 1, expected 2"),
