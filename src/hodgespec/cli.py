@@ -83,7 +83,7 @@ def _cmd_iterated(args):
 
 def _cmd_ts(args):
     try:
-        exponents = [int(x) for x in args.exponents.split(",") if x.strip()]
+        exponents = [int(x) for x in args.exponents.split(",")]
     except ValueError:
         raise ValueError(f"--exponents: could not parse {args.exponents!r}") from None
     try:

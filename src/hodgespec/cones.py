@@ -520,7 +520,7 @@ def lattice_series(cone: Cone, ell, nu, n: int) -> TruncatedPoly:
     out: dict[int, dict] = {}
     for (deg, e), count in _count_points(levels, ell, nu).items():
         out.setdefault(deg, {})[((), e, e)] = count
-    return TruncatedPoly._trusted(0, {deg: MonodromicClass._trusted(0, terms)
+    return TruncatedPoly._trusted(0, {deg: MonodromicClass._trusted(0, terms, 1)
                                       for deg, terms in out.items()})
 
 

@@ -1,10 +1,10 @@
 """Convolution of monodromic classes.
 
 ``collapse_pair`` fuses two chosen monodromy gradings of a class into one.
-It works on residues over a common denominator L: a residue n/d is the
-integer n * (L // d) in [0, L).  On a basis monomial whose chosen pair of
-residues is (a, b) over L and whose bidegree is (p, q) it acts by the
-closed-form table ``_collapse_int``
+It works on the class's own numerators: with L its ``den`` (the key format
+of ``hodgespec.spectra``), every residue is an integer in [0, L).  On a
+basis monomial whose chosen pair of residues is (a, b) over L and whose
+bidegree is (p, q) it acts by the closed-form table ``_collapse_int``
 
     b = 0                    -> eigenvalue a,       (p, q)
     a = 0, b != 0            -> b,                  (p, q)
@@ -13,7 +13,7 @@ closed-form table ``_collapse_int``
     a, b != 0, a + b = L     -> 0,                  (p + 1, q + 1)
 
 (exactly one row applies to every key; the new eigenvalue is again an
-integer over L in [0, L), reduced to a key pair once per distinct value).
+integer over L in [0, L)).
 The table is the equivariant-quotient computation against the affine and
 antidiagonal Fermat curves x^n + y^n = 1 and x^n + y^n = 0 in the torus:
 the quotient pairs each (a, b) eigenspace of the curve with the matching
@@ -31,17 +31,15 @@ fold of the binary product.  ``collapse_triple`` collapses three gradings
 at once; the result does not depend on which pair goes first.
 ``power_pushforward`` realizes the pushforward along the N-th
 power map on one monodromy slot: an eigenvalue residue b fans out to the
-N residues (b + j)/N.
+N residues (b + j)/N, numerators over L N.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import lcm
-
 from .lattice import _int_row, _strict_int
-from .monclass import MonodromicClass, box
-from .spectra import _merge, _reduced
+from .monclass import MAX_TS_TERMS, MonodromicClass, box
+from .spectra import _merge
 
 
 def _collapse_int(a: int, b: int, L: int):
@@ -63,18 +61,13 @@ def collapse_pair(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass:
     i, j = _int_row(pair, "pair", length=2)
     if not 1 <= i < j <= x.arity:
         raise ValueError(f"slot pair {pair} out of range for arity {x.arity}")
-    L = lcm(*{evs[k][1] for evs, _p, _q in x._terms for k in (i - 1, j - 1)})
-    reduced: dict = {}
+    L = x.den
     out: dict = {}
     for (evs, p, q), mult in x._terms.items():
-        (an, ad), (bn, bd) = evs[i - 1], evs[j - 1]
-        s, dp, dq = _collapse_int(an * (L // ad), bn * (L // bd), L)
-        new_ev = reduced.get(s)
-        if new_ev is None:
-            new_ev = reduced[s] = _reduced(s, L)
-        rest = evs[: i - 1] + (new_ev,) + evs[i: j - 1] + evs[j:]
+        s, dp, dq = _collapse_int(evs[i - 1], evs[j - 1], L)
+        rest = evs[: i - 1] + (s,) + evs[i: j - 1] + evs[j:]
         _merge(out, (rest, p + dp, q + dq), mult)
-    return MonodromicClass._trusted(x.arity - 1, out)
+    return MonodromicClass._trusted(x.arity - 1, *MonodromicClass._lowest(out, L))
 
 
 def convolve(*classes: MonodromicClass) -> MonodromicClass:
@@ -107,16 +100,24 @@ def power_pushforward(x: MonodromicClass, slot: int, N: int) -> MonodromicClass:
 
     Each monomial with residue b in that slot becomes the sum of the N
     monomials with residues (b + j)/N, j = 0..N-1; other data unchanged.
-    N = 1 is the identity.
+    N = 1 is the identity.  A result of more than ``MAX_TS_TERMS`` terms
+    raises ``ValueError`` before any is formed.
     """
     slot, N = _strict_int(slot, "slot"), _strict_int(N, "N", 1)
     if not 1 <= slot <= x.arity:
         raise ValueError(f"slot {slot} out of range for arity {x.arity}")
+    size = len(x._terms) * N
+    if size > MAX_TS_TERMS:
+        raise ValueError(
+            f"pushforward of a {len(x._terms)}-term class along N = {N} makes "
+            f"{size} terms, more than MAX_TS_TERMS = {MAX_TS_TERMS}"
+        )
+    # Over L N, b = n / L is n N and (b + j) / N is n + j L; b < 1, so that
+    # is a residue in [0, 1), and distinct (key, j) give distinct keys.
+    L = x.den
     out: dict = {}
-    for (evs, p, q), mult in x._terms.items():
-        bn, bd = evs[slot - 1]
+    for (evs, p, q), mult in x._over(L * N).items():
+        n = evs[slot - 1] // N
         for j in range(N):
-            # b < 1, so (b + j) / N is already a residue in [0, 1).
-            new = evs[: slot - 1] + (_reduced(bn + j * bd, bd * N),) + evs[slot:]
-            _merge(out, (new, p, q), mult)
-    return MonodromicClass._trusted(x.arity, out)
+            out[evs[: slot - 1] + (n + j * L,) + evs[slot:], p, q] = mult
+    return MonodromicClass._trusted(x.arity, *MonodromicClass._lowest(out, L * N))

@@ -3,12 +3,12 @@
 A class of arity k is a finitely supported Z-combination of monomials
 keyed by (eigenvalues, p, q): a k-tuple of rational residues in [0, 1)
 recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
-automorphisms, and a Hodge bidegree.  Each residue is stored as a reduced
-int pair (num, den) with 0 <= num < den (see ``hodgespec.spectra``);
-``terms()`` returns them as Fractions, and ``render`` sorts and formats the
-pairs without that view.  Every printed class goes through
-``_render_classes``, which takes all the classes of one printed output (a
-truncated polynomial's degrees, say), ranks and formats each distinct
+automorphisms, and a Hodge bidegree.  The residues are int numerators over
+the class's one least denominator ``den`` (the key format of
+``hodgespec.spectra``), so eigenvalue tuples sort as the rationals they
+stand for; ``terms()`` returns them as Fractions.  Every printed class goes
+through ``_render_classes``, which takes all the classes of one printed
+output (a truncated polynomial's degrees, say), formats each distinct
 eigenvalue tuple among them once, and sorts all their terms once.
 Multiplication is the group-ring product (eigenvalues add mod 1, bidegrees
 add), which realizes the tensor product of Hodge structures with
@@ -31,25 +31,13 @@ characters of ``oracles.p1_cover_class``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import partial
 from math import comb, lcm, prod
+from operator import add, itemgetter
 
 from .lattice import _int_matrix, _int_row, _sized, _strict_int, smith_normal_form, snf_divisors
-from .spectra import (
-    BiSpectrum,
-    Spectrum,
-    _add_mod1,
-    _ArityMap,
-    _heads,
-    _lead,
-    _lowest,
-    _merge,
-    _pair,
-    _reduced,
-    _render_pair,
-    _scales,
-    _to_frac,
-    frac,
-)
+from .spectra import BiSpectrum, Spectrum, _ArityMap, _DenMap, _heads, _lead, _merge, _pair, _ratio, frac
 
 
 # torus_fiber_class enumerates one character per element of the torsion
@@ -75,41 +63,23 @@ MAX_TORUS_CHARACTERS = 250_000
 MAX_TS_TERMS = 250_000
 
 
-def _tuple_ranks(classes) -> dict:
-    """The rank of each distinct eigenvalue tuple in the classes (of one
-    arity), as one integer: with L the lcm of every denominator in every
-    tuple, a residue n / d is the digit n * (L // d) in [0, L), and the
-    tuple reads as a base-L number, which orders tuples slot by slot as the
-    rationals they stand for."""
-    tuples = {evs for x in classes for evs, _p, _q in x._terms}
-    # 1 leaves the lcm as it is and reads it back as scale[1].
-    scale = _scales({d for evs in tuples for _n, d in evs} | {1})
-    big = scale[1]
-    ranks = {}
-    for evs in tuples:
-        r = 0
-        for n, d in evs:
-            r = r * big + n * scale[d]
-        ranks[evs] = r
-    return ranks
-
-
 def _render_classes(classes) -> list:
     """The ``render`` text of each of the classes (of one arity), in order.
 
-    Every distinct eigenvalue tuple among them is ranked (``_tuple_ranks``)
-    and formatted once, and every multiplicity's sign text comes from one
+    Every distinct eigenvalue tuple among them (with its class's ``den``)
+    is formatted once, and every multiplicity's sign text comes from one
     ``_heads`` table.  The terms of all the classes are sorted once, on
-    (class index, tuple rank, p, q), printed as `(evs;p,q)` terms and cut
-    back into one text per class: a sort per class would hold less at once,
-    but costs the many small classes of a high-degree truncation more.
+    (class index, tuple, p, q), printed as `(evs;p,q)` terms and cut back
+    into one text per class: a sort per class would hold less at once, but
+    costs the many small classes of a high-degree truncation more.
     """
-    ranks = _tuple_ranks(classes)
-    texts = {evs: ",".join(map(_render_pair, evs)) for evs in ranks}
+    texts: dict = {}
+    for den, evs in {(x.den, evs) for x in classes for evs in map(itemgetter(0), x._terms)}:
+        texts.setdefault(den, {})[evs] = ",".join([_ratio(n, den) for n in evs])
     head = _heads(mult for x in classes for mult in x._terms.values())
-    terms = [f"{head[mult]}({evs};{p},{q})" for _i, _r, p, q, mult, evs in sorted([
-        (i, ranks[evs], p, q, mult, texts[evs])
-        for i, x in enumerate(classes) for (evs, p, q), mult in x._terms.items()
+    terms = [f"{head[mult]}({text};{p},{q})" for _i, _evs, p, q, mult, text in sorted([
+        (i, evs, p, q, mult, text[evs])
+        for i, x in enumerate(classes) for text in [texts.get(x.den)] for (evs, p, q), mult in x._terms.items()
     ])]
     out = []
     start = 0
@@ -120,39 +90,60 @@ def _render_classes(classes) -> list:
     return out
 
 
-class MonodromicClass(_ArityMap):
+class MonodromicClass(_ArityMap, _DenMap):
     """Z-combination of (eigenvalue tuple, p, q) monomials of a fixed arity."""
 
-    __slots__ = ()
+    __slots__ = ("den",)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict, den: int) -> "MonodromicClass":
+        out = object.__new__(cls)
+        out.arity, out._terms, out.den = arity, terms, den
+        return out
+
+    def _like(self, terms: dict, den: int | None = None) -> "MonodromicClass":
+        return MonodromicClass._trusted(self.arity, terms, (den or self.den) if terms else 1)
 
     def _key(self, raw):
         evs, p, q = raw
-        evs = tuple(_pair(e, residue=True) for e in evs)
+        evs = [_pair(e, residue=True) for e in evs]
         if len(evs) != self.arity:
-            shown = tuple(map(_to_frac, evs))
+            shown = tuple(Fraction(n, d) for n, d in evs)
             raise ValueError(f"eigenvalue tuple {shown} has wrong arity (want {self.arity})")
-        return evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q")
+        d = lcm(*[d for _n, d in evs])
+        evs = tuple([n * (d // e) for n, e in evs])
+        return (evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q")), d
 
     @staticmethod
-    def _key_mul(k1, k2):
-        (e1, p1, q1), (e2, p2, q2) = k1, k2
-        return tuple(map(_add_mod1, e1, e2)), p1 + p2, q1 + q2
+    def _key_mul(den):
+        mod = den.__rmod__
 
-    def _rank(self):
-        ranks = _tuple_ranks((self,))
+        def mul(k1, k2):
+            # Over den 1 every residue is 0, and so is every sum.
+            (e1, p1, q1), (e2, p2, q2) = k1, k2
+            return (tuple(map(mod, map(add, e1, e2))) if den > 1 else e1), p1 + p2, q1 + q2
 
-        def rank(item):
-            (evs, p, q), _mult = item
-            return ranks[evs], p, q
+        return mul
 
-        return rank
+    @staticmethod
+    def _rekeyed(terms, f):
+        # Each distinct eigenvalue tuple once: bidegrees repeat them.
+        new: dict = {}
+        out = {}
+        for (evs, p, q), m in terms.items():
+            if (e := new.get(evs)) is None:
+                e = new[evs] = tuple(map(f, evs))
+            out[e, p, q] = m
+        return out
+
+    _nums = partial(map, itemgetter(0))
 
     def terms(self):
         """``_SparseMap.terms``, converting each distinct eigenvalue tuple once."""
-        views, out = {}, []
+        den, views, out = self.den, {}, []
         for (evs, p, q), coef in self._sorted():
             if (view := views.get(evs)) is None:
-                view = views[evs] = tuple(map(_to_frac, evs))
+                view = views[evs] = tuple([Fraction(e, den) for e in evs])
             out.append(((view, p, q), coef))
         return tuple(out)
 
@@ -167,11 +158,11 @@ class MonodromicClass(_ArityMap):
     @classmethod
     def lefschetz(cls, arity: int, power: int = 1) -> "MonodromicClass":
         """L^n for any integer n; the inverse has bidegree (-1, -1)."""
-        arity = _strict_int(arity, "arity")
-        return cls.monomial(arity, (0,) * arity, power, power)
+        arity, power = _strict_int(arity, "arity", 0), _strict_int(power, "bidegree p")
+        return cls._trusted(arity, {((0,) * arity, power, power): 1}, 1)
 
     def coefficient(self, evs, p, q) -> int:
-        return self._terms.get(self._key((evs, p, q)), 0)
+        return self._get((evs, p, q))
 
     def __pow__(self, n: int) -> "MonodromicClass":
         n = _strict_int(n, "exponent", 0)
@@ -196,18 +187,18 @@ def embed(x: MonodromicClass, arity: int, slots) -> MonodromicClass:
         raise ValueError("slots must be distinct and within range")
     out = {}
     for (evs, p, q), mult in x._terms.items():
-        new = [(0, 1)] * arity
+        new = [0] * arity
         for s, e in zip(slots, evs):
             new[s - 1] = e
         out[(tuple(new), p, q)] = mult  # distinct slots: keys stay distinct
-    return MonodromicClass._trusted(arity, out)
+    return MonodromicClass._trusted(arity, out, x.den)
 
 
 def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
     """External product: eigenvalue tuples concatenate, bidegrees add.
 
     A product of more than ``MAX_TS_TERMS`` term pairs raises ``ValueError``
-    before any pair is formed.
+    before any pair is formed.  Both factors enter over lcm(x.den, y.den).
     """
     pairs = len(x._terms) * len(y._terms)
     if pairs > MAX_TS_TERMS:
@@ -215,11 +206,13 @@ def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
             f"box of a {len(x._terms)}-term and a {len(y._terms)}-term class meets "
             f"{pairs} term pairs, more than MAX_TS_TERMS = {MAX_TS_TERMS}"
         )
+    den = lcm(x.den, y.den)
+    ys = y._over(den).items()
     out: dict[tuple, int] = {}
-    for (e1, p1, q1), m1 in x._terms.items():
-        for (e2, p2, q2), m2 in y._terms.items():
+    for (e1, p1, q1), m1 in x._over(den).items():
+        for (e2, p2, q2), m2 in ys:
             _merge(out, (e1 + e2, p1 + p2, q1 + q2), m1 * m2)
-    return MonodromicClass._trusted(x.arity + y.arity, out)
+    return MonodromicClass._trusted(x.arity + y.arity, *MonodromicClass._lowest(out, den))
 
 
 def hodge_spectrum(x: MonodromicClass) -> Spectrum:
@@ -231,12 +224,11 @@ def hodge_spectrum(x: MonodromicClass) -> Spectrum:
     """
     if x.arity != 1:
         raise ValueError("hodge_spectrum needs an arity-1 class")
-    # n / d + p over big, the lcm of every d: the numerator (n + p * d) * (big // d).
-    big = lcm(*{evs[0][1] for evs, _p, _q in x._terms})
+    den = x.den
     out: dict[int, int] = {}
-    for (((n, d),), p, _q), mult in x._terms.items():
-        _merge(out, (n + p * d) * (big // d), mult)
-    return Spectrum._trusted(*_lowest(out, big))
+    for ((a,), p, _q), mult in x._terms.items():
+        _merge(out, a + p * den, mult)
+    return Spectrum._trusted(*Spectrum._lowest(out, den))
 
 
 def hodge_spectrum2(x: MonodromicClass) -> BiSpectrum:
@@ -246,7 +238,7 @@ def hodge_spectrum2(x: MonodromicClass) -> BiSpectrum:
     out: dict[tuple, int] = {}
     for ((a, b), p, _q), mult in x._terms.items():
         _merge(out, (a, b, p), mult)
-    return BiSpectrum._trusted(out)
+    return BiSpectrum._trusted(*BiSpectrum._lowest(out, x.den))
 
 
 def _exponent_matrix(rows) -> list:
@@ -322,19 +314,19 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
             pairings.append([sum(v * n for v, n in zip(row, nums)) * big // t % big for row in Vinv[:r]])
         gens = list(zip(*pairings))
 
-    cols = _character_columns(divisors, gens, big)
-    reduced = [{n: _reduced(n, big) for n in set(col)} for col in cols]
     # U is unimodular, so distinct characters have distinct eigenvalue
-    # tuples and every key below is new.  (L - 1)^e is the sum over j of
-    # (-1)^(e - j) C(e, j) L^j, an L^j shifting the bidegree by (j, j).
+    # tuples and every key below is new, and big is least: the character of
+    # the last generator pairs to row r - 1 of U over d_r, whose entries
+    # have gcd 1.  (L - 1)^e is the sum over j of (-1)^(e - j) C(e, j) L^j,
+    # an L^j shifting the bidegree by (j, j).
     e = m - r
     shifts = [(j, (-1) ** (e - j) * comb(e, j)) for j in range(e + 1)]
     result = {
         (evs, j, j): coef
-        for evs in zip(*(map(red.__getitem__, col) for red, col in zip(reduced, cols)))
+        for evs in zip(*_character_columns(divisors, gens, big))
         for j, coef in shifts
     }
-    return MonodromicClass._trusted(r, result)
+    return MonodromicClass._trusted(r, result, big)
 
 
 def _character_columns(orders, gens, big):

@@ -22,7 +22,9 @@ The ingredients:
   of type (1,0) and (k' - 1 - sum a_s) of type (0,1), plus one type-(0,0)
   class for every puncture where the local monodromy is trivial.  The torus
   fibre's odometer walks the characters on integer numerators over
-  L = lcm(n_i), so each class is read off two integers, k' and sum a_s;
+  L = lcm(n_i), so each class is read off two integers, k' and sum a_s,
+  and the eigenvalues are already keys over L (the key format of
+  ``hodgespec.spectra``);
 * the equivariant-quotient bookkeeping that turns those tables into the
   collapse of a two-monodromy class;
 * a root-of-unity enumeration of torus fibers of monomial maps, an
@@ -47,7 +49,7 @@ from operator import add, eq
 
 from .lattice import _int_matrix, _int_row, _strict_int, rational_solve, smith_normal_form, snf_divisors
 from .monclass import MAX_TORUS_CHARACTERS, MonodromicClass, _character_columns, _exponent_matrix
-from .spectra import _merge, _reduced, mod1
+from .spectra import _merge, mod1
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,7 @@ def collapse_pair_bruteforce(x: MonodromicClass, pair=(1, 2)) -> MonodromicClass
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_class_terms(residues, big):
+def _eigensystem_rows(residues, big):
     """Signed (p, q, mult) rows of a rank-one eigensystem on P^1 minus
     len(residues) punctures, read off two numbers: how many residues
     (numerators over ``big``) are nonzero, and their sum over ``big``."""
@@ -169,14 +171,14 @@ def p1_cover_class(deck_orders, phi_orders) -> MonodromicClass:
         for i, (n, row) in enumerate(zip(deck_orders, phi_orders))
     ]
     cols = _character_columns(deck_orders, gens, big)
-    reduced = [{v: _reduced(v, big) for v in set(col)} for col in cols[:r]]
     # Characters have distinct eigenvalue tuples; the trivial group has one.
-    eigs = zip(*(map(red.__getitem__, col) for red, col in zip(reduced, cols))) if r else [()]
+    # A character of class 0 drops out, so L may not be least.
+    eigs = zip(*cols[:r]) if r else [()]
     out = {}
     for evs, *residues in zip(eigs, *cols[r:]):
-        for p, q, mult in _rank_one_class_terms(residues, big):
+        for p, q, mult in _eigensystem_rows(residues, big):
             out[evs, p, q] = mult
-    return MonodromicClass._trusted(r, out)
+    return MonodromicClass._trusted(r, *MonodromicClass._lowest(out, big))
 
 
 def stratum_cover_class(multiplicity: int, crossing_multiplicities) -> MonodromicClass:

@@ -72,6 +72,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .cones import Cone, lattice_series
@@ -259,16 +260,18 @@ def zeta_series(datum: ResolutionDatum) -> RationalSeries:
 
 def _signed_stratum_sum(datum: ResolutionDatum, offset: int, keep) -> MonodromicClass:
     """Sum of (-1)^(|I| + offset) [cover of U_I] over the strata I whose
-    component set passes ``keep``, merged into one term dict."""
+    component set passes ``keep``, merged into one term dict over the lcm
+    of their denominators."""
+    signed = [
+        (-1 if (len(st.components) + offset) % 2 else 1, datum.stratum_class(st))
+        for st in datum.strata if keep(set(st.components))
+    ]
+    den = lcm(*[x.den for _sign, x in signed])
     out: dict = {}
-    for st in datum.strata:
-        ids = set(st.components)
-        if not keep(ids):
-            continue
-        sign = -1 if (len(ids) + offset) % 2 else 1
-        for key, mult in datum.stratum_class(st)._terms.items():
+    for sign, x in signed:
+        for key, mult in x._over(den).items():
             _merge(out, key, sign * mult)
-    return MonodromicClass._trusted(datum.arity, out)
+    return MonodromicClass._trusted(datum.arity, *MonodromicClass._lowest(out, den))
 
 
 def nearby_cycles(datum: ResolutionDatum) -> MonodromicClass:
@@ -462,8 +465,9 @@ def load_class(path: str) -> MonodromicClass:
 
 
 def _class_to_json(cls: MonodromicClass) -> list:
-    """Inverse of ``_class_from_json``, written from the stored key pairs."""
-    return [[*map(list, evs), p, q, mult] for (evs, p, q), mult in cls._sorted()]
+    """Inverse of ``_class_from_json``, from ``terms()``."""
+    return [[*([e.numerator, e.denominator] for e in evs), p, q, mult]
+            for (evs, p, q), mult in cls.terms()]
 
 
 def datum_to_dict(datum: ResolutionDatum) -> dict:

@@ -8,12 +8,13 @@ product is the constant term.  Two operations matter downstream:
   geometric expansion of each generator (sum over m >= 1 of L^(e m) T^(j m)).
   A generator product only ever yields integer counts of monomials L^k T^d,
   so classes are never multiplied or added: each count scales a shifted
-  copy of the term's coefficient.  As a rule each term keeps a plain-int
-  table keyed by (T-degree, L-power).  A series that may merge at least
-  ``INT_KEYS_FROM`` class terms, with at most two generator factors per
-  term and two of different slopes e / j in some term (the shape of a
-  curve's zeta function), is accumulated on single integer keys instead,
-  one digit each for the T-degree, the L-power and the L-orbit
+  copy of the term's coefficient, all put over one lcm of denominators
+  (the key format of ``hodgespec.spectra``) once.  As a rule each term
+  keeps a plain-int table keyed by (T-degree, L-power).  A series that may
+  merge at least ``INT_KEYS_FROM`` class terms, with at most two generator
+  factors per term and two of different slopes e / j in some term (the
+  shape of a curve's zeta function), is accumulated on single integer keys
+  instead, one digit each for the T-degree, the L-power and the L-orbit
   (evs, p - q) of the class monomial: a generator moves every key by one
   fixed step, the last factor walks the keys of the merged coefficient
   with a running sum along each chain of steps, and each output class key
@@ -29,9 +30,10 @@ products, for which that is the defining formula.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add
 
-from .lattice import _int_row, _strict_int
+from .lattice import _strict_int
 from .monclass import MonodromicClass, _render_classes
 from .spectra import _ArityMap, _merge
 
@@ -76,8 +78,16 @@ def _points_bound(factors, n: int) -> int:
     return size
 
 
+def _over_lcm(terms: dict) -> tuple:
+    """({factors: coefficient term map}, den): the coefficient classes of a
+    series' terms put over den, the lcm of their denominators, once."""
+    den = lcm(*[c.den for c in terms.values()])
+    return {factors: c._over(den) for factors, c in terms.items()}, den
+
+
 def _expand_tables(terms: dict, n: int) -> dict:
-    """``RationalSeries.expand`` on one (T-degree, L-power) table per term:
+    """``RationalSeries.expand`` on one (T-degree, L-power) table per term
+    of ``terms`` ({factors: class term map}, as ``_over_lcm`` gives):
     {d: {class key: multiplicity}}, a degree possibly empty."""
     out: dict[int, dict] = {}
     for factors, coef in terms.items():
@@ -91,7 +101,7 @@ def _expand_tables(terms: dict, n: int) -> dict:
             table = nxt
             if not table:
                 break
-        monomials = coef._terms.items()
+        monomials = coef.items()
         for (d, k), count in table.items():
             terms_d = out.setdefault(d, {})
             for (evs, p, q), mult in monomials:
@@ -150,8 +160,9 @@ def _chain_sums(table: dict, step: int, j: int, n: int, width: int, into: dict) 
 
 
 def _expand_ints(terms: dict, n: int) -> dict:
-    """``RationalSeries.expand`` on integer keys, for n >= 1:
-    {d: {class key: multiplicity}}, no degree empty.
+    """``RationalSeries.expand`` on integer keys, for n >= 1, of ``terms``
+    as ``_expand_tables`` takes them: {d: {class key: multiplicity}}, no
+    degree empty.
 
     The class monomial (evs, p + k, q + k) at T-degree d is the key
     d * width + l * r + o: o indexes its L-orbit (evs, p - q) among the r
@@ -172,7 +183,7 @@ def _expand_ints(terms: dict, n: int) -> dict:
     for factors, coef in terms.items():
         for e, _j in factors:
             big_e = max(big_e, abs(e))
-        for evs, p, q in coef._terms:
+        for evs, p, q in coef:
             orbits.setdefault((evs, p - q), len(orbits))
             ps.append(p)
     r = len(orbits)
@@ -187,7 +198,7 @@ def _expand_ints(terms: dict, n: int) -> dict:
         # A constant term merges straight into the accumulator.
         merged = {} if factors else acc
         mget = merged.get
-        for (evs, p, q), mult in coef._terms.items():
+        for (evs, p, q), mult in coef.items():
             offset = (p + shift - reach) * r + orbits[evs, p - q]
             for b, count in table.items():
                 x = b + offset
@@ -305,7 +316,8 @@ class RationalSeries(_ArityMap):
         A product of generators L^e T^j / (1 - L^e T^j) contributes only
         integer counts of monomials L^k T^d, and the coefficient class is
         merged into degree d with its bidegrees raised by k and its
-        multiplicities scaled by the count; no class arithmetic is needed.
+        multiplicities scaled by the count; no class arithmetic is needed,
+        and each degree's class is put over its least denominator.
         A truncation that may merge more than ``MAX_EXPAND_TERMS`` class
         terms raises ``ValueError`` before any table is built.
 
@@ -324,13 +336,14 @@ class RationalSeries(_ArityMap):
                 f"expansion through degree {n} may merge {size} class terms, "
                 f"more than MAX_EXPAND_TERMS = {MAX_EXPAND_TERMS}"
             )
+        coefs, den = _over_lcm(self._terms)
         if size >= INT_KEYS_FROM and _spreads(self._terms):
-            out = _expand_ints(self._terms, n)
+            out = _expand_ints(coefs, n)
         else:
-            out = _expand_tables(self._terms, n)
-        arity = self.arity
+            out = _expand_tables(coefs, n)
+        arity, lowest = self.arity, MonodromicClass._lowest
         return TruncatedPoly._trusted(arity, {
-            d: MonodromicClass._trusted(arity, terms) for d, terms in out.items() if terms
+            d: MonodromicClass._trusted(arity, *lowest(terms, den)) for d, terms in out.items() if terms
         })
 
     def render(self) -> str:

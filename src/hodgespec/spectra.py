@@ -7,80 +7,65 @@ map and implements the ring once: sums, negation, scaling, the product
 through the subclass's key product, equality, hashing and the sorted term
 list.  ``_ArityMap`` adds a fixed arity that operands must share.
 
-One rule keeps the keys canonical without normalising them twice: outside
-data enters only through the one constructor loop of ``_SparseMap``, which
-runs each ring's ``_key`` hook (raw key to canonical key, with that ring's
-checks) and ``_coef`` hook (a strict-int multiplicity unless overridden)
-on every input term; ``coefficient`` normalises through the same ``_key``.
-``Spectrum``, whose keys share one denominator, has its own constructor
-on the same ``_pair`` and ``_coef``.
-A result whose keys are canonical by construction -- a ring operation, a
-morphism such as ``fold_bispectrum`` -- is wrapped as is by the trusted
-constructor ``_trusted``.
+One key format.  Every exponent of a spectrum and every eigenvalue of
+commuting finite-order monodromies lies in (1/n)Z for one n, so a ring
+whose keys hold rationals (a ``_DenMap``: ``Spectrum``, ``BiSpectrum``,
+``MonodromicClass``) keeps each as an int numerator over one slot ``den``,
+the least common denominator: ``gcd(den, *numerators) == 1``, residues lie
+in ``[0, den)``, and ``den == 1`` for zero, for arity 0 and for the series
+rings.  Keys hash, compare and sort as ints (tuples of numerators over one
+``den`` sort as the rationals they stand for), and a rational is reduced
+on its own only when printed (``_ratio``) or viewed: constructors and
+``coefficient`` take any ``FracLike``, and ``terms()`` returns ascending
+``Fraction`` keys.  ``_DenMap`` writes the den arithmetic once.  Outside
+data enters through one constructor loop running each ring's ``_key``
+(with its checks; ``_pair`` and ``frac`` parse every rational) and
+``_coef`` hooks, the keys left put over their lcm once.  Sums and
+products work over lcm(d1, d2) (``_over``); only a cancellation, a product
+or a morphism can leave a smaller least denominator, and only then is
+``_lowest`` called.  Results canonical by construction are wrapped as is
+by the trusted constructor ``_trusted``.
 
 A spectrum here is a finitely supported integer combination of monomials
 ``t^a`` with rational exponent ``a``, i.e. an element of the group ring of
 (Q, +).  Its two-variable companion is graded by a pair of residues mod 1
 together with an integer: monomials ``t^a u^b v^c`` with ``a, b`` in
-Q/Z and ``c`` in Z.  All arithmetic is exact.
-
-A ``Spectrum`` keeps its exponents as int numerators over one slot ``den``,
-their least common denominator: ``gcd(den, *numerators) == 1``, and
-``den == 1`` when the spectrum is zero, so equal spectra hold equal
-(``den``, term map) pairs.  ``_lowest`` restores that form with one
-``gcd(den, *numerators)``; only a cancelled term or a sum of exponents (in
-a product or a fold) can break it.  The constructor scales its inputs over
-their lcm once, and a product adds numerators over the lcm of both
-denominators, so no exponent is reduced on its own until it is printed.
-
-Inside the keys of the other rings every rational is a reduced pair of
-ints ``(num, den)``: ``den > 0`` and ``gcd(num, den) == 1``, and a residue
-mod 1 also has ``0 <= num < den``.  Keys then hash and compare as plain
-ints; ``_reduced`` makes the key pair of n / d with one ``math.gcd``.  The
-public API speaks ``Fraction``: constructors and ``coefficient`` take any
-``FracLike``; ``terms()`` returns ascending ``Fraction`` keys.
-
-Sorting and rendering never build that ``Fraction`` view.  A spectrum
-sorts on its int numerators as they are.  ``_sorted`` sorts the stored
-items of the pair-keyed rings on one rank per item, which each ring's
-``_rank`` hook builds over one ``_scales`` table for the whole map: with L
-the lcm of every denominator in every pair slot of every key, a pair
-(num, den) ranks as the integer ``num * (L // den)``, which orders the
-pairs as the rationals they stand for (any common multiple of the
-denominators would do); an int slot ranks as itself.  Every ``render``
-formats the pairs as they are and takes the sign and multiplicity text of
-each term from one ``_heads`` table, the only place the sign rule is
-written.
-
-The folding maps between the two rings send ``t^a u^b v^c`` to
-``t^{s(a) + s(b)/N + c}`` where ``s`` picks the canonical representative of
-a residue in [0, 1); with ``N = 1`` this is the plain collapse used to
-compare one- and two-monodromy spectra.
+Q/Z and ``c`` in Z.  All arithmetic is exact.  The folding maps between
+the two rings send ``t^a u^b v^c`` to ``t^{s(a) + s(b)/N + c}`` where
+``s`` picks the canonical representative of a residue in [0, 1); with
+``N = 1`` this is the plain collapse used to compare one- and two-monodromy
+spectra.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Iterable, Mapping, Tuple, Union
+from operator import add, itemgetter
+from typing import Tuple, Union
 
 from .lattice import _strict_int
 
 FracLike = Union[Fraction, int, str, Tuple[int, int]]
-# A rational inside a ring key: (num, den), den > 0, gcd(num, den) == 1.
-Pair = Tuple[int, int]
 
 
 def frac(value: FracLike, den: int | None = None) -> Fraction:
     """Coerce ints, strings, or (num, den) pairs to an exact Fraction; a
-    float or a bool raises ValueError (``Fraction(0.1)`` is binary-rounded)."""
+    float or a bool raises ValueError (``Fraction(0.1)`` is binary-rounded),
+    and so does a zero denominator."""
     if den is None and isinstance(value, tuple):
         value, den = value
     for x in (value, den):
         if isinstance(x, (bool, float)):
             raise ValueError(f"{x!r} is not an exact rational")
-    return Fraction(value) if den is None else Fraction(value, den)
+    try:
+        return Fraction(value) if den is None else Fraction(value, den)
+    except ZeroDivisionError:
+        shown = repr(value) if den is None else f"{value!r}/{den!r}"
+        raise ValueError(f"{shown} has a zero denominator") from None
 
 
 def mod1(x: FracLike) -> Fraction:
@@ -88,9 +73,9 @@ def mod1(x: FracLike) -> Fraction:
     return frac(x) % 1
 
 
-def _pair(value: FracLike, residue: bool = False) -> Pair:
-    """Reduced key pair of a FracLike; with ``residue``, of its residue mod 1
-    (still reduced: gcd(n mod d, d) = gcd(n, d))."""
+def _pair(value: FracLike, residue: bool = False) -> tuple:
+    """(num, den) of a FracLike in lowest terms, den > 0; with ``residue``,
+    of its residue mod 1 (still lowest: gcd(n mod d, d) = gcd(n, d))."""
     if type(value) is int:
         return (0 if residue else value), 1
     x = value if isinstance(value, Fraction) else frac(value)
@@ -98,31 +83,10 @@ def _pair(value: FracLike, residue: bool = False) -> Pair:
     return (n % d if residue else n), d
 
 
-def _reduced(n: int, d: int) -> Pair:
-    """The key pair of n / d, for d > 0."""
-    g = gcd(n, d)
-    return n // g, d // g
-
-
-def _add_mod1(x: Pair, y: Pair) -> Pair:
-    """Sum of two canonical residue pairs, reduced back into [0, 1)."""
-    (a, b), (c, d) = x, y
-    n, m = a * d + c * b, b * d
-    return _reduced(n - m if n >= m else n, m)
-
-
-def _lowest(terms: dict, den: int) -> tuple:
-    """(terms, den) of int numerators over den, divided by their one gcd:
-    den is then the least common denominator (1 when terms is empty)."""
-    g = gcd(den, *terms)
-    if g == 1:
-        return terms, den
-    return {n // g: c for n, c in terms.items()}, den // g
-
-
-def _to_frac(x: Pair) -> Fraction:
-    """The Fraction a key pair stands for."""
-    return Fraction(x[0], x[1])
+def _ratio(n: int, den: int) -> str:
+    """The text of n / den in lowest terms, `/1` omitted."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _items(terms):
@@ -137,18 +101,6 @@ def _merge(into: dict, key, coef) -> None:
         into[key] = new
     else:
         into.pop(key, None)
-
-
-def _scales(dens) -> dict:
-    """The scale table {d: L // d} of L = lcm(dens), so that num * table[den]
-    ranks every pair over dens as the rational it stands for."""
-    big = lcm(*dens)
-    return {d: big // d for d in dens}
-
-
-def _render_pair(x: Pair) -> str:
-    n, d = x
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _lead(text: str) -> str:
@@ -185,16 +137,16 @@ class _SparseMap:
     supplies ``_key`` (a raw key to its canonical form, ValueError on
     anything else), optionally ``_coef`` (the default takes a strict-int
     multiplicity), ``_key_mul`` (the product of two keys, canonical when
-    both are; ``Spectrum`` multiplies in ``__mul__``), ``_key_view`` (a
-    stored key in its public form, for ``terms()``), ``_rank`` (when keys
-    hold rational pairs, the sort key ``_sorted`` uses on this map's
-    items: the keys' slots as exact integers over one scale table for the
-    whole map) and ``render``.  ``_scalars`` lists the types ``*`` treats
-    as coefficient scalars, the only ones ``scale`` accepts.
+    both are), ``_key_view`` (a stored key in its public form, for
+    ``terms()``) and ``render``.  ``_scalars`` lists the types ``*`` treats
+    as coefficient scalars, the only ones ``scale`` accepts.  ``den`` is 1
+    here and a slot of each ``_DenMap`` ring; equality and hashing read it.
     """
 
     __slots__ = ("_terms",)
     _scalars: tuple = (int,)
+    den = 1
+    _one = None  # the key of the one, for a ring equal to n at n times it
 
     def __init__(self, terms: Mapping | Iterable = ()):
         key, coef = self._key, self._coef
@@ -228,14 +180,9 @@ class _SparseMap:
     def _key_view(key):
         return key
 
-    def _rank(self):
-        """Sort key on this map's items; None sorts on the stored keys."""
-        return None
-
     def _sorted(self) -> list:
-        """Stored (key, coef) items in ascending key order: sorted on the
-        ``_rank`` sort key, or on the stored keys."""
-        return sorted(self._terms.items(), key=self._rank() or itemgetter(0))
+        """Stored (key, coef) items in ascending key order."""
+        return sorted(self._terms.items(), key=itemgetter(0))
 
     def terms(self):
         """Term list with keys in their public form, sorted by ascending key."""
@@ -246,12 +193,14 @@ class _SparseMap:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._terms == other._terms
+        if type(other) is type(self):
+            return self.den == other.den and self._terms == other._terms
+        if isinstance(other, int) and self._one is not None:
+            return self.den == 1 and self._terms == ({self._one: other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.den, frozenset(self._terms.items())))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -303,7 +252,7 @@ class _ArityMap(_SparseMap):
 
     def __init__(self, arity: int, terms: Mapping | Iterable = ()):
         self.arity = _strict_int(arity, "arity", 0)
-        _SparseMap.__init__(self, terms)
+        super().__init__(terms)
 
     @classmethod
     def zero(cls, arity: int):
@@ -326,84 +275,140 @@ class _ArityMap(_SparseMap):
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
+        return self.arity == other.arity and self.den == other.den and self._terms == other._terms
 
     # Defining __eq__ clears the inherited hash.
     __hash__ = _SparseMap.__hash__
 
 
-class Spectrum(_SparseMap):
-    """Finitely supported Z-combination of monomials t^a, a rational.
-
-    Multiplication follows t^a * t^b = t^(a+b); zero multiplicities are
-    never stored, so equality is equality of term maps.  A spectrum also
-    compares equal to the integer n when it is n * t^0.  ``_terms`` maps
-    the int numerator of each exponent over ``den`` to its multiplicity
-    (see the module docstring).
+class _DenMap(_SparseMap):
+    """Sparse map whose keys hold rationals as int numerators over one least
+    denominator ``den`` (see the module docstring): the den arithmetic of
+    every such ring.  A subclass declares the ``den`` slot and supplies
+    ``_key`` (a raw key to (the key over d, d), d the least denominator of
+    that key alone), ``_key_mul`` (den to the product of two keys over den,
+    residues reduced mod den), ``_rekeyed`` (a term map with every
+    numerator n sent to f(n)) and ``_nums`` (a C callable from a
+    term map to the tuple of numerators of each key).
     """
 
-    __slots__ = ("den",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | Iterable = ()):
-        # Reduced pairs merge first; the exponents left are distinct, and
-        # the lcm of their denominators is least, so one scaling ends it.
-        coef = self._coef
-        pairs: dict = {}
+        # Keys merge among those of their own least denominator; the lcm of
+        # the denominators left is least, so one scaling of each group ends it.
+        key, coef = self._key, self._coef
+        groups: dict = {}
         for raw, value in _items(terms):
-            _merge(pairs, _pair(raw), coef(value))
-        den = self.den = lcm(*{d for _n, d in pairs})
-        self._terms = {n * (den // d): c for (n, d), c in pairs.items()}
+            k, d = key(raw)
+            _merge(groups.setdefault(d, {}), k, coef(value))
+        den = self.den = lcm(*filter(groups.get, groups))  # the d of nonempty groups
+        out: dict = {}
+        for d, group in groups.items():
+            out.update(group if d == den else self._rekeyed(group, (den // d).__mul__))
+        self._terms = out
 
     @classmethod
-    def _trusted(cls, terms: dict, den: int) -> "Spectrum":
+    def _trusted(cls, terms: dict, den: int):
         """Wrap numerators over their least common denominator as is."""
         out = object.__new__(cls)
         out._terms = terms
         out.den = den
         return out
 
-    def _like(self, terms: dict) -> "Spectrum":
-        # Negation and scaling keep every key, or drop them all.
-        return Spectrum._trusted(terms, self.den if terms else 1)
+    def _like(self, terms: dict, den: int | None = None):
+        # Negation and scaling keep every key, and den, or drop them all.
+        return self._trusted(terms, (den or self.den) if terms else 1)
+
+    @classmethod
+    def _lowest(cls, terms: dict, den: int) -> tuple:
+        """(terms, den) of numerators over den, divided by their one gcd
+        with den: den is then least (1 when every numerator is 0, as they
+        stay, or terms is empty).  The gcd stops at the first numerator
+        that makes it 1."""
+        if den == 1:
+            return terms, 1
+        g, n = den, 0
+        for n in filter(None, chain.from_iterable(cls._nums(terms))):
+            g = gcd(g, n)
+            if g == 1:
+                return terms, den
+        # n is still 0 only when every numerator is.
+        return (cls._rekeyed(terms, g.__rfloordiv__), den // g) if n else (terms, 1)
+
+    def _over(self, den: int) -> dict:
+        """The term map over den, a multiple of self.den (as is when equal)."""
+        return self._terms if den == self.den else self._rekeyed(self._terms, (den // self.den).__mul__)
+
+    def _get(self, raw) -> int:
+        """The multiplicity of a raw key, parsed by ``_key``."""
+        key, d = self._key(raw)
+        (key,) = self._rekeyed({key: 0}, (self.den // d).__mul__)
+        return 0 if self.den % d else self._terms.get(key, 0)
 
     def __add__(self, other):
-        """The sum over lcm(den, other.den), self's map copied as is when
-        den is already that lcm; only a cancelled term can leave a smaller
-        least denominator, and only then is ``_lowest`` called."""
-        if type(other) is not Spectrum:
+        """The sum over lcm(den, other.den); only a cancelled term can leave
+        a smaller least denominator, and only then is ``_lowest`` called."""
+        if type(other) is not type(self):
             return NotImplemented
+        self._check(other)
         den = lcm(self.den, other.den)
-        s1, s2 = den // self.den, den // other.den
-        out = dict(self._terms) if s1 == 1 else {n * s1: c for n, c in self._terms.items()}
+        out = dict(self._terms) if den == self.den else self._over(den)
         get = out.get
-        for n, c in other._terms.items():
-            n *= s2
-            out[n] = get(n, 0) + c
+        for k, c in other._over(den).items():
+            out[k] = get(k, 0) + c
         if 0 in out.values():
-            return Spectrum._trusted(*_lowest({n: c for n, c in out.items() if c}, den))
-        return Spectrum._trusted(out, den)
+            return self._like(*self._lowest({k: c for k, c in out.items() if c}, den))
+        return self._like(out, den)
 
     def __mul__(self, other):
-        """The product on the numerators over lcm(den, other.den), the
-        smaller operand in the outer loop; other operands go to
+        """The product over lcm(den, other.den), the smaller operand in the
+        outer loop, then ``_lowest``; other operands go to
         ``_SparseMap.__mul__``."""
-        if type(other) is not Spectrum:
+        if type(other) is not type(self):
             return _SparseMap.__mul__(self, other)
+        self._check(other)
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        big = lcm(self.den, other.den)
-        s1, s2 = big // self.den, big // other.den
-        xs = self._terms.items() if s1 == 1 else [(n * s1, c) for n, c in self._terms.items()]
-        sums: dict = {}
-        get = sums.get
-        for n, c2 in other._terms.items():
-            b = n * s2
-            for a, c1 in xs:
-                s = a + b
-                sums[s] = get(s, 0) + c1 * c2
-        if 0 in sums.values():
-            sums = {s: c for s, c in sums.items() if c}
-        return Spectrum._trusted(*_lowest(sums, big))
+        den = lcm(self.den, other.den)
+        xs = self._over(den).items()
+        key_mul = self._key_mul(den)
+        out: dict = {}
+        get = out.get
+        for k2, c2 in other._over(den).items():
+            for k1, c1 in xs:
+                k = key_mul(k1, k2)
+                out[k] = get(k, 0) + c1 * c2
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return self._like(*self._lowest(out, den))
+
+
+class Spectrum(_DenMap):
+    """Finitely supported Z-combination of monomials t^a, a rational.
+
+    Multiplication follows t^a * t^b = t^(a+b); zero multiplicities are
+    never stored, so equality is equality of term maps.  A spectrum also
+    compares equal to the integer n when it is n * t^0.  ``_terms`` maps
+    the int numerator of each exponent over ``den`` to its multiplicity.
+    """
+
+    __slots__ = ("den",)
+    _one = 0
+    _key = staticmethod(_pair)
+
+    @staticmethod
+    def _key_mul(_den):
+        return add
+
+    @staticmethod
+    def _rekeyed(terms, f):
+        return {f(n): c for n, c in terms.items()}
+
+    _nums = zip  # the 1-tuple of each key
+
+    def _key_view(self, n):
+        return Fraction(n, self.den)
 
     @classmethod
     def one(cls) -> "Spectrum":
@@ -414,35 +419,17 @@ class Spectrum(_SparseMap):
         return cls([(exponent, mult)])
 
     def coefficient(self, exponent: FracLike) -> int:
-        n, d = _pair(exponent)
-        scale, rest = divmod(self.den, d)
-        return 0 if rest else self._terms.get(n * scale, 0)
-
-    def terms(self):
-        """Term list with ``Fraction`` exponents, ascending."""
-        den = self.den
-        return tuple((Fraction(n, den), c) for n, c in self._sorted())
+        return self._get(exponent)
 
     def mass(self) -> int:
         """Sum of multiplicities (the virtual rank)."""
         return sum(self._terms.values())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.den == 1 and self._terms == ({0: other} if other else {})
-        if type(other) is not Spectrum:
-            return NotImplemented
-        return self.den == other.den and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self._terms.items())))
-
     def render(self) -> str:
         """Canonical text form: ascending exponents, `mult*t^(num/den)` terms,
         `1*` and `/1` omitted, joined with ` + ` / ` - `: ``_render_terms``
-        with the exponent text inlined, since the largest printed outputs
-        (``ts``) are spectra.  Each exponent is reduced here, for printing
-        only."""
+        with the exponent text of ``_ratio`` inlined, since the largest
+        printed outputs (``ts``) are spectra."""
         if not self._terms:
             return "0"
         terms, den = self._terms, self.den
@@ -453,38 +440,37 @@ class Spectrum(_SparseMap):
         ]))
 
 
-class BiSpectrum(_SparseMap):
+class BiSpectrum(_DenMap):
     """Z-combination of monomials t^a u^b v^c with a, b residues mod 1.
 
     The grading group is (Q/Z)^2 x Z; monomials multiply by componentwise
     addition, with the residues reduced eagerly so term keys are canonical.
+    ``_terms`` maps (a, b, c), a and b numerators over ``den`` in
+    [0, den), to the multiplicity.
     """
 
-    __slots__ = ()
+    __slots__ = ("den",)
 
     @staticmethod
     def _key(raw):
         a, b, c = raw
-        return _pair(a, residue=True), _pair(b, residue=True), _strict_int(c, "v-degree")
+        (an, ad), (bn, bd) = _pair(a, residue=True), _pair(b, residue=True)
+        d = lcm(ad, bd)
+        return (an * (d // ad), bn * (d // bd), _strict_int(c, "v-degree")), d
 
     @staticmethod
-    def _key_mul(k1, k2):
-        (a1, b1, c1), (a2, b2, c2) = k1, k2
-        return _add_mod1(a1, a2), _add_mod1(b1, b2), c1 + c2
+    def _key_mul(den):
+        return lambda k1, k2: ((k1[0] + k2[0]) % den, (k1[1] + k2[1]) % den, k1[2] + k2[2])
 
     @staticmethod
-    def _key_view(key):
+    def _rekeyed(terms, f):
+        return {(f(a), f(b), c): m for (a, b, c), m in terms.items()}
+
+    _nums = partial(map, itemgetter(0, 1))
+
+    def _key_view(self, key):
         a, b, c = key
-        return _to_frac(a), _to_frac(b), c
-
-    def _rank(self):
-        scale = _scales({d for a, b, _c in self._terms for _n, d in (a, b)})
-
-        def rank(item):
-            ((an, ad), (bn, bd), c), _mult = item
-            return an * scale[ad], bn * scale[bd], c
-
-        return rank
+        return Fraction(a, self.den), Fraction(b, self.den), c
 
     @classmethod
     def one(cls) -> "BiSpectrum":
@@ -495,12 +481,14 @@ class BiSpectrum(_SparseMap):
         return cls([((a, b, c), mult)])
 
     def coefficient(self, a: FracLike, b: FracLike, c: int) -> int:
-        return self._terms.get(self._key((a, b, c)), 0)
+        return self._get((a, b, c))
 
     def render(self) -> str:
+        den = self.den
+
         def mono(key):
             a, b, c = key
-            return f"t^({_render_pair(a)})*u^({_render_pair(b)})*v^({c})"
+            return f"t^({_ratio(a, den)})*u^({_ratio(b, den)})*v^({c})"
 
         return _render_terms(self._sorted(), mono)
 
@@ -511,15 +499,14 @@ def fold_bispectrum(x: BiSpectrum, N: int = 1) -> Spectrum:
     Additive group morphism; with N = 1 both residues are folded with full
     weight.  Multiplicativity on monomials holds only when neither residue
     sum wraps past 1, which is why the map is defined termwise.  Every image
-    is a numerator over one denominator, the lcm of every a-denominator and
-    N times every b-denominator.
+    is the numerator a N + b + c den N over den N.
     """
     N = _strict_int(N, "N", 1)
-    big = lcm(*{d for (_an, ad), (_bn, bd), _c in x._terms for d in (ad, bd * N)})
+    big = x.den * N
     out: dict[int, int] = {}
-    for ((an, ad), (bn, bd), c), mult in x._terms.items():
-        _merge(out, an * (big // ad) + bn * (big // (bd * N)) + c * big, mult)
-    return Spectrum._trusted(*_lowest(out, big))
+    for (a, b, c), mult in x._terms.items():
+        _merge(out, a * N + b + c * big, mult)
+    return Spectrum._trusted(*Spectrum._lowest(out, big))
 
 
 def geometric_factor(m: int) -> Spectrum:

@@ -47,7 +47,7 @@ from .resolution import (
     vanishing_cycles,
     zeta_series,
 )
-from .spectra import Spectrum, _reduced, fold_bispectrum, geometric_factor, steenbrink_rhs
+from .spectra import Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
 
 
 def thom_sebastiani(*phis: MonodromicClass) -> MonodromicClass:
@@ -59,7 +59,7 @@ def thom_sebastiani(*phis: MonodromicClass) -> MonodromicClass:
 def one_variable_vanishing(a: int) -> MonodromicClass:
     """Vanishing-cycle class of x^a at the origin of the line."""
     a = _strict_int(a, "exponent", 1)
-    return MonodromicClass._trusted(1, {((_reduced(k, a),), 0, 0): 1 for k in range(1, a)})
+    return MonodromicClass._trusted(1, {((k,), 0, 0): 1 for k in range(1, a)}, a)
 
 
 def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:

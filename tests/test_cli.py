@@ -64,6 +64,11 @@ def test_ts(capsys):
     assert out.strip() == "t^(5/6) + t^(7/6)"
     code, _, err = run(capsys, "ts", "--exponents", "2,zebra")
     assert code == 2 and "exponents" in err
+    # An empty field is refused, not dropped; spaces around a number are not.
+    for exponents in ("2,,3", "3,4,", ",2", "2, ,3"):
+        code, out, err = run(capsys, "ts", "--exponents", exponents)
+        assert code == 2 and out == "" and "--exponents" in err, exponents
+    assert run(capsys, "ts", "--exponents", " 2 , 3")[:2] == (0, "t^(5/6) + t^(7/6)\n")
 
 
 def test_iterated(capsys):

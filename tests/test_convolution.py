@@ -95,6 +95,15 @@ def test_oversized_box_refuses_before_any_collapse(monkeypatch):
     assert calls == [(1, 1, 2)]
 
 
+def test_pushforward_refuses_past_max_ts_terms():
+    # A 1-term class: N = 250,000 terms is the budget, one more is past it.
+    x = mono(2, (F(1, 3), F(1, 2)), 0, 0)
+    assert len(power_pushforward(x, 2, 250_000)._terms) == 250_000 == MAX_TS_TERMS
+    message = "^pushforward of a 1-term class along N = 250001 makes 250001 terms, more than MAX_TS_TERMS = 250000$"
+    with pytest.raises(ValueError, match=message):
+        power_pushforward(x, 2, 250_001)
+
+
 def test_convolve_ring_laws():
     rng = random.Random(19)
     unit = MC.unit(1)

@@ -47,6 +47,7 @@ from hodgespec.resolution import (
     jet_count_zeta,
 )
 from hodgespec.series import TruncatedPoly
+from hodgespec.spectra import Spectrum
 from hodgespec.workbench import Fixture, rederive
 
 x = MC(2, [(((F(1, 2), F(1, 3)), 0, 0), 1)])  # arity 2
@@ -126,6 +127,9 @@ _OTHER = [
     (lambda: root_of_unity_class([[501, 1]]), "the root-of-unity enumeration .* MAX_TORUS_CHARACTERS = 250000"),
     (lambda: torus_fiber_bruteforce([]), "exponent matrix must be nonempty"),
     (lambda: root_of_unity_class([]), "exponent matrix must be nonempty"),
+    (lambda: Spectrum([((1, 0), 1)]), "1/0 has a zero denominator"),
+    (lambda: Spectrum.monomial((1, 0)), "1/0 has a zero denominator"),
+    (lambda: MC(1, [((((1, 0),), 0, 0), 1)]), "1/0 has a zero denominator"),
 ]
 
 

@@ -13,6 +13,7 @@ from hodgespec.series import (
     TruncatedPoly as TP,
     _expand_ints,
     _expand_tables,
+    _over_lcm,
     _points_bound,
     _spreads,
 )
@@ -166,8 +167,9 @@ def test_expand_matches_generator_products():
         paths[size >= INT_KEYS_FROM and _spreads(series._terms)] += 1
         if n:
             # Both paths on every input, whichever expand chose.
-            tables = {d: t for d, t in _expand_tables(series._terms, n).items() if t}
-            assert _expand_ints(series._terms, n) == tables, (series, n)
+            coefs, _den = _over_lcm(series._terms)
+            tables = {d: t for d, t in _expand_tables(coefs, n).items() if t}
+            assert _expand_ints(coefs, n) == tables, (series, n)
     assert min(paths.values()) >= 40, paths
 
 
@@ -180,8 +182,9 @@ def test_expand_ints_on_three_factor_terms_with_a_constant():
     for n in (1, 2, 7, 30):
         expected = _expand_by_products(series, n)
         assert series.expand(n) == expected
-        got = _expand_ints(series._terms, n)
-        assert TP._trusted(1, {d: MC._trusted(1, t) for d, t in got.items()}) == expected, n
+        coefs, den = _over_lcm(series._terms)
+        got = _expand_ints(coefs, n)
+        assert TP._trusted(1, {d: MC._trusted(1, *MC._lowest(t, den)) for d, t in got.items()}) == expected, n
 
 
 def test_expand_drops_cancelled_degrees():

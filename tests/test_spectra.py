@@ -206,11 +206,17 @@ def _sign_rule(items, mono):
 
 
 def _fraction_sorted(x, view):
-    """The stored terms in their Fraction view, sorted on it.  A spectrum's
-    keys must be int numerators over its least denominator ``den``."""
+    """The stored terms in their Fraction view, sorted on it.  Every
+    rational slot of every key must be an int numerator over the least
+    denominator ``den``."""
     if isinstance(x, Spectrum):
-        assert all(type(n) is int for n in x._terms) and type(x.den) is int
-        assert x.den > 0 and gcd(x.den, *x._terms) == 1, x
+        nums = list(x._terms)
+    elif isinstance(x, BiSpectrum):
+        nums = [n for a, b, _c in x._terms for n in (a, b)]
+    else:
+        nums = [n for evs, _p, _q in x._terms for n in evs]
+    assert all(type(n) is int for n in nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *nums) == 1, x
     return tuple(sorted(((view(key), m) for key, m in x._terms.items()), key=itemgetter(0)))
 
 
@@ -221,7 +227,7 @@ def _pool(data, values):
 
 
 # Denominators of one prime per slot: each slot's lcm then differs from the
-# others' and from the one common denominator the whole map is ranked over.
+# others' and from the one common denominator the whole map is stored over.
 SLOT_DENS = ((2, 4, 8), (3, 9), (5, 25))
 
 
@@ -248,7 +254,7 @@ def test_spectrum_sorts_like_fractions(terms):
 def test_bispectrum_sorts_like_fractions(data):
     a, b = _slot_pool(data, 0), _slot_pool(data, 1)
     x = BiSpectrum(data.draw(st.lists(st.tuples(st.tuples(a, b, st.integers(-9, 9)), MULTS), max_size=40)))
-    ref = _fraction_sorted(x, lambda k: (F(*k[0]), F(*k[1]), k[2]))
+    ref = _fraction_sorted(x, lambda k: (F(k[0], x.den), F(k[1], x.den), k[2]))
     assert x.terms() == ref
     assert x.render() == _sign_rule(ref, lambda k: f"t^({k[0]})*u^({k[1]})*v^({k[2]})")
 
@@ -260,7 +266,7 @@ def test_class_sorts_like_fractions(data):
     evs = st.tuples(*[_slot_pool(data, slot) for slot in range(arity)])
     p, q = _pool(data, st.integers(-9, 9)), st.integers(-9, 9)
     x = MonodromicClass(arity, data.draw(st.lists(st.tuples(st.tuples(evs, p, q), MULTS), max_size=40)))
-    ref = _fraction_sorted(x, lambda k: (tuple(F(*e) for e in k[0]), k[1], k[2]))
+    ref = _fraction_sorted(x, lambda k: (tuple(F(e, x.den) for e in k[0]), k[1], k[2]))
     assert x.terms() == ref
     assert x.render() == _sign_rule(
         ref, lambda k: f"({','.join(map(str, k[0]))};{k[1]},{k[2]})"

@@ -1,14 +1,15 @@
 """Results built with the trusted constructor hold canonical keys.
 
-Ring operations and the morphisms between rings wrap their term dicts
-without re-normalising them.  A non-canonical key (a residue outside
-[0, 1), an unreduced (num, den) pair, a Fraction where a pair belongs) or
-a spectrum denominator that is not the least one would silently break
-equality, so every such result is rebuilt through its public constructor
-here and must come back with the same term map (and ``den``).
+Ring operations, the morphisms between rings and the class producers wrap
+their term dicts without re-normalising them.  A non-canonical key (a
+residue outside [0, den), a Fraction or a (num, den) pair where an int
+numerator belongs) or a ``den`` that is not the least common denominator
+would silently break equality, so every such result is rebuilt through its
+public constructor here and must come back with the same term map and
+``den``.
 
-The property tests at the end recompute every pair-keyed operation with
-plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
+The property tests at the end recompute every rational-keyed operation
+with plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
 """
 
 import random
@@ -29,11 +30,19 @@ from hodgespec.monclass import (
     hodge_spectrum2,
     torus_fiber_class,
 )
-from hodgespec.oracles import p1_cover_class, stratum_cover_class
-from hodgespec.resolution import Component, ResolutionDatum, Stratum, jet_count_zeta
-from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP
+from hodgespec.oracles import p1_cover_class, root_of_unity_class, stratum_cover_class
+from hodgespec.resolution import (
+    Component,
+    ResolutionDatum,
+    Stratum,
+    iterated_nearby,
+    jet_count_zeta,
+    nearby_cycles,
+)
+from hodgespec.series import INT_KEYS_FROM, RationalSeries as RS, TruncatedPoly as TP, _points_bound, _spreads
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
 from hodgespec.workbench import (
+    fixtures,
     monomial_datum,
     one_variable_vanishing,
     product_joint_datum,
@@ -41,29 +50,30 @@ from hodgespec.workbench import (
 )
 
 
-def _rational(x):
-    """A reduced key pair: int num and den, den > 0, gcd(num, den) == 1."""
-    return (
-        type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
-        and x[1] > 0 and gcd(*x) == 1
-    )
-
-
-def _residue(x):
-    return _rational(x) and 0 <= x[0] < x[1]
+def _numerators(obj):
+    """Every rational slot of every key of a spectrum, bispectrum or class."""
+    if isinstance(obj, Spectrum):
+        return list(obj._terms)
+    if isinstance(obj, BiSpectrum):
+        return [n for a, b, _c in obj._terms for n in (a, b)]
+    return [n for evs, _p, _q in obj._terms for n in evs]
 
 
 def _canonical_key(obj, key):
+    """Rational slots are int numerators over obj.den, residues in [0, den)."""
+
+    def residue(n):
+        return type(n) is int and 0 <= n < obj.den
+
     if isinstance(obj, Spectrum):
-        # An int numerator over obj.den (checked in ``assert_canonical``).
         return type(key) is int
     if isinstance(obj, BiSpectrum):
         a, b, c = key
-        return _residue(a) and _residue(b) and type(c) is int
+        return residue(a) and residue(b) and type(c) is int
     if isinstance(obj, MC):
         evs, p, q = key
         return (
-            len(evs) == obj.arity and all(map(_residue, evs))
+            type(evs) is tuple and len(evs) == obj.arity and all(map(residue, evs))
             and type(p) is int and type(q) is int
         )
     if isinstance(obj, TP):
@@ -82,10 +92,14 @@ def _rebuild(obj):
 def assert_canonical(obj):
     rebuilt = _rebuild(obj)
     assert obj._terms == rebuilt._terms, obj
-    if isinstance(obj, Spectrum):
-        # The least common denominator of the exponents: 1 when obj is 0.
-        assert type(obj.den) is int and obj.den > 0 and gcd(obj.den, *obj._terms) == 1, obj
-        assert obj.den == rebuilt.den, obj
+    assert type(obj.den) is int and obj.den == rebuilt.den, obj
+    if isinstance(obj, (Spectrum, BiSpectrum, MC)):
+        # The least common denominator: 1 for zero and for arity 0.
+        assert obj.den > 0 and gcd(obj.den, *_numerators(obj)) == 1, obj
+        if not obj or getattr(obj, "arity", None) == 0:
+            assert obj.den == 1, obj
+    else:
+        assert obj.den == 1, obj
     for key, coef in obj._terms.items():
         assert _canonical_key(obj, key), (obj, key)
         assert coef
@@ -163,13 +177,43 @@ def test_trusted_results_are_canonical():
         except ValueError:  # rank-deficient draw
             continue
         assert_canonical(fiber)
+        try:
+            oracle = root_of_unity_class(rows)
+        except ValueError:  # root order past the enumeration budget
+            continue
+        assert_canonical(oracle)
+
+    def rand_orders(n, punctures):
+        # Puncture orders summing to 0 (so to 0 mod n), often multiples of n.
+        row = [rng.randint(-2, 2) * rng.choice((1, n)) for _ in range(punctures - 1)]
+        return row + [-sum(row)]
+
+    for _ in range(10):
+        r, k = rng.randint(0, 2), rng.randint(2, 4)
+        decks = [rng.randint(1, 6) for _ in range(r)]
+        assert_canonical(p1_cover_class(decks, [rand_orders(n, k) for n in decks]))
+        n = rng.randint(1, 8)
+        assert_canonical(stratum_cover_class(n, [-m for m in rand_orders(n, k)]))
+        assert_canonical(one_variable_vanishing(rng.randint(1, 9)))
+        assert_canonical(jet_count_zeta([rng.randint(1, 4) for _ in range(rng.randint(1, 2))], 8))
+        assert_canonical(nearby_cycles(monomial_datum([rng.randint(1, 4) for _ in range(2)])))
+        assert_canonical(iterated_nearby(product_joint_datum(rng.randint(1, 4), rng.randint(1, 4))))
+        # Two generator factors of different slopes past INT_KEYS_FROM: the
+        # integer-key path of expand.
+        a = RS(1, [(((-1, 1), (-2, 3)), rand_class(1)), (((0, 2),), rand_class(1, 2))])
+        n = 40
+        assert _spreads(a._terms)
+        assert sum(_points_bound(f, n) * len(c._terms) for f, c in a._terms.items()) >= INT_KEYS_FROM
+        assert_canonical(a.expand(n))
+    for fx in fixtures():
+        assert_canonical(iterated_nearby(fx.datum) if fx.datum.arity == 2 else nearby_cycles(fx.datum))
 
     cone = Cone(2, (((1, -1), GE), ((2, 1), GT)))
     assert_canonical(lattice_series(cone, (1, 2), (1, 1), 12))
 
 
 # ---------------------------------------------------------------------------
-# Pair keys against Fraction arithmetic.
+# Numerator keys against Fraction arithmetic.
 # ---------------------------------------------------------------------------
 #
 # The oracle works on ``terms()`` (Fraction keys) with plain Fraction key
