@@ -24,16 +24,17 @@ exponent matrix, assuming the ambient units are trivial (split case).  It
 works on integers from the Smith normal form U M V = D alone: the torsion
 character c (0 <= c_k < d_k) has monodromy-i eigenvalue
 sum_k c_k U[k][i] / d_k mod 1, so no solution of M theta = e_i is needed,
-and a supplied theta gives the same numbers (see the function).  One integer
-odometer, ``_character_columns``, walks these characters and the deck
-characters of ``oracles.p1_cover_class``.
+and a supplied theta gives the same numbers (see the function).  One row
+needs no elimination: its Smith data are [gcd(row)] and U = [[1]].  One
+integer odometer, ``_character_columns``, walks these characters and the
+deck characters of ``oracles.p1_cover_class``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, itemgetter
 
 from .lattice import _int_matrix, _int_row, _sized, _strict_int, smith_normal_form, snf_divisors
@@ -194,6 +195,19 @@ def embed(x: MonodromicClass, arity: int, slots) -> MonodromicClass:
     return MonodromicClass._trusted(arity, out, x.den)
 
 
+def _times_base(x: MonodromicClass, base: MonodromicClass) -> MonodromicClass:
+    """x times an arity-0 class base, given trivial eigenvalues: x's terms
+    with their bidegrees shifted by each term of base and scaled by its
+    multiplicity, zero terms dropped.  This is embed(base, x.arity, ()) * x;
+    base has den 1, so the product keeps x.den (see ``hodgespec.spectra``).
+    """
+    out: dict = {}
+    for (_evs, dp, dq), count in base._terms.items():
+        for (evs, p, q), mult in x._terms.items():
+            _merge(out, (evs, p + dp, q + dq), count * mult)
+    return x._like(out)
+
+
 def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
     """External product: eigenvalue tuples concatenate, bidegrees add.
 
@@ -269,7 +283,11 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
 
         <chi, theta_i> = sum_k c_k U[k][i] / d_k  (mod 1),
 
-    read off U without solving for any theta.  A supplied ``thetas`` must
+    read off U without solving for any theta.  One row (r = 1) with no
+    ``thetas`` is not eliminated: with no zero column its entries are all
+    nonzero, its one divisor is their gcd and U = [[1]] (the Smith form
+    may give [[-1]], which walks the same characters in another order).
+    Every other case runs ``smith_normal_form``.  A supplied ``thetas`` must
     hold r rows of m entries (else a ``ValueError`` naming ``thetas``); each
     theta_i enters through ``frac`` and is kept as int numerators over their
     lcm t, checked to solve M theta = e_i as M nums = t e_i, and then enters
@@ -284,8 +302,11 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     for j in range(m):
         if all(M[i][j] == 0 for i in range(r)):
             raise ValueError(f"column {j} of the exponent matrix is zero")
-    D, U, _V, Vinv = smith_normal_form(M)
-    divisors = snf_divisors(D)
+    if r == 1 and thetas is None:
+        divisors, U = [gcd(*M[0])], [[1]]
+    else:
+        D, U, _V, Vinv = smith_normal_form(M)
+        divisors = snf_divisors(D)
     if len(divisors) != r:
         raise ValueError("exponent matrix is rank deficient")
     if prod(divisors) > MAX_TORUS_CHARACTERS:

@@ -77,7 +77,7 @@ from typing import Optional, Sequence
 
 from .cones import Cone, lattice_series
 from .lattice import SchemaError, _int_row, _strict_int
-from .monclass import MonodromicClass, embed, torus_fiber_class
+from .monclass import MonodromicClass, _times_base, torus_fiber_class
 from .series import MAX_EXPAND_TERMS, RationalSeries, TruncatedPoly, _points_bound
 from .spectra import _merge
 
@@ -215,11 +215,11 @@ class ResolutionDatum:
         """Realized class of the monodromy cover over one stratum.
 
         Split strata multiply the base class by the torus fiber class of the
-        stratum's ``multiplicity_rows``.
+        stratum's ``multiplicity_rows`` (``_times_base``).
         """
         if st.explicit is not None:
             return st.explicit
-        return embed(st.base, self.arity, ()) * torus_fiber_class(self.multiplicity_rows(st))
+        return _times_base(torus_fiber_class(self.multiplicity_rows(st)), st.base)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,9 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
     contribute the fiber class of [a] times L^(-sum k_i) to the T^n
     coefficient.  Those k are the lattice points of the open orthant that
     ``cones.lattice_series`` counts, so the oracle shares no code with the
-    resolution formula or with ``RationalSeries.expand``.  A degree whose
+    resolution formula or with ``RationalSeries.expand``.  Each degree is
+    the fiber's terms with their bidegrees shifted by each L-power of the
+    count class, times its count (``_times_base``).  A degree whose
     ``_points_bound`` exceeds ``MAX_EXPAND_TERMS`` raises ``ValueError``
     before any jet is counted, and so do more than 6 exponents (the
     dimension bound of ``Cone``).
@@ -359,7 +361,7 @@ def jet_count_zeta(exponents: Sequence[int], n_max: int) -> TruncatedPoly:
         )
     fiber = torus_fiber_class([a])
     counts = lattice_series(Cone(len(a)), a, (1,) * len(a), n_max)
-    return TruncatedPoly._trusted(1, {n: embed(c, 1, ()) * fiber for n, c in counts._terms.items()})
+    return TruncatedPoly._trusted(1, {n: _times_base(fiber, c) for n, c in counts._terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +378,37 @@ def _json_list(value, path: str) -> list:
 def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
     """A class of the given arity from its JSON list of monomials: ``arity``
     [num, den] eigenvalue pairs, then p, q, mult (``[p, q, mult]`` at arity
-    0).  The validated int pairs go to the constructor as they are."""
-    shape = f"{arity} [num,den] pairs then p, q, mult" if arity else "[p, q, mult]"
+    0).  An entry of plain ints with every den at least 1 goes to the
+    constructor as it is, its pairs as tuples; only any other entry is
+    checked field by field (``_checked_entry``), which builds the field
+    paths its errors name."""
     terms = []
     for i, entry in enumerate(_json_list(entries, path)):
-        at = f"{path}[{i}]"
-        if not (isinstance(entry, list) and len(entry) == arity + 3):
-            raise SchemaError(at, f"expected {shape}")
-        evs = []
-        for j, pair in enumerate(entry[:arity]):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{at}[{j}]", "expected [num, den]")
-            num = _strict_int(pair[0], f"{at}[{j}][0]")
-            evs.append((num, _strict_int(pair[1], f"{at}[{j}][1]", 1)))
-        p, q, mult = (_strict_int(entry[k], f"{at}[{k}]") for k in range(arity, arity + 3))
-        terms.append(((tuple(evs), p, q), mult))
+        if not (
+            type(entry) is list and len(entry) == arity + 3
+            and all([type(x) is int for x in entry[arity:]])
+            and all([type(pair) is list and len(pair) == 2 and type(pair[0]) is int
+                     and type(pair[1]) is int and pair[1] >= 1 for pair in entry[:arity]])
+        ):
+            entry = _checked_entry(entry, arity, f"{path}[{i}]")
+        *evs, p, q, mult = entry
+        terms.append(((tuple(map(tuple, evs)), p, q), mult))
     return MonodromicClass(arity, terms)
+
+
+def _checked_entry(entry, arity: int, at: str) -> list:
+    """One class entry, every field checked under the integer rule: its
+    ints, or a SchemaError naming the field at ``at``."""
+    if not (isinstance(entry, list) and len(entry) == arity + 3):
+        shape = f"{arity} [num,den] pairs then p, q, mult" if arity else "[p, q, mult]"
+        raise SchemaError(at, f"expected {shape}")
+    evs = []
+    for j, pair in enumerate(entry[:arity]):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError(f"{at}[{j}]", "expected [num, den]")
+        num = _strict_int(pair[0], f"{at}[{j}][0]")
+        evs.append((num, _strict_int(pair[1], f"{at}[{j}][1]", 1)))
+    return [*evs, *(_strict_int(entry[k], f"{at}[{k}]") for k in range(arity, arity + 3))]
 
 
 def _require_fields(obj: dict, keys, prefix: str):

@@ -9,7 +9,10 @@ product is the constant term.  Two operations matter downstream:
   A generator product only ever yields integer counts of monomials L^k T^d,
   so classes are never multiplied or added: each count scales a shifted
   copy of the term's coefficient, all put over one lcm of denominators
-  (the key format of ``hodgespec.spectra``) once.  As a rule each term
+  (the key format of ``hodgespec.spectra``) once.  A degree holding an
+  eigenvalue tuple coprime to that lcm is over its least denominator
+  already; the key loops below note those degrees, and only the others
+  go through ``MonodromicClass._lowest``.  As a rule each term
   keeps a plain-int table keyed by (T-degree, L-power).  A series that may
   merge at least ``INT_KEYS_FROM`` class terms, with at most two generator
   factors per term and two of different slopes e / j in some term (the
@@ -30,7 +33,7 @@ products, for which that is the defining formula.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .lattice import _strict_int
@@ -85,11 +88,33 @@ def _over_lcm(terms: dict) -> tuple:
     return {factors: c._over(den) for factors, c in terms.items()}, den
 
 
-def _expand_tables(terms: dict, n: int) -> dict:
+def _coprime(evs, den: int) -> bool:
+    """Whether an eigenvalue tuple over den is coprime to den: a class
+    holding it is over its least denominator."""
+    return gcd(den, *evs) == 1
+
+
+def _least(out: dict, known: dict, den: int) -> dict:
+    """{d: (class term map, its least denominator)} of the nonempty degrees
+    of ``out`` (term maps over den), taking a degree's least denominator
+    from ``known`` when it is there and not None, else from ``_lowest``."""
+    lowest = MonodromicClass._lowest
+    return {
+        d: (terms, least) if (least := known.get(d)) else lowest(terms, den)
+        for d, terms in out.items() if terms
+    }
+
+
+def _expand_tables(terms: dict, n: int, den: int) -> dict:
     """``RationalSeries.expand`` on one (T-degree, L-power) table per term
-    of ``terms`` ({factors: class term map}, as ``_over_lcm`` gives):
-    {d: {class key: multiplicity}}, a degree possibly empty."""
+    of ``terms`` ({factors: class term map over den}, as ``_over_lcm``
+    gives), as ``_least`` returns it.
+
+    A degree is known to keep den once a coefficient with a tuple coprime
+    to den is merged into it, until any of its terms cancels: while known,
+    it holds that tuple."""
     out: dict[int, dict] = {}
+    known: dict[int, int] = {}
     for factors, coef in terms.items():
         table = {(0, 0): 1}
         for e, j in factors:
@@ -102,8 +127,11 @@ def _expand_tables(terms: dict, n: int) -> dict:
             if not table:
                 break
         monomials = coef.items()
+        coprime = any(_coprime(evs, den) for evs, _p, _q in coef)
         for (d, k), count in table.items():
             terms_d = out.setdefault(d, {})
+            if coprime:
+                known[d] = den
             for (evs, p, q), mult in monomials:
                 key = (evs, p + k, q + k)
                 new = terms_d.get(key, 0) + count * mult
@@ -111,7 +139,8 @@ def _expand_tables(terms: dict, n: int) -> dict:
                     terms_d[key] = new
                 else:
                     del terms_d[key]
-    return out
+                    known.pop(d, None)
+    return _least(out, known, den)
 
 
 def _spreads(terms: dict) -> bool:
@@ -159,10 +188,9 @@ def _chain_sums(table: dict, step: int, j: int, n: int, width: int, into: dict) 
     return into
 
 
-def _expand_ints(terms: dict, n: int) -> dict:
+def _expand_ints(terms: dict, n: int, den: int) -> dict:
     """``RationalSeries.expand`` on integer keys, for n >= 1, of ``terms``
-    as ``_expand_tables`` takes them: {d: {class key: multiplicity}}, no
-    degree empty.
+    as ``_expand_tables`` takes them, as ``_least`` returns it.
 
     The class monomial (evs, p + k, q + k) at T-degree d is the key
     d * width + l * r + o: o indexes its L-orbit (evs, p - q) among the r
@@ -174,8 +202,11 @@ def _expand_ints(terms: dict, n: int) -> dict:
     is positive as W > E.  Each term starts from its count table {E n r: 1}
     (no factor yet), runs every factor but the last on it, merges the
     coefficient at each entry, and runs the last factor on the merged keys
-    into the one accumulator of the series, where a running sum that
-    cancels to 0 skips its stretch of a chain.
+    into an accumulator of the series, where a running sum that cancels to
+    0 skips its stretch of a chain.  A factor keeps the orbit of a key, so
+    the orbits accumulate apart by their tuple: coprime to den, then any
+    other but zero, then zero.  A degree a coprime key reaches keeps den;
+    one only zero tuples reach has den 1; any other is lowered.
     """
     orbits: dict = {}
     ps = [0]
@@ -186,43 +217,51 @@ def _expand_ints(terms: dict, n: int) -> dict:
         for evs, p, q in coef:
             orbits.setdefault((evs, p - q), len(orbits))
             ps.append(p)
+    rev = list(orbits)
+    side = [0 if _coprime(evs, den) else 1 if any(evs) else 2 for evs, _delta in rev]
     r = len(orbits)
     reach = big_e * n
     shift = reach - min(ps)
     width = (shift + reach + max(ps) + 1) * r
-    acc: dict[int, int] = {}
+    accs: tuple = ({}, {}, {})
     for factors, coef in terms.items():
         table = {reach * r: 1}
         for e, j in factors[:-1]:
             table = _chain_sums(table, j * width + e * r, j, n, width, {})
-        # A constant term merges straight into the accumulator.
-        merged = {} if factors else acc
-        mget = merged.get
+        # A constant term merges straight into the accumulators.
+        merged = ({}, {}, {}) if factors else accs
         for (evs, p, q), mult in coef.items():
-            offset = (p + shift - reach) * r + orbits[evs, p - q]
+            o = orbits[evs, p - q]
+            offset = (p + shift - reach) * r + o
+            into = merged[side[o]]
+            get = into.get
             for b, count in table.items():
                 x = b + offset
-                merged[x] = mget(x, 0) + count * mult
+                into[x] = get(x, 0) + count * mult
         if factors:
             e, j = factors[-1]
-            _chain_sums(merged, j * width + e * r, j, n, width, acc)
-    rev = list(orbits)
+            for into, acc in zip(merged, accs):
+                if into:
+                    _chain_sums(into, j * width + e * r, j, n, width, acc)
     keys: dict[int, tuple] = {}
     out: dict[int, dict] = {}
-    for x, c in acc.items():
-        if c:
-            d, low = divmod(x, width)
-            key = keys.get(low)
-            if key is None:
-                l, o = divmod(low, r)
-                evs, delta = rev[o]
-                p = l - shift
-                key = keys[low] = (evs, p, p - delta)
-            terms_d = out.get(d)
-            if terms_d is None:
-                terms_d = out[d] = {}
-            terms_d[key] = c
-    return out
+    known: dict[int, int | None] = {}
+    for acc, acc_den in zip(accs, (den, None, 1)):
+        for x, c in acc.items():
+            if c:
+                d, low = divmod(x, width)
+                key = keys.get(low)
+                if key is None:
+                    l, o = divmod(low, r)
+                    evs, delta = rev[o]
+                    p = l - shift
+                    key = keys[low] = (evs, p, p - delta)
+                terms_d = out.get(d)
+                if terms_d is None:
+                    terms_d = out[d] = {}
+                    known[d] = acc_den
+                terms_d[key] = c
+    return _least(out, known, den)
 
 
 def _class_coef(self, c: MonodromicClass) -> MonodromicClass:
@@ -316,8 +355,12 @@ class RationalSeries(_ArityMap):
         A product of generators L^e T^j / (1 - L^e T^j) contributes only
         integer counts of monomials L^k T^d, and the coefficient class is
         merged into degree d with its bidegrees raised by k and its
-        multiplicities scaled by the count; no class arithmetic is needed,
-        and each degree's class is put over its least denominator.
+        multiplicities scaled by the count; no class arithmetic is needed.
+        Each degree is over the lcm of the coefficients' denominators, and
+        goes through ``_lowest`` (see ``_least``) only when the path, while
+        it builds the degree's keys, has not seen one of its eigenvalue
+        tuples coprime to that lcm still standing: no tuple is coprime, or
+        (one table per term) a term of the degree cancelled.
         A truncation that may merge more than ``MAX_EXPAND_TERMS`` class
         terms raises ``ValueError`` before any table is built.
 
@@ -337,14 +380,9 @@ class RationalSeries(_ArityMap):
                 f"more than MAX_EXPAND_TERMS = {MAX_EXPAND_TERMS}"
             )
         coefs, den = _over_lcm(self._terms)
-        if size >= INT_KEYS_FROM and _spreads(self._terms):
-            out = _expand_ints(coefs, n)
-        else:
-            out = _expand_tables(coefs, n)
-        arity, lowest = self.arity, MonodromicClass._lowest
-        return TruncatedPoly._trusted(arity, {
-            d: MonodromicClass._trusted(arity, *lowest(terms, den)) for d, terms in out.items() if terms
-        })
+        expand = _expand_ints if size >= INT_KEYS_FROM and _spreads(self._terms) else _expand_tables
+        arity, trusted = self.arity, MonodromicClass._trusted
+        return TruncatedPoly._trusted(arity, {d: trusted(arity, *c) for d, c in expand(coefs, n, den).items()})
 
     def render(self) -> str:
         """`(class)*p(e,j)*...` terms in ascending key order, the empty

@@ -23,8 +23,12 @@ data enters through one constructor loop running each ring's ``_key``
 ``_coef`` hooks, the keys left put over their lcm once.  Sums and
 products work over lcm(d1, d2) (``_over``); only a cancellation, a product
 or a morphism can leave a smaller least denominator, and only then is
-``_lowest`` called.  Results canonical by construction are wrapped as is
-by the trusted constructor ``_trusted``.
+``_lowest`` called.  A product with a factor of ``den == 1`` needs no
+``_lowest``: that factor lies in the group ring of a torsion-free group
+(integer exponents, or zero residues with integer gradings), a domain, so
+its product with each residue class of the other factor is nonzero, and
+every residue of the other factor survives.  Results canonical by
+construction are wrapped as is by the trusted constructor ``_trusted``.
 
 A spectrum here is a finitely supported integer combination of monomials
 ``t^a`` with rational exponent ``a``, i.e. an element of the group ring of
@@ -75,9 +79,17 @@ def mod1(x: FracLike) -> Fraction:
 
 def _pair(value: FracLike, residue: bool = False) -> tuple:
     """(num, den) of a FracLike in lowest terms, den > 0; with ``residue``,
-    of its residue mod 1 (still lowest: gcd(n mod d, d) = gcd(n, d))."""
+    of its residue mod 1 (still lowest: gcd(n mod d, d) = gcd(n, d)).  An
+    int, and an int pair (n, d) with d > 0 (lowered by one gcd), need no
+    ``Fraction``."""
     if type(value) is int:
         return (0 if residue else value), 1
+    if type(value) is tuple and len(value) == 2:
+        n, d = value
+        if type(n) is int and type(d) is int and d > 0:
+            g = gcd(n, d)
+            n, d = n // g, d // g
+            return (n % d if residue else n), d
     x = value if isinstance(value, Fraction) else frac(value)
     n, d = x.numerator, x.denominator
     return (n % d if residue else n), d
@@ -289,7 +301,9 @@ class _DenMap(_SparseMap):
     that key alone), ``_key_mul`` (den to the product of two keys over den,
     residues reduced mod den), ``_rekeyed`` (a term map with every
     numerator n sent to f(n)) and ``_nums`` (a C callable from a
-    term map to the tuple of numerators of each key).
+    term map to the tuple of numerators of each key).  A product with a
+    factor of den 1 keeps the other factor's den without ``_lowest``: the
+    den-1 factor lies in a domain (see the module docstring).
     """
 
     __slots__ = ()
@@ -363,8 +377,8 @@ class _DenMap(_SparseMap):
 
     def __mul__(self, other):
         """The product over lcm(den, other.den), the smaller operand in the
-        outer loop, then ``_lowest``; other operands go to
-        ``_SparseMap.__mul__``."""
+        outer loop, then ``_lowest`` unless a factor has den 1 (see the
+        module docstring); other operands go to ``_SparseMap.__mul__``."""
         if type(other) is not type(self):
             return _SparseMap.__mul__(self, other)
         self._check(other)
@@ -381,6 +395,8 @@ class _DenMap(_SparseMap):
                 out[k] = get(k, 0) + c1 * c2
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
+        if 1 in (self.den, other.den):
+            return self._like(out, den)
         return self._like(*self._lowest(out, den))
 
 

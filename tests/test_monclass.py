@@ -11,6 +11,7 @@ from hodgespec.lattice import (
     elementary_divisors,
     integer_kernel_basis,
     rational_rank,
+    rational_solve,
     smith_normal_form,
     snf_divisors,
 )
@@ -211,6 +212,34 @@ def test_fiber_class_independent_of_solution():
             continue
         assert torus_fiber_class(M) == torus_fiber_class(M, thetas=_shifted_thetas(M, rng))
         count += 1
+
+
+def test_one_row_fiber_class_equals_its_smith_path():
+    # One row and no thetas reads divisors [gcd(row)] and U = [[1]] without
+    # an elimination; given a theta, the same row takes the Smith path.
+    rng = random.Random(41)
+    big = MAX_TORUS_CHARACTERS
+    rows = [[1], [-1], [3, -5], [-4, -6], [big, -2 * big]]
+    for _ in range(80):
+        g = rng.choice((1, 1, 2, 3, 4, 6, 12))
+        rows.append([g * rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(rng.randint(1, 5))])
+    oracle_checked = set()
+    for row in rows:
+        got = torus_fiber_class([row])
+        assert got == torus_fiber_class([row], thetas=[rational_solve([row], [1])]), row
+        if lcm(*row) ** len(row) <= 20_000:
+            assert got == oracles.root_of_unity_class([row]), row
+            oracle_checked.add(gcd(*row))
+    assert any(x < 0 for row in rows for x in row)
+    assert {1, 2, 3, 4, 6, 12} <= {gcd(*row) for row in rows} and big in {gcd(*row) for row in rows}
+    assert {1, 2, 3} <= oracle_checked, oracle_checked
+    # The refusals are unchanged: the character budget, then a zero column.
+    over = big + 1
+    message = f"torus fiber of [[{over}, {-2 * over}]] has {over} characters, more than MAX_TORUS_CHARACTERS = {big}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        torus_fiber_class([[over, -2 * over]])
+    with pytest.raises(ValueError, match="^column 1 of the exponent matrix is zero$"):
+        torus_fiber_class([[3, 0, -2]])
 
 
 def test_fiber_class_vs_root_of_unity_enumeration():

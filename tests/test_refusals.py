@@ -2,8 +2,10 @@
 text names the row, argument or field at fault; none returns an answer or
 escapes as an IndexError, TypeError or AttributeError."""
 
+import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from hodgespec.cones import (
     series_limit,
     stays_bounded,
 )
+from hodgespec.cli import main
 from hodgespec.convolution import collapse_pair, collapse_triple, power_pushforward
 from hodgespec.lattice import (
     SchemaError,
@@ -45,6 +48,7 @@ from hodgespec.resolution import (
     Stratum,
     datum_from_dict,
     jet_count_zeta,
+    load_datum,
 )
 from hodgespec.series import TruncatedPoly
 from hodgespec.spectra import Spectrum
@@ -150,3 +154,58 @@ def test_rederive_fails_a_stratum_with_no_oracle():
     datum = ResolutionDatum(3, True, ("g",), (comp,), (Stratum(("a",), base=unit0),))
     lines = rederive(Fixture("m", datum, ""))
     assert ("m: stratum {a} has no oracle", False) in lines
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# (command, flag, fixture, field path of one class entry in it, that entry).
+_ENTRIES = {
+    "explicit": ("spectrum", "--datum", "cusp", "strata[2].cover.explicit[2]",
+                 lambda d: d["strata"][2]["cover"]["explicit"][2]),
+    "zero-locus": ("iterated", "--joint", "x2y_y_joint", "zero_locus_nearby[0]",
+                   lambda d: d["zero_locus_nearby"][0]),
+    "base": ("spectrum", "--datum", "cusp", "strata[0].base_class[0]",
+             lambda d: d["strata"][0]["base_class"][0]),
+}
+# (entry, index of the field in it, value put there, message): each value
+# that is not an int, in an eigenvalue pair and in p, q and mult; a pair of
+# one element; a den below 1.
+_ENTRY_CASES = [
+    (where, index, value, f"{value!r} is not an integer")
+    for value in (True, 1.5, "1")
+    for where, indices in (
+        ("explicit", ((0, 0), (0, 1), (1,), (2,), (3,))),
+        ("zero-locus", ((0, 0), (0, 1), (1,), (2,), (3,))),
+        ("base", ((0,), (1,), (2,))),
+    )
+    for index in indices
+] + [
+    (where, index, value, message)
+    for where in ("explicit", "zero-locus")
+    for index, value, message in (
+        ((0,), [1], "expected [num, den]"),
+        ((0, 1), 0, "0 is less than 1"),
+        ((0, 1), -2, "-2 is less than 1"),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "where, index, value, message", _ENTRY_CASES,
+    ids=[f"{w}-{''.join(map(str, i))}-{v!r}" for w, i, v, _m in _ENTRY_CASES],
+)
+def test_bad_class_entries_in_datum_files_name_their_field(capsys, tmp_path, where, index, value, message):
+    command, flag, name, path, entry_of = _ENTRIES[where]
+    data = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    target = entry_of(data)
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    field = path + "".join(f"[{i}]" for i in index)
+    with pytest.raises(SchemaError) as info:
+        load_datum(str(bad))
+    assert (info.value.path, str(info.value)) == (field, f"{field}: {message}")
+    assert main([command, flag, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: {message}\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgespec.cli import main
-from hodgespec.monclass import MonodromicClass as MC, box, torus_fiber_class
+from hodgespec.monclass import MonodromicClass as MC, box, embed, torus_fiber_class
 from hodgespec.resolution import (
     Component,
     ResolutionDatum,
@@ -92,6 +92,25 @@ def test_jet_count_refuses_oversized_degrees_up_front():
     with pytest.raises(ValueError, match="dimension"):
         jet_count_zeta((1,) * 7, 5)
     assert jet_count_zeta((1, 1, 1, 1), 40) == zeta_series(monomial_datum((1, 1, 1, 1))).expand(40)
+
+
+def test_split_stratum_class_is_base_times_fiber():
+    # The fiber's bidegrees shifted by each base term equal the product with
+    # the base embedded at trivial eigenvalues, for bases with p != q too.
+    bases = [
+        MC(0, [(((), 1, 0), 1)]),
+        MC(0, [(((), 0, 2), -3), (((), 1, 1), 2)]),
+        MC(0, [(((), 2, 1), 1), (((), 1, 2), 1), (((), 0, 0), -1)]),
+    ]
+    comps = (Component("a", 2, 4, 1), Component("b", 0, 6, 2))
+    for base in bases:
+        for functions in (("g",), ("f", "g")):
+            datum = ResolutionDatum(2, True, functions, comps, (Stratum(("a", "b"), base=base),))
+            (st,) = datum.strata
+            fiber = torus_fiber_class(datum.multiplicity_rows(st))
+            got = datum.stratum_class(st)
+            assert got == embed(base, len(functions), ()) * fiber, (base, functions)
+            assert got.den == fiber.den
 
 
 def test_nearby_is_minus_zeta_limit():

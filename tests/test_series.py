@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from itertools import product
 from operator import itemgetter
 
 import pytest
 
 from hodgespec.monclass import MonodromicClass as MC
-from hodgespec.resolution import zeta_series
+from hodgespec.resolution import jet_count_zeta, zeta_series
 from hodgespec.series import (
     INT_KEYS_FROM,
     RationalSeries as RS,
@@ -17,7 +18,7 @@ from hodgespec.series import (
     _points_bound,
     _spreads,
 )
-from hodgespec.workbench import fixtures
+from hodgespec.workbench import fixtures, monomial_datum
 
 u0 = MC.unit(0)
 L = MC.lefschetz
@@ -167,9 +168,8 @@ def test_expand_matches_generator_products():
         paths[size >= INT_KEYS_FROM and _spreads(series._terms)] += 1
         if n:
             # Both paths on every input, whichever expand chose.
-            coefs, _den = _over_lcm(series._terms)
-            tables = {d: t for d, t in _expand_tables(coefs, n).items() if t}
-            assert _expand_ints(coefs, n) == tables, (series, n)
+            coefs, den = _over_lcm(series._terms)
+            assert _expand_ints(coefs, n, den) == _expand_tables(coefs, n, den), (series, n)
     assert min(paths.values()) >= 40, paths
 
 
@@ -183,8 +183,59 @@ def test_expand_ints_on_three_factor_terms_with_a_constant():
         expected = _expand_by_products(series, n)
         assert series.expand(n) == expected
         coefs, den = _over_lcm(series._terms)
-        got = _expand_ints(coefs, n)
-        assert TP._trusted(1, {d: MC._trusted(1, *MC._lowest(t, den)) for d, t in got.items()}) == expected, n
+        got = _expand_ints(coefs, n, den)
+        assert TP._trusted(1, {d: MC._trusted(1, *t) for d, t in got.items()}) == expected, n
+
+
+def test_expand_gives_every_degree_its_least_den():
+    # c p(e, j) - (1/6) L^(e - f) p(f, j) with c = (1/6) + (1/2): at T^j the
+    # (1/6) terms cancel, leaving (1/2) L^e over den 2, not the lcm 6; a
+    # p(0, k) of a 1/3 residue puts degrees over den 3, and the others of
+    # the draw over 6 or 1.  Both expand paths must give every degree, after
+    # the cancellation too, over its own least denominator.
+    rng = random.Random(3107)
+    lowered = 0
+    for _ in range(60):
+        arity = rng.randint(1, 2)
+        pad = (0,) * (arity - 1)
+        sixth = MC.monomial(arity, (F(1, 6),) + pad, 0, 0)
+        half = MC.monomial(arity, (F(1, 2),) + pad, rng.randint(-1, 1), 0)
+        third = MC.monomial(arity, (F(1, 3),) + pad, 0, rng.randint(-1, 1))
+        e, f, j, k, k2 = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        terms = [
+            (((e, j),), sixth + half),
+            (((f, j),), -sixth * MC.lefschetz(arity, e - f)),
+            (((0, k), (rng.randint(-2, 2), k2)), third - MC.lefschetz(arity, 1) * third),
+        ]
+        if rng.random() < 0.5:
+            terms.append(((), MC.unit(arity) * rng.randint(-2, 2)))
+        series = RS(arity, terms)
+        n = rng.randint(j, 30)
+        coefs, den = _over_lcm(series._terms)
+        assert den == 6
+        expected = _expand_by_products(series, n)
+        for path in (_expand_tables, _expand_ints):
+            got = path(coefs, n, den)
+            for d, (terms_d, least) in got.items():
+                nums = [x for evs, _p, _q in terms_d for x in evs]
+                assert terms_d and least > 0 and gcd(least, *nums) == 1, (series, n, d)
+                assert expected.coefficient(d) == MC._trusted(arity, terms_d, least), (series, n, d)
+            assert sorted(got) == expected.degrees(), (series, n)
+            lowered += sum(least < den for _terms, least in got.values())
+        assert series.expand(n) == expected
+        # Below the T-degree k + k2 of the third term, degree j holds the
+        # (1/2) L^e left by the cancellation (or nothing but it when e == f).
+        if j < k + k2:
+            assert expected.coefficient(j) == half * MC.lefschetz(arity, e), (series, n)
+    assert lowered >= 200, lowered
+    # jet_count_zeta shifts its fiber by each count; its degrees are least
+    # and equal the expansion of the monomial's resolution datum.
+    for exps in ((2,), (4, 6), (3, 6, 9), (1, 2), (2, 2, 4)):
+        jets = jet_count_zeta(exps, 12)
+        assert jets == zeta_series(monomial_datum(exps)).expand(12), exps
+        for _d, c in jets.terms():
+            nums = [x for evs, _p, _q in c._terms for x in evs]
+            assert gcd(c.den, *nums) == 1 and c.den == gcd(*exps), exps
 
 
 def test_expand_drops_cancelled_degrees():

@@ -11,6 +11,7 @@ from hodgespec.series import RationalSeries, TruncatedPoly
 from hodgespec.spectra import (
     BiSpectrum,
     Spectrum,
+    _pair,
     fold_bispectrum,
     frac,
     geometric_factor,
@@ -362,3 +363,19 @@ def test_ring_constructors_take_exact_integral_values():
     assert Spectrum([(F(1, 10), F(2))]) == Spectrum([("1/10", 2)]) == 2 * Spectrum.monomial((1, 10))
     assert MonodromicClass(1, [(((F(1, 2),), F(1), 0), 1)]) == MonodromicClass.monomial(1, ((1, 2),), 1, 0)
     assert TruncatedPoly(0, [(F(2), _UNIT0)]).degrees() == [2]
+
+
+@PROPERTY
+@given(st.integers(-40, 40), st.integers(1, 30), st.integers(1, 4))
+def test_int_pairs_enter_in_lowest_terms(n, d, k):
+    # (k n, k d) is read as n / d reduced, as a Fraction and a str are, and
+    # as a residue mod 1 in the residue rings, in every ring constructor.
+    x = F(n, d)
+    for raw in ((k * n, k * d), (n, d)):
+        assert _pair(raw) == (x.numerator, x.denominator)
+        assert _pair(raw, residue=True) == ((x % 1).numerator, (x % 1).denominator)
+        assert Spectrum([(raw, 1)]) == Spectrum.monomial(x) == Spectrum([(str(x), 1)])
+        assert Spectrum([(raw, 1)]).den == x.denominator
+        assert BiSpectrum([((raw, raw, 0), 1)]) == BiSpectrum.monomial(x % 1, x % 1, 0)
+        c = MonodromicClass(2, [(((raw, 0), 0, 0), 1)])
+        assert c == MonodromicClass.monomial(2, (x % 1, 0), 0, 0) and c.den == (x % 1).denominator

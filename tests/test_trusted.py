@@ -557,3 +557,84 @@ def test_integer_parameters_below_their_bound_are_refused(call, path, minimum):
 def test_negative_arity_is_refused(ring):
     with pytest.raises(SchemaError, match=r"^arity: -1 is less than 0$"):
         ring(-1)
+
+
+# ---------------------------------------------------------------------------
+# Products with a den-1 factor skip _lowest.
+# ---------------------------------------------------------------------------
+#
+# A den-1 factor lies in the group ring of a torsion-free group, a domain,
+# so its product keeps every residue of the other factor, and with it the
+# other factor's den.  Each ring below gives its den-1 element of integer
+# exponents {k: m} (the class rings put k at bidegree (k, k) or (k, 0)), a
+# monomial of den 12, the Fraction key product and its strategy of draws.
+
+
+def _class_ring(arity):
+    def den1(powers):
+        return MC(arity, [(((0,) * arity, k, k if k % 2 else 0), m) for k, m in powers])
+
+    def key_mul(k1, k2):
+        return tuple(map(_add_mod1, k1[0], k2[0])), k1[1] + k2[1], k1[2] + k2[2]
+
+    u = MC.monomial(arity, (F(1, 12),) + (F(3, 4),) * (arity - 1), 0, 0)
+    return den1, u, key_mul, _classes(arity)
+
+
+_RINGS = {
+    "spectrum": (
+        lambda powers: Spectrum(powers), Spectrum.monomial(F(1, 12)), lambda a, b: a + b, SPECTRA,
+    ),
+    "bispectrum": (
+        lambda powers: BiSpectrum([((0, 0, k), m) for k, m in powers]),
+        BiSpectrum.monomial(F(1, 6), F(3, 4), 0),
+        lambda k1, k2: (_add_mod1(k1[0], k2[0]), _add_mod1(k1[1], k2[1]), k1[2] + k2[2]),
+        BISPECTRA,
+    ),
+    "class-1": _class_ring(1),
+    "class-2": _class_ring(2),
+}
+
+
+def _den1_product(x, y, key_mul):
+    """x * y for a den-1 y: the Fraction product, already least (``_lowest``
+    changes nothing), over x.den unless it is zero."""
+    assert y.den == 1
+    got = x * y
+    _same(got, _ref_mul(x, y, key_mul))
+    assert type(got)._lowest(dict(got._terms), got.den) == (got._terms, got.den)
+    assert got.den == (x.den if got else 1), (x, y, got)
+    assert y * x == got
+    return got
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+def test_den1_factor_keeps_the_other_den(ring):
+    den1, u, key_mul, _draws = _RINGS[ring]
+    L, one, zero = den1([(1, 1)]), den1([(0, 1)]), den1([])
+    x = (L + one) * u + u * u * u
+    assert x.den == 12
+    # (L - 1)(L + 1) cancels its cross terms; zero and one are den 1 too.
+    for y in (L - one, L + one, den1([(2, 1), (0, -1)]), one, zero, den1([(-3, 2), (5, -1)])):
+        _den1_product(x, y, key_mul)
+    assert _den1_product((L + one) * u, L - one, key_mul) == (L * L - one) * u
+    assert _den1_product(x, zero, key_mul) == zero
+    # Both dens above 1: t^(1/2) * t^(1/2) is over den 1, so _lowest runs.
+    half = u * u * u * u * u * u
+    assert half.den == 2
+    square = half * half
+    assert_canonical(square)
+    assert square.den == 1 and square == _ref_prod(half, half, key_mul)
+
+
+def _ref_prod(x, y, key_mul):
+    return type(x)(*([x.arity] if isinstance(x, MC) else []), _ref_mul(x, y, key_mul).items())
+
+
+@PROPERTY
+@given(st.data())
+def test_den1_products_match_fractions(data):
+    den1, _u, key_mul, draws = _RINGS[data.draw(st.sampled_from(sorted(_RINGS)))]
+    x = data.draw(draws)
+    y = den1(data.draw(st.lists(st.tuples(st.integers(-3, 3), SMALL), max_size=4)))
+    _den1_product(x, y, key_mul)
