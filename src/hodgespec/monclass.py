@@ -6,10 +6,13 @@ recording the eigenvalues exp(2*pi*i*a_j) of k commuting finite-order
 automorphisms, and a Hodge bidegree.  The residues are int numerators over
 the class's one least denominator ``den`` (the key format of
 ``hodgespec.spectra``), so eigenvalue tuples sort as the rationals they
-stand for; ``terms()`` returns them as Fractions.  Every printed class goes
-through ``_render_classes``, which takes all the classes of one printed
-output (a truncated polynomial's degrees, say), formats each distinct
-eigenvalue tuple among them once, and sorts all their terms once.
+stand for; ``terms()`` returns them as Fractions.  ``MonodromicClass`` has
+the one base ``spectra._ArityMap`` and supplies the core's key hooks; its
+trusted constructor ``_trusted(arity, terms, den)``, sums and products are
+the core's.  Every printed class goes through ``_render_classes``, which
+takes all the classes of one printed output (a truncated polynomial's
+degrees, say), formats each distinct eigenvalue tuple among them once, and
+sorts all their terms once.
 Multiplication is the group-ring product (eigenvalues add mod 1, bidegrees
 add), which realizes the tensor product of Hodge structures with
 automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
@@ -38,7 +41,7 @@ from math import comb, gcd, lcm, prod
 from operator import add, itemgetter
 
 from .lattice import _int_matrix, _int_row, _sized, _strict_int, smith_normal_form, snf_divisors
-from .spectra import BiSpectrum, Spectrum, _ArityMap, _DenMap, _heads, _lead, _merge, _pair, _ratio, frac
+from .spectra import BiSpectrum, Spectrum, _ArityMap, _heads, _lead, _merge, _pair, _ratio, frac
 
 
 # torus_fiber_class enumerates one character per element of the torsion
@@ -91,19 +94,10 @@ def _render_classes(classes) -> list:
     return out
 
 
-class MonodromicClass(_ArityMap, _DenMap):
+class MonodromicClass(_ArityMap):
     """Z-combination of (eigenvalue tuple, p, q) monomials of a fixed arity."""
 
-    __slots__ = ("den",)
-
-    @classmethod
-    def _trusted(cls, arity: int, terms: dict, den: int) -> "MonodromicClass":
-        out = object.__new__(cls)
-        out.arity, out._terms, out.den = arity, terms, den
-        return out
-
-    def _like(self, terms: dict, den: int | None = None) -> "MonodromicClass":
-        return MonodromicClass._trusted(self.arity, terms, (den or self.den) if terms else 1)
+    __slots__ = ()
 
     def _key(self, raw):
         evs, p, q = raw

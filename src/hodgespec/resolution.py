@@ -464,10 +464,13 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
 
 
 def _read_json(path: str):
+    """The JSON value in a file; text that is not JSON, bytes that are not
+    UTF-8, an integer past the interpreter's digit limit and nesting too
+    deep to decode all raise a SchemaError naming the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(path, f"malformed JSON: {exc}") from exc
 
 

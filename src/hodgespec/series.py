@@ -2,7 +2,10 @@
 
 A series is a finite sum of terms ``coefficient * product of generators``,
 with coefficients in a monodromic class ring of fixed arity.  The empty
-product is the constant term.  Two operations matter downstream:
+product is the constant term.  Both series rings, ``RationalSeries`` and
+``TruncatedPoly``, are ``_SeriesMap``s: the ring core of
+``hodgespec.spectra`` with class coefficients, whose sums and products are
+written here once.  Two operations matter downstream:
 
 * ``expand(n)`` -- the exact truncated power-series expansion, using the
   geometric expansion of each generator (sum over m >= 1 of L^(e m) T^(j m)).
@@ -264,28 +267,56 @@ def _expand_ints(terms: dict, n: int, den: int) -> dict:
     return _least(out, known, den)
 
 
-def _class_coef(self, c: MonodromicClass) -> MonodromicClass:
-    """The ``_coef`` of both series rings: a class of the ring's arity."""
-    if not isinstance(c, MonodromicClass):
-        raise ValueError(f"coefficient: {c!r} is not a MonodromicClass")
-    if c.arity != self.arity:
-        raise ValueError("coefficient arity mismatch")
-    return c
+class _SeriesMap(_ArityMap):
+    """The part of the ring core only the series rings use: coefficients
+    are classes of the ring's arity, and keys hold no rational, so ``_key``
+    returns (key, 1), every den is 1 and sums and products merge class
+    coefficients with ``_merge``; ``_key_mul`` is the product of two keys."""
+
+    __slots__ = ()
+
+    def _coef(self, c: MonodromicClass) -> MonodromicClass:
+        if not isinstance(c, MonodromicClass):
+            raise ValueError(f"coefficient: {c!r} is not a MonodromicClass")
+        if c.arity != self.arity:
+            raise ValueError("coefficient arity mismatch")
+        return c
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = dict(self._terms)
+        for key, coef in other._terms.items():
+            _merge(out, key, coef)
+        return self._like(out)
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        key_mul = self._key_mul
+        out: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                _merge(out, key_mul(k1, k2), c1 * c2)
+        return self._like(out)
 
 
-class TruncatedPoly(_ArityMap):
+class TruncatedPoly(_SeriesMap):
     """Polynomial in T of bounded degree with monodromic-class coefficients."""
 
     __slots__ = ()
-    _coef = _class_coef
     _key_mul = staticmethod(add)
 
     @staticmethod
-    def _key(n) -> int:
-        return _strict_int(n, "T-degree", 0)
+    def _key(n) -> tuple:
+        return _strict_int(n, "T-degree", 0), 1
 
     def coefficient(self, n: int) -> MonodromicClass:
-        c = self._terms.get(self._key(n))
+        c = self._terms.get(self._key(n)[0])
         return MonodromicClass.zero(self.arity) if c is None else c
 
     def degrees(self):
@@ -310,7 +341,7 @@ class TruncatedPoly(_ArityMap):
         return " + ".join([f"({text})*T^{d}" for d, text in zip(degrees, texts)]) or "0"
 
 
-class RationalSeries(_ArityMap):
+class RationalSeries(_SeriesMap):
     """Finite combination of generator products with class coefficients.
 
     Terms are keyed by the multiset of generator indices (e, j), stored as a
@@ -320,14 +351,13 @@ class RationalSeries(_ArityMap):
 
     __slots__ = ()
     _scalars = (int, MonodromicClass)
-    _coef = _class_coef
 
     @staticmethod
     def _key(factors) -> tuple:
         return tuple(sorted(
             (_strict_int(e, "generator L-power e"), _strict_int(j, "generator T-weight j", 1))
             for e, j in factors
-        ))
+        )), 1
 
     @staticmethod
     def _key_mul(f1, f2):

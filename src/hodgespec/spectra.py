@@ -3,27 +3,30 @@
 Every ring in the package -- spectra, bispectra, monodromic classes and the
 two series types -- is a finitely supported map from a canonical key (a
 monomial of its grading) to a nonzero coefficient.  ``_SparseMap`` holds that
-map and implements the ring once: sums, negation, scaling, the product
-through the subclass's key product, equality, hashing and the sorted term
-list.  ``_ArityMap`` adds a fixed arity that operands must share.
+map and implements the ring once: sums and products of integer
+coefficients (through the subclass's key product), negation, scaling,
+equality, hashing and the sorted term list.  ``_ArityMap`` adds a fixed
+arity that operands must share, and ``series._SeriesMap`` the sums and
+products of class coefficients; every ring sits on this one line of single
+bases.
 
 One key format.  Every exponent of a spectrum and every eigenvalue of
-commuting finite-order monodromies lies in (1/n)Z for one n, so a ring
-whose keys hold rationals (a ``_DenMap``: ``Spectrum``, ``BiSpectrum``,
-``MonodromicClass``) keeps each as an int numerator over one slot ``den``,
-the least common denominator: ``gcd(den, *numerators) == 1``, residues lie
-in ``[0, den)``, and ``den == 1`` for zero, for arity 0 and for the series
-rings.  Keys hash, compare and sort as ints (tuples of numerators over one
-``den`` sort as the rationals they stand for), and a rational is reduced
-on its own only when printed (``_ratio``) or viewed: constructors and
-``coefficient`` take any ``FracLike``, and ``terms()`` returns ascending
-``Fraction`` keys.  ``_DenMap`` writes the den arithmetic once.  Outside
-data enters through one constructor loop running each ring's ``_key``
-(with its checks; ``_pair`` and ``frac`` parse every rational) and
-``_coef`` hooks, the keys left put over their lcm once.  Sums and
-products work over lcm(d1, d2) (``_over``); only a cancellation, a product
-or a morphism can leave a smaller least denominator, and only then is
-``_lowest`` called.  A product with a factor of ``den == 1`` needs no
+commuting finite-order monodromies lies in (1/n)Z for one n, so every ring
+keeps the rationals of its keys (those of ``Spectrum``, ``BiSpectrum`` and
+``MonodromicClass``) as int numerators over one slot ``den``, the least
+common denominator: ``gcd(den, *numerators) == 1``, residues lie in
+``[0, den)``, and ``den == 1`` for zero, for arity 0 and for the series
+rings, whose keys hold no rational.  Keys hash, compare and sort as ints
+(tuples of numerators over one ``den`` sort as the rationals they stand
+for), and a rational is reduced on its own only when printed (``_ratio``)
+or viewed: constructors and ``coefficient`` take any ``FracLike``, and
+``terms()`` returns ascending ``Fraction`` keys.  ``_SparseMap`` writes the
+den arithmetic once.  Outside data enters through one constructor loop
+running each ring's ``_key`` (with its checks; ``_pair`` and ``frac`` parse
+every rational) and ``_coef`` hooks, the keys left put over their lcm once.
+Sums and products work over lcm(d1, d2) (``_over``); only a cancellation, a
+product or a morphism can leave a smaller least denominator, and only then
+is ``_lowest`` called.  A product with a factor of ``den == 1`` needs no
 ``_lowest``: that factor lies in the group ring of a torsion-free group
 (integer exponents, or zero residues with integer gradings), a domain, so
 its product with each residue class of the other factor is nonzero, and
@@ -142,30 +145,44 @@ def _render_terms(items, monomial_str) -> str:
 
 class _SparseMap:
     """Group-ring element: ``_terms`` maps canonical keys to nonzero
-    coefficients (integers, or classes for the series types).
+    coefficients (integers, or classes for the series types), the rationals
+    of every key held as int numerators over the slot ``den`` (see the
+    module docstring); equality and hashing read both.
 
     The constructor is the only place keys are normalised: it merges
     ``_key(raw)`` with ``_coef(value)`` over the input terms.  A subclass
-    supplies ``_key`` (a raw key to its canonical form, ValueError on
-    anything else), optionally ``_coef`` (the default takes a strict-int
-    multiplicity), ``_key_mul`` (the product of two keys, canonical when
-    both are), ``_key_view`` (a stored key in its public form, for
-    ``terms()``) and ``render``.  ``_scalars`` lists the types ``*`` treats
-    as coefficient scalars, the only ones ``scale`` accepts.  ``den`` is 1
-    here and a slot of each ``_DenMap`` ring; equality and hashing read it.
+    supplies ``_key`` (a raw key to (the key over d, d), d the least
+    denominator of that key alone, 1 for a key that holds no rational;
+    ValueError on anything else), optionally ``_coef`` (the default takes a
+    strict-int multiplicity), ``_key_mul`` (den to the product of two keys
+    over den, residues reduced mod den), ``_rekeyed`` (a term map with every
+    numerator n sent to f(n)) and ``_nums`` (a C callable from a term map
+    to the tuple of numerators of each key), which a ring whose keys hold
+    no rational never calls, ``_key_view`` (a stored key in its public
+    form, for ``terms()``) and ``render``.  ``_scalars`` lists the types
+    ``*`` treats as coefficient scalars, the only ones ``scale`` accepts.
+    A product with a factor of den 1 keeps the other factor's den
+    without ``_lowest``: the den-1 factor lies in a domain (see the module
+    docstring).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "den")
     _scalars: tuple = (int,)
-    den = 1
     _one = None  # the key of the one, for a ring equal to n at n times it
 
     def __init__(self, terms: Mapping | Iterable = ()):
+        # Keys merge among those of their own least denominator; the lcm of
+        # the denominators left is least, so one scaling of each group ends it.
         key, coef = self._key, self._coef
-        data: dict = {}
+        groups: dict = {}
         for raw, value in _items(terms):
-            _merge(data, key(raw), coef(value))
-        self._terms = data
+            k, d = key(raw)
+            _merge(groups.setdefault(d, {}), k, coef(value))
+        den = self.den = lcm(*filter(groups.get, groups))  # the d of nonempty groups
+        out: dict = {}
+        for d, group in groups.items():
+            out.update(group if d == den else self._rekeyed(group, (den // d).__mul__))
+        self._terms = out
 
     @staticmethod
     def _coef(value) -> int:
@@ -176,14 +193,16 @@ class _SparseMap:
         return cls()
 
     @classmethod
-    def _trusted(cls, terms: dict):
-        """Wrap a dict of canonical keys and nonzero coefficients as is."""
+    def _trusted(cls, terms: dict, den: int = 1):
+        """Wrap numerators over their least common denominator as is."""
         out = object.__new__(cls)
         out._terms = terms
+        out.den = den
         return out
 
-    def _like(self, terms: dict):
-        return self._trusted(terms)
+    def _like(self, terms: dict, den: int | None = None):
+        # Negation and scaling keep every key, and den, or drop them all.
+        return self._trusted(terms, (den or self.den) if terms else 1)
 
     def _check(self, other) -> None:
         pass
@@ -213,126 +232,6 @@ class _SparseMap:
 
     def __hash__(self):
         return hash((self.den, frozenset(self._terms.items())))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for key, coef in other._terms.items():
-            _merge(out, key, coef)
-        return self._like(out)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
-
-    def scale(self, k):
-        """Multiply every coefficient by a scalar, strictly: anything but one
-        of ``_scalars`` (a bool or a float, say) raises ValueError."""
-        if isinstance(k, bool) or not isinstance(k, self._scalars):
-            raise ValueError(f"scale: {k!r} is not an integer")
-        return self._like({key: v for key, c in self._terms.items() if (v := c * k)})
-
-    def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return self.scale(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        key_mul = self._key_mul
-        out: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                _merge(out, key_mul(k1, k2), c1 * c2)
-        return self._like(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.render()})"
-
-
-class _ArityMap(_SparseMap):
-    """Sparse map of a fixed arity; sums and products need equal arities
-    (ValueError otherwise), and maps of different arities are unequal."""
-
-    __slots__ = ("arity",)
-
-    def __init__(self, arity: int, terms: Mapping | Iterable = ()):
-        self.arity = _strict_int(arity, "arity", 0)
-        super().__init__(terms)
-
-    @classmethod
-    def zero(cls, arity: int):
-        return cls(arity)
-
-    @classmethod
-    def _trusted(cls, arity: int, terms: dict):
-        out = object.__new__(cls)
-        out.arity = arity
-        out._terms = terms
-        return out
-
-    def _like(self, terms: dict):
-        return self._trusted(self.arity, terms)
-
-    def _check(self, other) -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.arity == other.arity and self.den == other.den and self._terms == other._terms
-
-    # Defining __eq__ clears the inherited hash.
-    __hash__ = _SparseMap.__hash__
-
-
-class _DenMap(_SparseMap):
-    """Sparse map whose keys hold rationals as int numerators over one least
-    denominator ``den`` (see the module docstring): the den arithmetic of
-    every such ring.  A subclass declares the ``den`` slot and supplies
-    ``_key`` (a raw key to (the key over d, d), d the least denominator of
-    that key alone), ``_key_mul`` (den to the product of two keys over den,
-    residues reduced mod den), ``_rekeyed`` (a term map with every
-    numerator n sent to f(n)) and ``_nums`` (a C callable from a
-    term map to the tuple of numerators of each key).  A product with a
-    factor of den 1 keeps the other factor's den without ``_lowest``: the
-    den-1 factor lies in a domain (see the module docstring).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping | Iterable = ()):
-        # Keys merge among those of their own least denominator; the lcm of
-        # the denominators left is least, so one scaling of each group ends it.
-        key, coef = self._key, self._coef
-        groups: dict = {}
-        for raw, value in _items(terms):
-            k, d = key(raw)
-            _merge(groups.setdefault(d, {}), k, coef(value))
-        den = self.den = lcm(*filter(groups.get, groups))  # the d of nonempty groups
-        out: dict = {}
-        for d, group in groups.items():
-            out.update(group if d == den else self._rekeyed(group, (den // d).__mul__))
-        self._terms = out
-
-    @classmethod
-    def _trusted(cls, terms: dict, den: int):
-        """Wrap numerators over their least common denominator as is."""
-        out = object.__new__(cls)
-        out._terms = terms
-        out.den = den
-        return out
-
-    def _like(self, terms: dict, den: int | None = None):
-        # Negation and scaling keep every key, and den, or drop them all.
-        return self._trusted(terms, (den or self.den) if terms else 1)
 
     @classmethod
     def _lowest(cls, terms: dict, den: int) -> tuple:
@@ -375,12 +274,25 @@ class _DenMap(_SparseMap):
             return self._like(*self._lowest({k: c for k, c in out.items() if c}, den))
         return self._like(out, den)
 
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def scale(self, k):
+        """Multiply every coefficient by a scalar, strictly: anything but one
+        of ``_scalars`` (a bool or a float, say) raises ValueError."""
+        if isinstance(k, bool) or not isinstance(k, self._scalars):
+            raise ValueError(f"scale: {k!r} is not an integer")
+        return self._like({key: v for key, c in self._terms.items() if (v := c * k)})
+
     def __mul__(self, other):
         """The product over lcm(den, other.den), the smaller operand in the
         outer loop, then ``_lowest`` unless a factor has den 1 (see the
-        module docstring); other operands go to ``_SparseMap.__mul__``."""
+        module docstring); a scalar goes to ``scale``."""
         if type(other) is not type(self):
-            return _SparseMap.__mul__(self, other)
+            return self.scale(other) if isinstance(other, self._scalars) else NotImplemented
         self._check(other)
         if len(self._terms) < len(other._terms):
             self, other = other, self
@@ -399,8 +311,50 @@ class _DenMap(_SparseMap):
             return self._like(out, den)
         return self._like(*self._lowest(out, den))
 
+    def __rmul__(self, other):
+        return self.__mul__(other)
 
-class Spectrum(_DenMap):
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class _ArityMap(_SparseMap):
+    """Sparse map of a fixed arity; sums and products need equal arities
+    (ValueError otherwise), and maps of different arities are unequal."""
+
+    __slots__ = ("arity",)
+
+    def __init__(self, arity: int, terms: Mapping | Iterable = ()):
+        self.arity = _strict_int(arity, "arity", 0)
+        super().__init__(terms)
+
+    @classmethod
+    def zero(cls, arity: int):
+        return cls(arity)
+
+    @classmethod
+    def _trusted(cls, arity: int, terms: dict, den: int = 1):
+        out = object.__new__(cls)
+        out.arity, out._terms, out.den = arity, terms, den
+        return out
+
+    def _like(self, terms: dict, den: int | None = None):
+        return self._trusted(self.arity, terms, (den or self.den) if terms else 1)
+
+    def _check(self, other) -> None:
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.arity == other.arity and self.den == other.den and self._terms == other._terms
+
+    # Defining __eq__ clears the inherited hash.
+    __hash__ = _SparseMap.__hash__
+
+
+class Spectrum(_SparseMap):
     """Finitely supported Z-combination of monomials t^a, a rational.
 
     Multiplication follows t^a * t^b = t^(a+b); zero multiplicities are
@@ -409,7 +363,7 @@ class Spectrum(_DenMap):
     the int numerator of each exponent over ``den`` to its multiplicity.
     """
 
-    __slots__ = ("den",)
+    __slots__ = ()
     _one = 0
     _key = staticmethod(_pair)
 
@@ -456,7 +410,7 @@ class Spectrum(_DenMap):
         ]))
 
 
-class BiSpectrum(_DenMap):
+class BiSpectrum(_SparseMap):
     """Z-combination of monomials t^a u^b v^c with a, b residues mod 1.
 
     The grading group is (Q/Z)^2 x Z; monomials multiply by componentwise
@@ -465,7 +419,7 @@ class BiSpectrum(_DenMap):
     [0, den), to the multiplicity.
     """
 
-    __slots__ = ("den",)
+    __slots__ = ()
 
     @staticmethod
     def _key(raw):

@@ -4,6 +4,7 @@ escapes as an IndexError, TypeError or AttributeError."""
 
 import json
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -209,3 +210,32 @@ def test_bad_class_entries_in_datum_files_name_their_field(capsys, tmp_path, whe
     assert (info.value.path, str(info.value)) == (field, f"{field}: {message}")
     assert main([command, flag, str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {field}: {message}\n"
+
+
+# File bytes json cannot decode into a value: nesting too deep for the
+# decoder's recursion, an integer literal past the interpreter's digit limit
+# (4,300 by default), and bytes that are not UTF-8.
+_UNDECODABLE = {
+    "deep": b"[" * 100_000,
+    "digits": b"[" + b"7" * 5_000 + b"]",
+    "not-utf8": b'{"dimension": \xff}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--datum"), ("convolve", "--right", str(FIXTURES / "class_x3.json"), "--left")],
+    ids=["spectrum-datum", "convolve-left"],
+)
+def test_undecodable_json_exits_2_naming_the_file(capsys, tmp_path, case, argv):
+    if case == "digits" and not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5_000:
+        pytest.skip("no integer digit limit below 5,000 digits in this interpreter")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_UNDECODABLE[case])
+    with pytest.raises(SchemaError, match="^" + re.escape(f"{bad}: malformed JSON: ")) as info:
+        load_datum(str(bad))
+    assert info.value.path == str(bad)
+    assert main([*argv, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed JSON: ") and err.count("\n") == 1, err

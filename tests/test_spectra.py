@@ -6,6 +6,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgespec import monclass, series, spectra
 from hodgespec.monclass import MonodromicClass
 from hodgespec.series import RationalSeries, TruncatedPoly
 from hodgespec.spectra import (
@@ -379,3 +380,25 @@ def test_int_pairs_enter_in_lowest_terms(n, d, k):
         assert BiSpectrum([((raw, raw, 0), 1)]) == BiSpectrum.monomial(x % 1, x % 1, 0)
         c = MonodromicClass(2, [(((raw, 0), 0, 0), 1)])
         assert c == MonodromicClass.monomial(2, (x % 1, 0), 0, 0) and c.den == (x % 1).denominator
+
+
+def test_every_ring_sits_on_one_inheritance_line():
+    rings = [
+        obj for module in (spectra, monclass, series) for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and issubclass(obj, spectra._SparseMap)
+    ]
+    core = (spectra._SparseMap, spectra._ArityMap, series._SeriesMap)
+    leaves = (Spectrum, BiSpectrum, MonodromicClass, TruncatedPoly, RationalSeries)
+    assert set(rings) == {*core, *leaves}, rings
+    for cls in rings:
+        assert len(cls.__bases__) == 1, cls
+        # The trusted constructor and its wrap are written on the core alone.
+        for name in ("_trusted", "_like"):
+            assert name not in vars(cls) or cls in core[:2], (cls, name)
+    for cls in leaves:
+        assert cls.__slots__ == (), cls
+    # bench/workloads/identities.py::_witness tells a class from a spectrum
+    # by hasattr(obj, "arity"): no spectrum may carry one.
+    for x in (Spectrum.one(), Spectrum.zero(), BiSpectrum.one(), t(F(1, 2)) * t(F(1, 3))):
+        assert not hasattr(x, "arity"), x
+    assert MonodromicClass.unit(1).arity == 1

@@ -13,6 +13,7 @@ from hodgespec.lattice import SchemaError
 from hodgespec.monclass import MonodromicClass as MC, hodge_spectrum
 from hodgespec.oracles import p1_cover_class, stratum_cover_class
 from hodgespec.resolution import (
+    datum_from_dict,
     jet_count_zeta,
     nearby_cycles,
     vanishing_cycles,
@@ -151,6 +152,27 @@ def test_local_isolated_fixture_invariants():
         for exponent, mult in sp.terms():
             assert 0 < exponent < d, name
             assert sp.coefficient(d - exponent) == mult, name
+
+
+def _lct_and_least_exponent(datum):
+    """(min(1, min nu/Ng over the components with Ng > 0), min(1, least
+    exponent of the vanishing spectrum)).  The first is the log canonical
+    threshold read off the datum's nu, the second the minimal spectral
+    number; they agree on an isolated singularity (Varchenko; see Kollar,
+    "Singularities of pairs", 1997).  The vanishing class never reads nu."""
+    lct = min([F(1), *(F(c.nu, c.ng) for c in datum.components if c.ng > 0)])
+    (least, _mult), *_rest = hodge_spectrum(vanishing_cycles(datum)).terms()
+    return lct, min(F(1), least)
+
+
+def test_shipped_nu_gives_the_least_spectral_number():
+    for name in LOCAL_ISOLATED:
+        lct, least = _lct_and_least_exponent(fixture_datum(name))
+        assert lct == least, (name, lct, least)
+    # The cusp with e3's nu lowered from 5 to 4: the check reads it.
+    data = json.loads((workbench.FIXTURE_DIR / "cusp.json").read_text(encoding="utf-8"))
+    next(c for c in data["components"] if c["id"] == "e3")["nu"] = 4
+    assert _lct_and_least_exponent(datum_from_dict(data)) == (F(2, 3), F(5, 6))
 
 
 def test_rederive_hooks_read_the_shipped_files(tmp_path, monkeypatch):
