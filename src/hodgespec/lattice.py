@@ -43,7 +43,7 @@ class SchemaError(ValueError):
     """Input validation failure, carrying the offending field path."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 

@@ -12,7 +12,7 @@ trusted constructor ``_trusted(arity, terms, den)``, sums and products are
 the core's.  Every printed class goes through ``_render_classes``, which
 takes all the classes of one printed output (a truncated polynomial's
 degrees, say), formats each distinct eigenvalue tuple among them once, and
-sorts all their terms once.
+sorts each class's terms on their own.
 Multiplication is the group-ring product (eigenvalues add mod 1, bidegrees
 add), which realizes the tensor product of Hodge structures with
 automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
@@ -28,15 +28,17 @@ works on integers from the Smith normal form U M V = D alone: the torsion
 character c (0 <= c_k < d_k) has monodromy-i eigenvalue
 sum_k c_k U[k][i] / d_k mod 1, so no solution of M theta = e_i is needed,
 and a supplied theta gives the same numbers (see the function).  One row
-needs no elimination: its Smith data are [gcd(row)] and U = [[1]].  One
-integer odometer, ``_character_columns``, walks these characters and the
-deck characters of ``oracles.p1_cover_class``.
+needs no elimination: its Smith data are [gcd(row)] and U = [[1]], so its
+terms are written down directly.  One integer odometer,
+``_character_columns``, walks the characters of every other matrix and
+the deck characters of ``oracles.p1_cover_class``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import comb, gcd, lcm, prod
 from operator import add, itemgetter
 
@@ -67,30 +69,41 @@ MAX_TORUS_CHARACTERS = 250_000
 MAX_TS_TERMS = 250_000
 
 
+class _EigenTexts(dict):
+    """The printed text of each eigenvalue tuple over one ``den``, each
+    formatted when first looked up."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, evs):
+        text = self[evs] = ",".join([_ratio(n, self.den) for n in evs])
+        return text
+
+
 def _render_classes(classes) -> list:
     """The ``render`` text of each of the classes (of one arity), in order.
 
-    Every distinct eigenvalue tuple among them (with its class's ``den``)
-    is formatted once, and every multiplicity's sign text comes from one
-    ``_heads`` table.  The terms of all the classes are sorted once, on
-    (class index, tuple, p, q), printed as `(evs;p,q)` terms and cut back
-    into one text per class: a sort per class would hold less at once, but
-    costs the many small classes of a high-degree truncation more.
+    Each class's terms are sorted on their own stored keys, printed as
+    `(evs;p,q)` terms and joined, so one class's terms are held at a time.
+    The classes share one ``_EigenTexts`` table per ``den``, which formats
+    a tuple once however many classes hold it, and one ``_heads`` table of
+    sign texts.
     """
-    texts: dict = {}
-    for den, evs in {(x.den, evs) for x in classes for evs in map(itemgetter(0), x._terms)}:
-        texts.setdefault(den, {})[evs] = ",".join([_ratio(n, den) for n in evs])
-    head = _heads(mult for x in classes for mult in x._terms.values())
-    terms = [f"{head[mult]}({text};{p},{q})" for _i, _evs, p, q, mult, text in sorted([
-        (i, evs, p, q, mult, text[evs])
-        for i, x in enumerate(classes) for text in [texts.get(x.den)] for (evs, p, q), mult in x._terms.items()
-    ])]
+    tables: dict = {}
+    head = _heads(chain.from_iterable([x._terms.values() for x in classes]))
     out = []
-    start = 0
     for x in classes:
-        stop = start + len(x._terms)
-        out.append(_lead("".join(terms[start:stop])) if stop > start else "0")
-        start = stop
+        terms = x._terms
+        if not terms:
+            out.append("0")
+            continue
+        if (text := tables.get(x.den)) is None:
+            text = tables[x.den] = _EigenTexts(x.den)
+        out.append(_lead("".join([f"{head[terms[k]]}({text[k[0]]};{k[1]},{k[2]})" for k in sorted(terms)])))
     return out
 
 
@@ -279,12 +292,12 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
 
     read off U without solving for any theta.  One row (r = 1) with no
     ``thetas`` is not eliminated: with no zero column its entries are all
-    nonzero, its one divisor is their gcd and U = [[1]] (the Smith form
-    may give [[-1]], which walks the same characters in another order).
-    Every other case runs ``smith_normal_form``.  A supplied ``thetas`` must
-    hold r rows of m entries (else a ``ValueError`` naming ``thetas``); each
-    theta_i enters through ``frac`` and is kept as int numerators over their
-    lcm t, checked to solve M theta = e_i as M nums = t e_i, and then enters
+    nonzero, its one divisor is their gcd g and U = [[1]], so its terms
+    are built directly, eigenvalue c / g for each c < g at each shift of
+    (L - 1)^(m - 1).  Every other case runs ``smith_normal_form``.  A
+    supplied ``thetas`` must hold r rows of m entries (else a
+    ``ValueError`` naming ``thetas``); each theta_i enters through
+    ``frac`` and is kept as int numerators over their lcm t, checked to solve M theta = e_i as M nums = t e_i, and then enters
     as the integer Vinv[k] . nums * d_r / t.  That pairing equals
     U[k][i] / d_k for every solution (two solutions differ by a kernel
     vector, on which the first r rows of Vinv vanish), so the result does
@@ -296,18 +309,20 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     for j in range(m):
         if all(M[i][j] == 0 for i in range(r)):
             raise ValueError(f"column {j} of the exponent matrix is zero")
+    # (L - 1)^e is the sum over j of (-1)^(e - j) C(e, j) L^j, an L^j
+    # shifting the bidegree by (j, j).
+    e = m - r
+    shifts = [(j, (-1) ** (e - j) * comb(e, j)) for j in range(e + 1)]
     if r == 1 and thetas is None:
-        divisors, U = [gcd(*M[0])], [[1]]
-    else:
-        D, U, _V, Vinv = smith_normal_form(M)
-        divisors = snf_divisors(D)
+        # Character c < g = gcd(row) has eigenvalue c / g, and g is least.
+        g = gcd(*M[0])
+        _check_characters(M, g)
+        return MonodromicClass._trusted(1, {((c,), j, j): coef for c in range(g) for j, coef in shifts}, g)
+    D, U, _V, Vinv = smith_normal_form(M)
+    divisors = snf_divisors(D)
     if len(divisors) != r:
         raise ValueError("exponent matrix is rank deficient")
-    if prod(divisors) > MAX_TORUS_CHARACTERS:
-        raise ValueError(
-            f"torus fiber of {M} has {prod(divisors)} characters, "
-            f"more than MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS}"
-        )
+    _check_characters(M, prod(divisors))
 
     # gens[k][i]: numerator over big = d_r of the eigenvalue the k-th
     # cyclic generator of the torsion group gives monodromy i.
@@ -332,16 +347,22 @@ def torus_fiber_class(rows, thetas=None) -> MonodromicClass:
     # U is unimodular, so distinct characters have distinct eigenvalue
     # tuples and every key below is new, and big is least: the character of
     # the last generator pairs to row r - 1 of U over d_r, whose entries
-    # have gcd 1.  (L - 1)^e is the sum over j of (-1)^(e - j) C(e, j) L^j,
-    # an L^j shifting the bidegree by (j, j).
-    e = m - r
-    shifts = [(j, (-1) ** (e - j) * comb(e, j)) for j in range(e + 1)]
+    # have gcd 1.
     result = {
         (evs, j, j): coef
         for evs in zip(*_character_columns(divisors, gens, big))
         for j, coef in shifts
     }
     return MonodromicClass._trusted(r, result, big)
+
+
+def _check_characters(M, count: int) -> None:
+    """Refuse a torus fiber of more than ``MAX_TORUS_CHARACTERS`` characters."""
+    if count > MAX_TORUS_CHARACTERS:
+        raise ValueError(
+            f"torus fiber of {M} has {count} characters, "
+            f"more than MAX_TORUS_CHARACTERS = {MAX_TORUS_CHARACTERS}"
+        )
 
 
 def _character_columns(orders, gens, big):

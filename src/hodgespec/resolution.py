@@ -56,7 +56,9 @@ with it (``dimension``, ``nu`` and every ``den`` at least 1, ``Nf`` and
 or ``<path>: <value> is less than <minimum>``.  The value rules are the
 ``ResolutionDatum`` constructor's (``datum_from_dict`` reads only the JSON
 shape and names top-level fields as the constructor does), so data built in
-Python obeys them too, under the same field paths.  ``Nf`` defaults to 0.
+Python obeys them too, under the same field paths; ``load_datum`` puts the
+file in front (``<file>: components[0].Ng: -1 is less than 0``).  ``Nf``
+defaults to 0.
 For arity-1 data the ``Nf`` field carries the boundary multiplicities read
 by ``multiplicity_ratio`` alone: ``nearby_cycles_open`` picks its strata
 from the zero locus {Ng > 0} and never reads ``Nf``.  Explicit cover
@@ -378,11 +380,14 @@ def _json_list(value, path: str) -> list:
 def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
     """A class of the given arity from its JSON list of monomials: ``arity``
     [num, den] eigenvalue pairs, then p, q, mult (``[p, q, mult]`` at arity
-    0).  An entry of plain ints with every den at least 1 goes to the
-    constructor as it is, its pairs as tuples; only any other entry is
-    checked field by field (``_checked_entry``), which builds the field
-    paths its errors name."""
-    terms = []
+    0).  An entry of plain ints with every den at least 1 is taken as it
+    is; only any other entry is checked field by field (``_checked_entry``),
+    which builds the field paths its errors name.  Every eigenvalue then
+    goes over the lcm L of all the class's dens as the residue
+    n * (L // d) mod L, like keys merge, and one ``_lowest`` makes L least:
+    the canonical keys the constructor would build, with no ``_key`` call
+    per term."""
+    rows = []
     for i, entry in enumerate(_json_list(entries, path)):
         if not (
             type(entry) is list and len(entry) == arity + 3
@@ -391,9 +396,13 @@ def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
                      and type(pair[1]) is int and pair[1] >= 1 for pair in entry[:arity]])
         ):
             entry = _checked_entry(entry, arity, f"{path}[{i}]")
-        *evs, p, q, mult = entry
-        terms.append(((tuple(map(tuple, evs)), p, q), mult))
-    return MonodromicClass(arity, terms)
+        rows.append(entry)
+    den = lcm(*[d for entry in rows for _n, d in entry[:arity]])
+    terms: dict = {}
+    for entry in rows:
+        p, q, mult = entry[arity:]
+        _merge(terms, (tuple([n * (den // d) % den for n, d in entry[:arity]]), p, q), mult)
+    return MonodromicClass._trusted(arity, *MonodromicClass._lowest(terms, den))
 
 
 def _checked_entry(entry, arity: int, at: str) -> list:
@@ -475,7 +484,13 @@ def _read_json(path: str):
 
 
 def load_datum(path: str) -> ResolutionDatum:
-    return datum_from_dict(_read_json(path))
+    """A datum file; a schema error names the file before its field path
+    (``<file>: components[0].Ng: -1 is less than 0``)."""
+    data = _read_json(path)
+    try:
+        return datum_from_dict(data)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc.path}", exc.message) from exc
 
 
 def load_class(path: str) -> MonodromicClass:

@@ -49,9 +49,10 @@ from .spectra import _ArityMap, _merge
 # summed over the series) before it builds any table.  The shipped fixtures
 # reach 16,790 at n = 160 (d_curve_N4), the largest truncation the tests and
 # the benchmark ask for; d_curve_N5 at n = 1,250 (941,662; 314,498 terms
-# out) takes 0.93-1.17 s and 87 MB peak RSS as a whole `hodgespec zeta
-# --truncate` process on a 2-core Xeon (CPython 3.11), about half the time
-# of one table per term; CI runs it within 10 s and checks its output.
+# out) takes 0.57-0.73 s and 49 MB peak RSS as a whole `hodgespec zeta
+# --truncate` process on a 2-core Xeon (CPython 3.11), against 0.82-0.85 s
+# and 87 MB when the printer sorted every term of every class at once; CI
+# runs it within 10 s and 70 MB and checks its output.
 MAX_EXPAND_TERMS = 1_000_000
 
 # expand accumulates on integer keys only from this many class terms (the

@@ -23,7 +23,9 @@ or viewed: constructors and ``coefficient`` take any ``FracLike``, and
 ``terms()`` returns ascending ``Fraction`` keys.  ``_SparseMap`` writes the
 den arithmetic once.  Outside data enters through one constructor loop
 running each ring's ``_key`` (with its checks; ``_pair`` and ``frac`` parse
-every rational) and ``_coef`` hooks, the keys left put over their lcm once.
+every rational) and ``_coef`` hooks, the keys left put over their lcm once;
+only the JSON class reader (``resolution._class_from_json``), whose
+entries are checked int pairs, puts them over their lcm itself.
 Sums and products work over lcm(d1, d2) (``_over``); only a cancellation, a
 product or a morphism can leave a smaller least denominator, and only then
 is ``_lowest`` called.  A product with a factor of ``den == 1`` needs no

@@ -204,12 +204,29 @@ def test_bad_class_entries_in_datum_files_name_their_field(capsys, tmp_path, whe
     target[index[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")
-    field = path + "".join(f"[{i}]" for i in index)
+    # A datum file's error names the file, then the field inside it.
+    field = f"{bad}: " + path + "".join(f"[{i}]" for i in index)
     with pytest.raises(SchemaError) as info:
         load_datum(str(bad))
     assert (info.value.path, str(info.value)) == (field, f"{field}: {message}")
     assert main([command, flag, str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {field}: {message}\n"
+
+
+def test_datum_schema_errors_name_the_file_among_several(capsys, tmp_path):
+    # steenbrink reads three datum files; the bad one is named, and the same
+    # data built from the dict alone keeps the bare field path.
+    data = json.loads((FIXTURES / "x2y.json").read_text(encoding="utf-8"))
+    data["components"][0]["Ng"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["steenbrink", "--f", str(FIXTURES / "x2y.json"), "--fg", str(bad),
+            "--joint", str(FIXTURES / "x2y_y_joint.json"), "--N", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: components[0].Ng: -1 is less than 0\n"
+    with pytest.raises(SchemaError) as info:
+        datum_from_dict(data)
+    assert (info.value.path, str(info.value)) == ("components[0].Ng", "components[0].Ng: -1 is less than 0")
 
 
 # File bytes json cannot decode into a value: nesting too deep for the

@@ -342,7 +342,7 @@ def test_one_mutated_field_loads_or_names_its_path(name, data):
     # raises nothing but ValueError on what loads.  Written to a file, the
     # mutated datum goes through the CLI too: every run exits 0, 1 or 2,
     # no exception escapes, and a datum that fails to load exits 2 with
-    # the loader's `error: <field path>: ...` line.
+    # the loader's `error: <file>: <field path>: ...` line.
     mutated = copy.deepcopy(_SHIPPED[name])
     path = data.draw(st.sampled_from(list(_field_paths(mutated))))
     # Half the draws are integers, which most fields hold, so that a fair
@@ -374,7 +374,7 @@ def test_one_mutated_field_loads_or_names_its_path(name, data):
             code, err = _cli(argv)
             assert code in (0, 1, 2), argv
             if refusal is not None:
-                assert (code, err) == (2, f"error: {refusal}\n"), argv
+                assert (code, err) == (2, f"error: {path}: {refusal}\n"), argv
             elif code == 2:
                 assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 

@@ -12,6 +12,7 @@ The property tests at the end recompute every rational-keyed operation
 with plain ``Fraction`` arithmetic on ``terms()`` and compare the two.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -24,6 +25,7 @@ from hodgespec.convolution import collapse_pair, convolve, power_pushforward
 from hodgespec.lattice import SchemaError
 from hodgespec.monclass import (
     MonodromicClass as MC,
+    _render_classes,
     box,
     embed,
     hodge_spectrum,
@@ -35,13 +37,17 @@ from hodgespec.resolution import (
     Component,
     ResolutionDatum,
     Stratum,
+    _class_from_json,
     iterated_nearby,
     jet_count_zeta,
+    load_class,
+    load_datum,
     nearby_cycles,
 )
 from hodgespec.series import INT_KEYS_FROM, RationalSeries as RS, TruncatedPoly as TP, _points_bound, _spreads
 from hodgespec.spectra import BiSpectrum, Spectrum, fold_bispectrum, geometric_factor, steenbrink_rhs
 from hodgespec.workbench import (
+    FIXTURE_DIR,
     fixtures,
     monomial_datum,
     one_variable_vanishing,
@@ -638,3 +644,118 @@ def test_den1_products_match_fractions(data):
     x = data.draw(draws)
     y = den1(data.draw(st.lists(st.tuples(st.integers(-3, 3), SMALL), max_size=4)))
     _den1_product(x, y, key_mul)
+
+
+# ---------------------------------------------------------------------------
+# Loaded classes are canonical.
+# ---------------------------------------------------------------------------
+#
+# The JSON reader puts a class's eigenvalues straight over one denominator;
+# the generic constructor, fed the same entries as (num, den) pairs, is the
+# reference.
+
+
+def _same_as_generic(got, entries, arity):
+    want = MC(arity, [((tuple(map(tuple, e[:arity])), e[arity], e[arity + 1]), e[arity + 2]) for e in entries])
+    assert (got.arity, got.den, got._terms) == (arity, want.den, want._terms), entries
+    assert_canonical(got)
+
+
+def test_classes_loaded_from_files_are_canonical():
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(data, list):  # a class file
+            _same_as_generic(load_class(str(path)), data, 1)
+            continue
+        datum = load_datum(str(path))
+        for raw, st in zip(data["strata"], datum.strata, strict=True):
+            if st.base is not None:
+                _same_as_generic(st.base, raw["base_class"], 0)
+            else:
+                _same_as_generic(st.explicit, raw["cover"]["explicit"], datum.arity)
+        if "zero_locus_nearby" in data:
+            _same_as_generic(datum.zero_locus_nearby, data["zero_locus_nearby"], 1)
+
+
+_EDGE_ENTRIES = [
+    # (arity, entries, den and number of terms of the class)
+    (1, [[[2, 4], 0, 0, 1]], 2, 1),                                     # not lowest
+    (1, [[[-1, 3], 0, 0, 1], [[5, 3], 0, 0, 1]], 3, 1),                 # both 2/3: merge
+    (2, [[[7, 6], [-4, 4], 1, 0, 2], [[1, 6], [0, 1], 1, 0, 1]], 6, 1),
+    (1, [[[0, 1], 0, 0, 3], [[4, 1], 1, 1, -1], [[3, 1], 0, 0, -3]], 1, 1),  # den-1 pairs
+    (1, [[[1, 6], 0, 0, 1], [[2, 12], 0, 0, -1], [[1, 2], 0, 0, 1]], 2, 1),  # 1/6 cancels
+    (1, [[[1, 6], 0, 0, 1], [[7, 6], 0, 0, -1]], 1, 0),                 # cancels to zero
+    (2, [[[1, 4], [3, 5], 0, 0, 2], [[-3, 4], [8, 5], 0, 0, -2]], 1, 0),
+    (0, [[1, 1, 1], [1, 1, -1]], 1, 0),
+    (1, [[[3, 5], 0, 0, 0]], 1, 0),                                     # mult 0
+    (1, [], 1, 0),
+]
+
+
+@pytest.mark.parametrize("arity, entries, den, size", _EDGE_ENTRIES)
+def test_loaded_edge_entries_are_canonical(arity, entries, den, size):
+    got = _class_from_json(entries, arity, "x")
+    _same_as_generic(got, entries, arity)
+    assert (got.den, len(got._terms)) == (den, size)
+
+
+def test_seeded_loaded_entries_are_canonical():
+    rng = random.Random(33)
+    for trial in range(200):
+        arity = trial % 4
+        entries = []
+        for _ in range(rng.randint(0, 8)):
+            d = rng.choice((1, 2, 3, 4, 6, 12))
+            k = rng.choice((1, 1, 2, 3))  # a pair not in lowest terms
+            evs = [[rng.randint(-2 * d, 2 * d) * k, d * k] for _ in range(arity)]
+            entries.append([*evs, rng.randint(-1, 2), rng.randint(-1, 2), rng.choice((-2, -1, 1, 1, 3))])
+        if entries and rng.random() < 0.3:
+            # Duplicates: one cancels an entry, another merges with one.
+            a, b = rng.choice(entries), rng.choice(entries)
+            entries += [[*a[:-1], -a[-1]], [*b[:-1], b[-1]]]
+        rng.shuffle(entries)
+        got = _class_from_json(entries, arity, "x")
+        _same_as_generic(got, entries, arity)
+
+
+# ---------------------------------------------------------------------------
+# The class printer against a reference from Fraction terms.
+# ---------------------------------------------------------------------------
+
+
+def _ref_render(x):
+    """A class's text from ``terms()``: Fraction keys sorted as rationals,
+    every sign and coefficient spelled out term by term."""
+    text = ""
+    for (evs, p, q), m in sorted(x.terms()):
+        coef = "" if abs(m) == 1 else f"{abs(m)}*"
+        sign = ("-" if m < 0 else "") if not text else (" - " if m < 0 else " + ")
+        text += f"{sign}{coef}({','.join(map(str, evs))};{p},{q})"
+    return text or "0"
+
+
+def test_render_classes_matches_a_fraction_printer():
+    rng = random.Random(34)
+    half, third = MC.monomial(1, (F(1, 2),), 0, 0), MC.monomial(1, (F(1, 3),), 0, 0)
+    # The stored tuple (1,) over den 2 and over den 3; and 1/2 over den 2
+    # and, as (3,), over den 6.
+    fixed = [half, third, half + third, MC.zero(1), -half * 5]
+    assert half._terms.keys() == third._terms.keys()
+    groups = [fixed]
+    for trial in range(60):
+        arity = trial % 4
+        classes = []
+        for _ in range(rng.randint(1, 6)):
+            terms = [
+                ((tuple(F(rng.randrange(d), d) for d in [rng.choice((1, 2, 3, 4, 5, 6))] for _ in range(arity)),
+                  rng.randint(-2, 3), rng.randint(-2, 3)),
+                 rng.choice((-12, -3, -2, -1, 1, 1, 2, 7)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            classes.append(MC(arity, terms))
+        groups.append(classes)
+    for classes in groups:
+        want = [_ref_render(x) for x in classes]
+        assert _render_classes(classes) == want
+        assert [x.render() for x in classes] == want
+    assert _render_classes([MC.zero(2)]) == ["0"]
