@@ -22,7 +22,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 check failure, 2 input error.  Subcommands raise
 ``ValueError`` (``SchemaError`` included) or ``OSError`` on bad input, and
-``main`` alone prints every such error as ``error: ...`` and exits 2.
+``main`` alone prints every such error as ``error: ...`` and exits 2.  Each
+names its input through ``lattice._named``: ``<file>: <field path>: ...``
+for a file's content, ``--flag: ...`` for a refused option or loaded datum.
 
 A class file is a JSON list of monomials ``[[num, den], p, q, mult]``, read
 by ``resolution.load_class``; datum files follow the schema documented in
@@ -34,11 +36,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .checks import SUITES, run_suite
 from .convolution import convolve
-from .lattice import SchemaError, _strict_int
+from .lattice import SchemaError, _named
 from .monclass import hodge_spectrum, hodge_spectrum2
 from .resolution import (
     datum_to_dict,
@@ -53,44 +56,36 @@ from .workbench import fixtures, quasihomogeneous_spectrum, rederive, steenbrink
 
 
 def _cmd_spectrum(args):
-    datum = load_datum(args.datum)
-    cls = vanishing_cycles(datum) if args.phi else nearby_cycles(datum)
+    cls = _named("--datum", vanishing_cycles if args.phi else nearby_cycles, load_datum(args.datum))
     print(hodge_spectrum(cls).render())
     return 0
 
 
 def _cmd_zeta(args):
-    datum = load_datum(args.datum)
-    series = zeta_series(datum)
-    if args.truncate is None:
-        print(series.render())
-    else:
-        try:
-            expansion = series.expand(args.truncate)
-        except ValueError as exc:
-            raise ValueError(f"--truncate: {exc}") from exc
-        print(expansion.render())
+    series = _named("--datum", zeta_series, load_datum(args.datum))
+    if args.truncate is not None:
+        series = _named("--truncate", series.expand, args.truncate)
+    print(series.render())
     return 0
 
 
 def _cmd_iterated(args):
-    joint = load_datum(args.joint)
-    cls = iterated_nearby(joint)
+    cls = _named("--joint", iterated_nearby, load_datum(args.joint))
     print("class:    " + cls.render())
     print("spectrum: " + hodge_spectrum2(cls).render())
     return 0
 
 
-def _cmd_ts(args):
+def _ts_spectrum(text: str):
     try:
-        exponents = [int(x) for x in args.exponents.split(",")]
+        exponents = [int(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"--exponents: could not parse {args.exponents!r}") from None
-    try:
-        spectrum = quasihomogeneous_spectrum(exponents)
-    except ValueError as exc:
-        raise ValueError(f"--exponents: {exc}") from exc
-    print(spectrum.render())
+        raise ValueError(f"could not parse {text!r}") from None
+    return quasihomogeneous_spectrum(exponents)
+
+
+def _cmd_ts(args):
+    print(_named("--exponents", _ts_spectrum, args.exponents).render())
     return 0
 
 
@@ -104,14 +99,11 @@ def _cmd_convolve(args):
 
 
 def _cmd_steenbrink(args):
-    N = _strict_int(args.N, "--N", 1)
     data = [load_datum(path) for path in (args.f, args.fg, args.joint)]
     try:
-        report = steenbrink_check(*data, N)
+        report = steenbrink_check(*data, args.N)
     except SchemaError as exc:
-        # The size refusal names N; a datum's own error keeps its name.
-        if exc.path != "N":
-            raise
+        # Every refusal names the parameter, which is the flag less its --.
         raise ValueError(f"--{exc}") from exc
     print(report.render())
     if report.equal or not report.hypothesis_ok:
@@ -120,6 +112,9 @@ def _cmd_steenbrink(args):
 
 
 def _cmd_fixtures(args):
+    if args.write:
+        # Before any output, so that an unusable target prints nothing.
+        os.makedirs(args.write, exist_ok=True)
     failures = 0
     for fx in fixtures():
         print(f"{fx.name}:")
@@ -131,9 +126,6 @@ def _cmd_fixtures(args):
                 print(f"  [{'ok' if ok else 'FAIL'}] {name}")
                 failures += 0 if ok else 1
         if args.write:
-            import os
-
-            os.makedirs(args.write, exist_ok=True)
             path = os.path.join(args.write, f"{fx.name.replace('^', '')}.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(datum_to_dict(fx.datum), handle, indent=1)

@@ -26,7 +26,7 @@ by every ring, oracle, datum and CLI path: an int passes, an integral
 Fraction becomes its int, and anything else (bool, float, str, a
 non-integral value) raises ``SchemaError`` naming the field, as does a
 value below the optional ``minimum``.  ``SchemaError`` is a ValueError
-carrying the offending field path in ``.path``.
+with the field path in ``.path``; ``_named`` puts an input's name in front.
 The row rule rides on it: ``_int_row``, ``_frac_row`` (a given ``length``)
 and ``_int_matrix`` (a given ``width``, else the first row's) refuse a row
 of another length with a ``SchemaError`` naming it; every row, matrix,
@@ -45,6 +45,18 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
+
+
+def _named(source: str, fn, *args):
+    """``fn(*args)``; a ValueError from it becomes a SchemaError under
+    ``source`` (a file, flag or parameter): ``<source>: <path>: <message>``,
+    or ``<source>: <message>``; a call, not a context manager, for speed."""
+    try:
+        return fn(*args)
+    except SchemaError as exc:
+        raise SchemaError(f"{source}: {exc.path}" if exc.path else source, exc.message) from exc
+    except ValueError as exc:
+        raise SchemaError(source, str(exc)) from exc
 
 
 def _strict_int(value, where: str, minimum: int | None = None) -> int:

@@ -56,8 +56,8 @@ with it (``dimension``, ``nu`` and every ``den`` at least 1, ``Nf`` and
 or ``<path>: <value> is less than <minimum>``.  The value rules are the
 ``ResolutionDatum`` constructor's (``datum_from_dict`` reads only the JSON
 shape and names top-level fields as the constructor does), so data built in
-Python obeys them too, under the same field paths; ``load_datum`` puts the
-file in front (``<file>: components[0].Ng: -1 is less than 0``).  ``Nf``
+Python obeys them too, under the same field paths; the loaders put the file
+in front (``<file>: components[0].Ng: -1 is less than 0``).  ``Nf``
 defaults to 0.
 For arity-1 data the ``Nf`` field carries the boundary multiplicities read
 by ``multiplicity_ratio`` alone: ``nearby_cycles_open`` picks its strata
@@ -78,7 +78,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .cones import Cone, lattice_series
-from .lattice import SchemaError, _int_row, _strict_int
+from .lattice import SchemaError, _int_row, _named, _strict_int
 from .monclass import MonodromicClass, _times_base, torus_fiber_class
 from .series import MAX_EXPAND_TERMS, RationalSeries, TruncatedPoly, _points_bound
 from .spectra import _merge
@@ -475,28 +475,24 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
 def _read_json(path: str):
     """The JSON value in a file; text that is not JSON, bytes that are not
     UTF-8, an integer past the interpreter's digit limit and nesting too
-    deep to decode all raise a SchemaError naming the file."""
+    deep to decode all raise a ValueError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except (ValueError, RecursionError) as exc:
-            raise SchemaError(path, f"malformed JSON: {exc}") from exc
+            raise ValueError(f"malformed JSON: {exc}") from exc
 
 
 def load_datum(path: str) -> ResolutionDatum:
-    """A datum file; a schema error names the file before its field path
+    """A datum file; an error names the file, then any field path inside it
     (``<file>: components[0].Ng: -1 is less than 0``)."""
-    data = _read_json(path)
-    try:
-        return datum_from_dict(data)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc.path}", exc.message) from exc
+    return _named(path, lambda: datum_from_dict(_read_json(path)))
 
 
 def load_class(path: str) -> MonodromicClass:
     """An arity-1 class file: a JSON list of ``[[num, den], p, q, mult]``
-    monomials; errors name the file and the field path inside it."""
-    return _class_from_json(_read_json(path), 1, path)
+    monomials; errors read ``<file>: [0][0][1]: 0 is less than 1``."""
+    return _named(path, lambda: _class_from_json(_read_json(path), 1, ""))
 
 
 def _class_to_json(cls: MonodromicClass) -> list:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .convolution import convolve
-from .lattice import SchemaError, _int_row, _strict_int
+from .lattice import SchemaError, _int_row, _named, _strict_int
 from .monclass import (
     MAX_TS_TERMS,
     MonodromicClass,
@@ -169,13 +169,13 @@ def steenbrink_check(
     when N is at or below the threshold the hypothesis failure is flagged
     and the comparison still runs.
 
-    The geometric factor has N terms and meets N term pairs per term of the
-    folded spectrum; an N for which that is more than ``MAX_TS_TERMS``
-    raises a ``SchemaError`` naming N before the factor is built.
+    Every refusal is a ``SchemaError`` naming its parameter (``f``, ``fg``,
+    ``joint`` or ``N``); N too when the N-term geometric factor would meet
+    more than ``MAX_TS_TERMS`` term pairs, checked before it is built.
     """
     N = _strict_int(N, "N", 1)
-    lhs = hodge_spectrum(vanishing_cycles(f)) - hodge_spectrum(vanishing_cycles(fg))
-    folded = fold_bispectrum(hodge_spectrum2(iterated_vanishing(joint)), N)
+    lhs = hodge_spectrum(_named("f", vanishing_cycles, f)) - hodge_spectrum(_named("fg", vanishing_cycles, fg))
+    folded = fold_bispectrum(hodge_spectrum2(_named("joint", iterated_vanishing, joint)), N)
     if N * max(len(folded._terms), 1) > MAX_TS_TERMS:
         raise SchemaError(
             "N",
@@ -183,7 +183,7 @@ def steenbrink_check(
             f"MAX_TS_TERMS = {MAX_TS_TERMS} term pairs",
         )
     rhs = geometric_factor(N) * folded
-    return SteenbrinkReport(N, multiplicity_ratio(joint), lhs, rhs)
+    return SteenbrinkReport(N, _named("joint", multiplicity_ratio, joint), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -156,25 +156,40 @@ def test_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--datum", str(tmp_path / "missing.json"))
     assert code == 2
 
+    def shipped(name):
+        return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+
     # steenbrink names --N, not the m of the geometric factor it feeds, and
-    # a datum of the wrong kind is named by the check that refuses it, not
-    # blamed on --N.
-    for fg, joint, N, message in (
-        ("d_curve_N3", "x2y_y_joint", "0", "--N: 0 is less than 1"),
-        ("d_curve_N3", "x2y_y_joint", "-2", "--N: -2 is less than 1"),
-        ("x2y_y_joint", "x2y_y_joint", "3", "vanishing_cycles needs a datum with 1 function(s), got 2"),
-        ("d_curve_N3", "x2y", "3", "iterated_vanishing needs a joint datum"),
+    # a datum of the wrong kind by the flag that supplied it, never by --N.
+    x2y, d3, x2y_y = (str(FIXTURES / f"{n}.json") for n in ("x2y", "d_curve_N3", "x2y_y_joint"))
+    nonlocal_data, bare_data = shipped("x2y.json"), shipped("x2y_y_joint.json")
+    nonlocal_data["local"] = False
+    del bare_data["zero_locus_nearby"]
+    nonlocal_f, bare_joint = str(tmp_path / "nonlocal.json"), str(tmp_path / "bare_joint.json")
+    for path, data in ((nonlocal_f, nonlocal_data), (bare_joint, bare_data)):
+        Path(path).write_text(json.dumps(data), encoding="utf-8")
+    for f, fg, joint, N, message in (
+        (x2y, d3, x2y_y, "0", "--N: 0 is less than 1"),
+        (x2y, d3, x2y_y, "-2", "--N: -2 is less than 1"),
+        (x2y, x2y_y, x2y_y, "3", "--fg: vanishing_cycles needs a datum with 1 function(s), got 2"),
+        (x2y, d3, x2y, "3", "--joint: iterated_vanishing needs a joint datum"),
+        (x2y_y, d3, x2y_y, "3", "--f: vanishing_cycles needs a datum with 1 function(s), got 2"),
+        (nonlocal_f, d3, x2y_y, "3",
+         "--f: non-local datum: the trivial-monodromy part of its zero locus is not computed"),
+        (x2y, d3, bare_joint, "3",
+         "--joint: joint datum lacks zero_locus_nearby, required for the vanishing-cycle correction"),
     ):
-        code, _, err = run(
-            capsys,
-            "steenbrink",
-            "--f", str(FIXTURES / "x2y.json"),
-            "--fg", str(FIXTURES / f"{fg}.json"),
-            "--joint", str(FIXTURES / f"{joint}.json"),
-            "--N", N,
-        )
+        code, _, err = run(capsys, "steenbrink", "--f", f, "--fg", fg, "--joint", joint, "--N", N)
         assert code == 2
         assert err == f"error: {message}\n"
+
+    # A one-datum command names its flag when the datum is of the wrong kind.
+    for argv, message in (
+        (("spectrum", "--datum", x2y_y), "--datum: nearby_cycles needs a datum with 1 function(s), got 2"),
+        (("zeta", "--datum", x2y_y), "--datum: zeta_series needs a datum with 1 function(s), got 2"),
+        (("iterated", "--joint", x2y), "--joint: iterated_nearby needs a datum with 2 function(s), got 1"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     # Class entries take strict integers: no bool, float or str, and den > 0.
     x2 = json.loads((FIXTURES / "x2.json").read_text(encoding="utf-8"))
@@ -188,6 +203,8 @@ def test_input_errors(capsys, tmp_path):
         assert code == 2
         assert f"strata[0].base_class{field} is not an integer" in err
 
+    # A class file's error names the file, then the field path inside it,
+    # in the shape a datum file's error has.
     for entry, field in (
         ([[1, 0], 0, 0, 1], "[0][0][1]: 0 is less than 1"),
         ([[1, -2], 0, 0, 1], "[0][0][1]: -2 is less than 1"),
@@ -200,7 +217,7 @@ def test_input_errors(capsys, tmp_path):
             capsys, "convolve", "--left", str(bad_class), "--right", str(FIXTURES / "class_x3.json")
         )
         assert code == 2
-        assert f"bad_class.json{field}" in err
+        assert err == f"error: {bad_class}: {field}\n"
 
     # A class file must hold a JSON list; an object names the file.
     object_class = tmp_path / "object_class.json"
@@ -209,13 +226,10 @@ def test_input_errors(capsys, tmp_path):
         capsys, "convolve", "--left", str(object_class), "--right", str(FIXTURES / "class_x3.json")
     )
     assert code == 2
-    assert f"{object_class}: expected a list" in err
+    assert err == f"error: {object_class}: expected a list\n"
 
     # A class field that is not a list, and a stratum component id that is
     # not a string, name their field path instead of raising a TypeError.
-    def shipped(name):
-        return json.loads((FIXTURES / name).read_text(encoding="utf-8"))
-
     base, explicit, ids, joint = (shipped(n) for n in ("x2.json",) * 3 + ("x2y_y_joint.json",))
     base["strata"][0]["base_class"] = 5
     del explicit["strata"][0]["base_class"]
@@ -277,15 +291,15 @@ def test_oversized_convolve_and_steenbrink_fail_fast(capsys, tmp_path, monkeypat
     )
     for argv, message in (
         (("convolve", "--left", str(big), "--right", str(big)),
-         "error: box of a 600-term and a 600-term class meets 360000 term pairs, more than MAX_TS_TERMS"),
+         "error: box of a 600-term and a 600-term class meets 360000 term pairs, more than MAX_TS_TERMS = 250000\n"),
         ((*steenbrink, "--N", "1000000000"),
-         "error: --N: 1000000000 times the 1-term folded spectrum is more than MAX_TS_TERMS"),
+         "error: --N: 1000000000 times the 1-term folded spectrum is more than MAX_TS_TERMS = 250000 term pairs\n"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert err.startswith(message)
+        assert err == message
     assert calls == []
     assert run(capsys, *steenbrink, "--N", "3")[0] == 0
 
@@ -303,6 +317,24 @@ def test_negative_truncation_names_its_flag(capsys):
     code, out, err = run(capsys, "zeta", "--datum", str(FIXTURES / "x2.json"), "--truncate", "-1")
     assert code == 2 and out == ""
     assert err == "error: --truncate: n: -1 is less than 0\n"
+
+
+def test_exponent_refusals_name_their_flag(capsys):
+    for exponents, message in (
+        ("2,,3", "could not parse '2,,3'"),
+        ("2,0", "exponent: 0 is less than 1"),
+    ):
+        assert run(capsys, "ts", "--exponents", exponents) == (2, "", f"error: --exponents: {message}\n")
+
+
+def test_fixtures_write_to_a_file_prints_nothing(capsys, tmp_path):
+    # The target directory is made before any fixture is listed, so a path
+    # that cannot be one fails with no partial listing.
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "fixtures", "--write", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
 
 
 def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):

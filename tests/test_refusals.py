@@ -2,6 +2,7 @@
 text names the row, argument or field at fault; none returns an answer or
 escapes as an IndexError, TypeError or AttributeError."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -53,7 +54,7 @@ from hodgespec.resolution import (
 )
 from hodgespec.series import TruncatedPoly
 from hodgespec.spectra import Spectrum
-from hodgespec.workbench import Fixture, rederive
+from hodgespec.workbench import Fixture, fixture_datum, rederive, steenbrink_check
 
 x = MC(2, [(((F(1, 2), F(1, 3)), 0, 0), 1)])  # arity 2
 y = MC(1, [(((F(1, 2),), 0, 0), 1)])  # arity 1
@@ -227,6 +228,30 @@ def test_datum_schema_errors_name_the_file_among_several(capsys, tmp_path):
     with pytest.raises(SchemaError) as info:
         datum_from_dict(data)
     assert (info.value.path, str(info.value)) == ("components[0].Ng", "components[0].Ng: -1 is less than 0")
+
+
+def test_steenbrink_check_names_the_parameter_it_refuses():
+    # Each refusal is a SchemaError under the parameter behind it, the name
+    # the CLI turns into its flag.
+    f, fg, joint = (fixture_datum(n) for n in ("x2y", "d_curve_N3", "x2y_y_joint"))
+    flat = ResolutionDatum(
+        2, True, ("f", "g"), (Component("a", 2, 0, 1),), (Stratum(("a",), base=unit0),),
+        zero_locus_nearby=torus_fiber_class([[2]]),
+    )
+    for args, path, message in (
+        ((joint, fg, joint, 3), "f", "vanishing_cycles needs a datum with 1 function(s), got 2"),
+        ((dataclasses.replace(f, local=False), fg, joint, 3), "f",
+         "non-local datum: the trivial-monodromy part of its zero locus is not computed"),
+        ((f, joint, joint, 3), "fg", "vanishing_cycles needs a datum with 1 function(s), got 2"),
+        ((f, fg, f, 3), "joint", "iterated_vanishing needs a joint datum"),
+        ((f, fg, dataclasses.replace(joint, zero_locus_nearby=None), 3), "joint",
+         "joint datum lacks zero_locus_nearby, required for the vanishing-cycle correction"),
+        ((f, fg, flat, 3), "joint", "no component with positive g-multiplicity: ratio undefined"),
+        ((f, fg, joint, 0), "N", "0 is less than 1"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            steenbrink_check(*args)
+        assert (info.value.path, info.value.message) == (path, message)
 
 
 # File bytes json cannot decode into a value: nesting too deep for the
