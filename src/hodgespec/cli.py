@@ -24,7 +24,8 @@ Exit codes: 0 success, 1 check failure, 2 input error.  Subcommands raise
 ``ValueError`` (``SchemaError`` included) or ``OSError`` on bad input, and
 ``main`` alone prints every such error as ``error: ...`` and exits 2.  Each
 names its input through ``lattice._named``: ``<file>: <field path>: ...``
-for a file's content, ``--flag: ...`` for a refused option or loaded datum.
+for a file's content, ``--flag: ...`` for a refused option or loaded datum;
+an unreachable file reads ``<file>: <strerror>``.
 
 A class file is a JSON list of monomials ``[[num, den], p, q, mult]``, read
 by ``resolution.load_class``; datum files follow the schema documented in
@@ -92,7 +93,7 @@ def _cmd_ts(args):
 def _cmd_convolve(args):
     left = load_class(args.left)
     right = load_class(args.right)
-    result = convolve(left, right)
+    result = _named("--left, --right", convolve, left, right)
     print("class:    " + result.render())
     print("spectrum: " + hodge_spectrum(result).render())
     return 0
@@ -201,10 +202,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        # OSError: an input file, a shipped fixture file or a --write target
-        # is unreachable.
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # An input file, a shipped fixture file or a --write target is
+        # unreachable; the file is its source.
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
         return 2
 
 

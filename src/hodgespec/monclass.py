@@ -58,14 +58,16 @@ MAX_TORUS_CHARACTERS = 250_000
 # and refuses more before its loop; every class join (``convolve``,
 # ``thom_sebastiani``, the CLI ``convolve``) goes through it.
 # ``workbench.quasihomogeneous_spectrum`` refuses a ``ts`` tuple whose join
-# would hold more terms, and ``workbench.steenbrink_check`` an N whose
-# right-hand side would meet more term pairs.  The largest join a shipped
-# input, check suite or CI step reaches is 5,7,9,11,13: its last box meets
-# 1,920 x 12 = 23,040 pairs, and its spectrum holds 23,040 terms; this
-# bound leaves a margin of about ten.  At 207,360 terms (7,11,13,17,19) the
-# whole `hodgespec ts` process takes 0.66-0.75 s and 57 MB peak RSS on a
-# 2-core Xeon (CPython 3.11), where rendering the spectrum outweighs the
-# product; CI requires it to finish within 30 s.
+# would hold more terms (its mass), which also bounds its work: it counts
+# one exponent sum per unit of mass, after at most as many partial sums.
+# ``workbench.steenbrink_check`` refuses an N whose right-hand side would
+# meet more term pairs.  The largest class join a shipped input, check
+# suite or CI step reaches is 5,7,9,11,13: its last box meets 1,920 x 12 =
+# 23,040 pairs, and its spectrum holds 23,040 terms; this bound leaves a
+# margin of about ten.  At 207,360 terms (7,11,13,17,19) the whole
+# `hodgespec ts` process takes 0.25-0.30 s and 56 MB peak RSS on a 2-core
+# Xeon (CPython 3.11), where rendering the spectrum (0.15 s) outweighs the
+# count (0.02-0.04 s); CI requires it to finish within 30 s.
 MAX_TS_TERMS = 250_000
 
 

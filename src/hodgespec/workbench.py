@@ -19,9 +19,10 @@ of the iterated vanishing-cycle class, and the transversal-data sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,12 +64,16 @@ def one_variable_vanishing(a: int) -> MonodromicClass:
 
 
 def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
-    """Spectrum of x_1^(a_1) + ... + x_d^(a_d): by Thom-Sebastiani, the
-    product of the spectra of the one-variable classes.
+    """Spectrum of x_1^(a_1) + ... + x_d^(a_d): by Thom-Sebastiani, the sum
+    of t^(k_1/a_1 + ... + k_d/a_d) over 1 <= k_i < a_i (Steenbrink), each
+    exponent a sum of numerators over L = lcm(a_i), counted once.
 
     Every exponent is checked first, then the size: a join that would hold
-    more than ``MAX_TS_TERMS`` terms raises ``ValueError`` before any
-    one-variable class is built.
+    more than ``MAX_TS_TERMS`` terms raises ``ValueError`` before any sum is
+    formed.  The count walks the exponents in ascending order, so each list
+    of partial sums is at least twice the last (an exponent 2 keeps it, and
+    comes first): the work is at most twice the join's mass, plus one step
+    per exponent 2.
     """
     exponents = [_strict_int(a, "exponent", 1) for a in exponents]
     if not exponents:
@@ -85,8 +90,13 @@ def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
         # An exponent 1 has the zero class, so the join is 0 however large
         # the other exponents are.
         return Spectrum.zero()
-    factors = [hodge_spectrum(one_variable_vanishing(a)) for a in exponents]
-    return prod(factors[1:], start=factors[0])
+    L = lcm(*exponents)
+    sums = [0]
+    for a in sorted(exponents):
+        step = L // a
+        sums = [k + x for k in range(step, L, step) for x in sums]
+    # A Counter answers 0 for a missing key; the term map is a plain dict.
+    return Spectrum._trusted(*Spectrum._lowest(dict(Counter(sums)), L))
 
 
 def iterated_vanishing(joint: ResolutionDatum) -> MonodromicClass:

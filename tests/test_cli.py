@@ -291,7 +291,7 @@ def test_oversized_convolve_and_steenbrink_fail_fast(capsys, tmp_path, monkeypat
     )
     for argv, message in (
         (("convolve", "--left", str(big), "--right", str(big)),
-         "error: box of a 600-term and a 600-term class meets 360000 term pairs, more than MAX_TS_TERMS = 250000\n"),
+         "error: --left, --right: box of a 600-term and a 600-term class meets 360000 term pairs, more than MAX_TS_TERMS = 250000\n"),
         ((*steenbrink, "--N", "1000000000"),
          "error: --N: 1000000000 times the 1-term folded spectrum is more than MAX_TS_TERMS = 250000 term pairs\n"),
     ):
@@ -335,6 +335,16 @@ def test_fixtures_write_to_a_file_prints_nothing(capsys, tmp_path):
     code, out, err = run(capsys, "fixtures", "--write", str(target))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
+
+
+def test_unreachable_files_are_named_by_path(capsys, tmp_path):
+    # An OSError follows the naming rule: <file>: <reason>, exit code 2.
+    missing = tmp_path / "missing.json"
+    assert run(capsys, "spectrum", "--datum", str(missing)) == (
+        2, "", f"error: {missing}: No such file or directory\n")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert run(capsys, "fixtures", "--write", str(taken)) == (2, "", f"error: {taken}: File exists\n")
 
 
 def test_fixtures_missing_directory_is_an_input_error(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import shutil
 import time
@@ -89,8 +90,47 @@ def test_quasihomogeneous_spectrum_refuses_before_building_a_class(monkeypatch):
     with pytest.raises(ValueError, match="^exponents 1000,1000,1000 need a join of more than MAX_TS_TERMS"):
         quasihomogeneous_spectrum((1000, 1000, 1000))
     assert calls == []
+    # The spectrum is counted from the exponents: no class is built on any path.
     assert quasihomogeneous_spectrum((2, 3)) == t(F(5, 6)) + t(F(7, 6))
-    assert calls == [2, 3]
+    assert calls == []
+
+
+def _spectrum_product(exps):
+    """The spectrum as a product of one-variable spectra: Thom-Sebastiani
+    in the spectrum ring, with no exponent-sum count."""
+    factors = [hodge_spectrum(one_variable_vanishing(a)) for a in exps]
+    return math.prod(factors[1:], start=factors[0])
+
+
+def test_quasihomogeneous_spectrum_equals_the_product_of_one_variable_spectra():
+    rng = random.Random(35)
+    cases = [(1,), (2,), (17,), (2,) * 9, (1, 2, 1), (4, 6, 9), (6, 10, 15), (12, 12, 8)]
+    while len(cases) < 220:
+        # Small exponents, so that tuples repeat values and share factors.
+        exps = tuple(rng.choice((1, 2, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15)) for _ in range(rng.randint(1, 6)))
+        if math.prod(a - 1 for a in exps) <= 5000:
+            cases.append(exps)
+    # At the MAX_TS_TERMS edge: two 500-term spectra, and a collision-heavy tuple.
+    cases += [(501, 501), (6,) * 6 + (5, 5)]
+    assert all(math.prod(a - 1 for a in exps) == MAX_TS_TERMS for exps in cases[-2:])
+    for exps in cases:
+        got = quasihomogeneous_spectrum(exps)
+        assert got == _spectrum_product(exps), exps
+        # Canonical form: a plain dict of numerators over their least den.
+        assert type(got._terms) is dict, exps
+        assert math.gcd(got.den, *got._terms) == 1, exps
+    with pytest.raises(ValueError, match="MAX_TS_TERMS"):
+        quasihomogeneous_spectrum((502, 501))
+
+
+def test_quasihomogeneous_spectrum_trailing_twos_cost_nothing():
+    # Each x^2 adds 1/2 to every exponent; the 2s are walked first, so they
+    # never pass over the 207,360-term partial count.
+    exps = (7, 11, 13, 17, 19)
+    start = time.perf_counter()
+    got = quasihomogeneous_spectrum(exps + (2,) * 20)
+    assert time.perf_counter() - start < 1.0
+    assert got == quasihomogeneous_spectrum(exps) * Spectrum.monomial(10)
 
 
 def test_cusp_two_pipelines():
