@@ -7,12 +7,16 @@ automorphisms, and a Hodge bidegree.  The residues are int numerators over
 the class's one least denominator ``den`` (the key format of
 ``hodgespec.spectra``), so eigenvalue tuples sort as the rationals they
 stand for; ``terms()`` returns them as Fractions.  ``MonodromicClass`` has
-the one base ``spectra._ArityMap`` and supplies the core's key hooks; its
-trusted constructor ``_trusted(arity, terms, den)``, sums and products are
-the core's.  Every printed class goes through ``_render_classes``, which
-takes all the classes of one printed output (a truncated polynomial's
-degrees, say), formats each distinct eigenvalue tuple among them once, and
-sorts each class's terms on their own.
+the one base ``spectra._ArityMap`` and supplies the core's key hooks and
+its product kernel, which builds a key with no per-pair tuple
+comprehension at den 1 (arity 0 among these: every residue is 0) and at
+arity 1; its trusted constructor ``_trusted(arity, terms, den)``, sums and
+products are the core's.  ``box`` scales each factor's eigenvalue tuples
+to the lcm of the two dens once, inside its own loops.  Every printed
+class goes through ``_render_classes``, which takes all the classes of one
+printed output (a truncated polynomial's degrees, say), formats each
+distinct eigenvalue tuple among them once, and sorts each class's terms on
+their own.
 Multiplication is the group-ring product (eigenvalues add mod 1, bidegrees
 add), which realizes the tensor product of Hodge structures with
 automorphisms.  The distinguished class ``L`` (all-zero eigenvalues,
@@ -40,7 +44,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .lattice import _int_matrix, _int_row, _sized, _strict_int, smith_normal_form, snf_divisors
 from .spectra import BiSpectrum, Spectrum, _ArityMap, _heads, _lead, _merge, _pair, _ratio, frac
@@ -124,16 +128,40 @@ class MonodromicClass(_ArityMap):
         evs = tuple([n * (d // e) for n, e in evs])
         return (evs, _strict_int(p, "bidegree p"), _strict_int(q, "bidegree q")), d
 
+    def _mul_terms(self, xs, sx, ys, sy, den):
+        out: dict = {}
+        get = out.get
+        xs = xs.items()
+        if den == 1:
+            # Every residue is 0 (arity 0 among these), and so is every sum.
+            for (e, p2, q2), m2 in ys.items():
+                for (_e, p1, q1), m1 in xs:
+                    k = e, p1 + p2, q1 + q2
+                    out[k] = get(k, 0) + m1 * m2
+        elif self.arity == 1:
+            for ((v,), p2, q2), m2 in ys.items():
+                v *= sy
+                for ((u,), p1, q1), m1 in xs:
+                    k = ((u * sx + v) % den,), p1 + p2, q1 + q2
+                    out[k] = get(k, 0) + m1 * m2
+        else:
+            for (e2, p2, q2), m2 in ys.items():
+                e2 = [v * sy for v in e2]
+                for (e1, p1, q1), m1 in xs:
+                    k = tuple([(u * sx + v) % den for u, v in zip(e1, e2)]), p1 + p2, q1 + q2
+                    out[k] = get(k, 0) + m1 * m2
+        return out
+
     @staticmethod
-    def _key_mul(den):
-        mod = den.__rmod__
-
-        def mul(k1, k2):
-            # Over den 1 every residue is 0, and so is every sum.
-            (e1, p1, q1), (e2, p2, q2) = k1, k2
-            return (tuple(map(mod, map(add, e1, e2))) if den > 1 else e1), p1 + p2, q1 + q2
-
-        return mul
+    def _add_scaled(out, terms, s):
+        # Each distinct eigenvalue tuple scaled once: bidegrees repeat them.
+        get, scale = out.get, s.__mul__
+        new: dict = {}
+        for (evs, p, q), m in terms.items():
+            if (e := new.get(evs)) is None:
+                e = new[evs] = tuple(map(scale, evs))
+            k = e, p, q
+            out[k] = get(k, 0) + m
 
     @staticmethod
     def _rekeyed(terms, f):
@@ -221,7 +249,10 @@ def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
     """External product: eigenvalue tuples concatenate, bidegrees add.
 
     A product of more than ``MAX_TS_TERMS`` term pairs raises ``ValueError``
-    before any pair is formed.  Both factors enter over lcm(x.den, y.den).
+    before any pair is formed.  The keys are over lcm(x.den, y.den): each
+    tuple of y is scaled once before the pair loop, each of x once in its
+    outer loop, like keys merge in the inner loop and zero terms are
+    dropped once at the end.
     """
     pairs = len(x._terms) * len(y._terms)
     if pairs > MAX_TS_TERMS:
@@ -230,11 +261,17 @@ def box(x: MonodromicClass, y: MonodromicClass) -> MonodromicClass:
             f"{pairs} term pairs, more than MAX_TS_TERMS = {MAX_TS_TERMS}"
         )
     den = lcm(x.den, y.den)
-    ys = y._over(den).items()
-    out: dict[tuple, int] = {}
-    for (e1, p1, q1), m1 in x._over(den).items():
-        for (e2, p2, q2), m2 in ys:
-            _merge(out, (e1 + e2, p1 + p2, q1 + q2), m1 * m2)
+    scale_x, scale_y = (den // x.den).__mul__, (den // y.den).__mul__
+    ys = [(tuple(map(scale_y, e2)), p2, q2, m2) for (e2, p2, q2), m2 in y._terms.items()]
+    out: dict = {}
+    get = out.get
+    for (e1, p1, q1), m1 in x._terms.items():
+        e1 = tuple(map(scale_x, e1))
+        for e2, p2, q2, m2 in ys:
+            k = e1 + e2, p1 + p2, q1 + q2
+            out[k] = get(k, 0) + m1 * m2
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
     return MonodromicClass._trusted(x.arity + y.arity, *MonodromicClass._lowest(out, den))
 
 

@@ -4,7 +4,7 @@ Every ring in the package -- spectra, bispectra, monodromic classes and the
 two series types -- is a finitely supported map from a canonical key (a
 monomial of its grading) to a nonzero coefficient.  ``_SparseMap`` holds that
 map and implements the ring once: sums and products of integer
-coefficients (through the subclass's key product), negation, scaling,
+coefficients (through the subclass's product kernel), negation, scaling,
 equality, hashing and the sorted term list.  ``_ArityMap`` adds a fixed
 arity that operands must share, and ``series._SeriesMap`` the sums and
 products of class coefficients; every ring sits on this one line of single
@@ -26,9 +26,15 @@ running each ring's ``_key`` (with its checks; ``_pair`` and ``frac`` parse
 every rational) and ``_coef`` hooks, the keys left put over their lcm once;
 only the JSON class reader (``resolution._class_from_json``), whose
 entries are checked int pairs, puts them over their lcm itself.
-Sums and products work over lcm(d1, d2) (``_over``); only a cancellation, a
-product or a morphism can leave a smaller least denominator, and only then
-is ``_lowest`` called.  A product with a factor of ``den == 1`` needs no
+Sums and products work over lcm(d1, d2) and build no rescaled copy of an
+operand: a sum puts only the map it returns over the lcm and adds the
+other operand's terms with their keys scaled in its loop (``_add_scaled``),
+and a product hands both term maps, with their scale factors lcm // d, to
+the ring's product kernel (``_mul_terms``), which scales, sums and reduces
+each key inside its pair loop.  ``_over`` rescales a whole map, for callers
+whose result is that map.  Only a cancellation, a product or a morphism
+can leave a smaller least denominator, and only then is ``_lowest``
+called.  A product with a factor of ``den == 1`` needs no
 ``_lowest``: that factor lies in the group ring of a torsion-free group
 (integer exponents, or zero residues with integer gradings), a domain, so
 its product with each residue class of the other factor is nonzero, and
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Tuple, Union
 
 from .lattice import _strict_int
@@ -156,16 +162,21 @@ class _SparseMap:
     supplies ``_key`` (a raw key to (the key over d, d), d the least
     denominator of that key alone, 1 for a key that holds no rational;
     ValueError on anything else), optionally ``_coef`` (the default takes a
-    strict-int multiplicity), ``_key_mul`` (den to the product of two keys
-    over den, residues reduced mod den), ``_rekeyed`` (a term map with every
-    numerator n sent to f(n)) and ``_nums`` (a C callable from a term map
-    to the tuple of numerators of each key), which a ring whose keys hold
-    no rational never calls, ``_key_view`` (a stored key in its public
-    form, for ``terms()``) and ``render``.  ``_scalars`` lists the types
-    ``*`` treats as coefficient scalars, the only ones ``scale`` accepts.
-    A product with a factor of den 1 keeps the other factor's den
-    without ``_lowest``: the den-1 factor lies in a domain (see the module
-    docstring).
+    strict-int multiplicity), ``_mul_terms`` (the product kernel: the term
+    maps xs and ys of two factors and their scale factors sx and sy to the
+    product's term map over den, each key formed in the pair loop from the
+    scaled keys, residues reduced mod den, zero coefficients left for the
+    caller to drop; ys is the smaller map, the outer loop), ``_add_scaled``
+    (adds a term map into ``out``, every numerator scaled by s > 1),
+    ``_rekeyed`` (a term map with every numerator n sent to f(n)) and
+    ``_nums`` (a C callable from a term map to the tuple of numerators of
+    each key), which a ring whose keys hold no rational never calls,
+    ``_key_view`` (a stored key in its public form, for ``terms()``) and
+    ``render``.  ``_scalars`` lists the types ``*`` treats as coefficient
+    scalars, the only ones ``scale`` accepts.  The lcm, the scale factors,
+    the zero drop and the den-1 rule are written once, here: a product with
+    a factor of den 1 keeps the other factor's den without ``_lowest``, as
+    the den-1 factor lies in a domain (see the module docstring).
     """
 
     __slots__ = ("_terms", "den")
@@ -262,16 +273,21 @@ class _SparseMap:
         return 0 if self.den % d else self._terms.get(key, 0)
 
     def __add__(self, other):
-        """The sum over lcm(den, other.den); only a cancelled term can leave
-        a smaller least denominator, and only then is ``_lowest`` called."""
+        """The sum over lcm(den, other.den): a copy of self's terms put over
+        it is returned, other's terms added into it as they are or, over a
+        smaller den, by ``_add_scaled``.  Only a cancelled term can leave a
+        smaller least denominator, and only then is ``_lowest`` called."""
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         den = lcm(self.den, other.den)
         out = dict(self._terms) if den == self.den else self._over(den)
-        get = out.get
-        for k, c in other._over(den).items():
-            out[k] = get(k, 0) + c
+        if den == other.den:
+            get = out.get
+            for k, c in other._terms.items():
+                out[k] = get(k, 0) + c
+        else:
+            self._add_scaled(out, other._terms, den // other.den)
         if 0 in out.values():
             return self._like(*self._lowest({k: c for k, c in out.items() if c}, den))
         return self._like(out, den)
@@ -290,23 +306,16 @@ class _SparseMap:
         return self._like({key: v for key, c in self._terms.items() if (v := c * k)})
 
     def __mul__(self, other):
-        """The product over lcm(den, other.den), the smaller operand in the
-        outer loop, then ``_lowest`` unless a factor has den 1 (see the
-        module docstring); a scalar goes to ``scale``."""
+        """The product over lcm(den, other.den) by ``_mul_terms``, the
+        smaller operand in its outer loop; then ``_lowest`` unless a factor
+        has den 1 (see the module docstring).  A scalar goes to ``scale``."""
         if type(other) is not type(self):
             return self.scale(other) if isinstance(other, self._scalars) else NotImplemented
         self._check(other)
         if len(self._terms) < len(other._terms):
             self, other = other, self
         den = lcm(self.den, other.den)
-        xs = self._over(den).items()
-        key_mul = self._key_mul(den)
-        out: dict = {}
-        get = out.get
-        for k2, c2 in other._over(den).items():
-            for k1, c1 in xs:
-                k = key_mul(k1, k2)
-                out[k] = get(k, 0) + c1 * c2
+        out = self._mul_terms(self._terms, den // self.den, other._terms, den // other.den, den)
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
         if 1 in (self.den, other.den):
@@ -370,8 +379,23 @@ class Spectrum(_SparseMap):
     _key = staticmethod(_pair)
 
     @staticmethod
-    def _key_mul(_den):
-        return add
+    def _mul_terms(xs, sx, ys, sy, _den):
+        out: dict = {}
+        get = out.get
+        xs = xs.items()
+        for n2, c2 in ys.items():
+            n2 *= sy
+            for n1, c1 in xs:
+                n = n1 * sx + n2
+                out[n] = get(n, 0) + c1 * c2
+        return out
+
+    @staticmethod
+    def _add_scaled(out, terms, s):
+        get = out.get
+        for n, c in terms.items():
+            n *= s
+            out[n] = get(n, 0) + c
 
     @staticmethod
     def _rekeyed(terms, f):
@@ -431,8 +455,23 @@ class BiSpectrum(_SparseMap):
         return (an * (d // ad), bn * (d // bd), _strict_int(c, "v-degree")), d
 
     @staticmethod
-    def _key_mul(den):
-        return lambda k1, k2: ((k1[0] + k2[0]) % den, (k1[1] + k2[1]) % den, k1[2] + k2[2])
+    def _mul_terms(xs, sx, ys, sy, den):
+        out: dict = {}
+        get = out.get
+        xs = xs.items()
+        for (a2, b2, c2), m2 in ys.items():
+            a2, b2 = a2 * sy, b2 * sy
+            for (a1, b1, c1), m1 in xs:
+                k = (a1 * sx + a2) % den, (b1 * sx + b2) % den, c1 + c2
+                out[k] = get(k, 0) + m1 * m2
+        return out
+
+    @staticmethod
+    def _add_scaled(out, terms, s):
+        get = out.get
+        for (a, b, c), m in terms.items():
+            k = a * s, b * s, c
+            out[k] = get(k, 0) + m
 
     @staticmethod
     def _rekeyed(terms, f):

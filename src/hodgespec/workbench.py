@@ -96,7 +96,10 @@ def quasihomogeneous_spectrum(exponents: Sequence[int]) -> Spectrum:
         step = L // a
         sums = [k + x for k in range(step, L, step) for x in sums]
     # A Counter answers 0 for a missing key; the term map is a plain dict.
-    return Spectrum._trusted(*Spectrum._lowest(dict(Counter(sums)), L))
+    # The list of sums is let go before the copy, so the two never coexist.
+    counts = Counter(sums)
+    del sums
+    return Spectrum._trusted(*Spectrum._lowest(dict(counts), L))
 
 
 def iterated_vanishing(joint: ResolutionDatum) -> MonodromicClass:

@@ -16,6 +16,7 @@ import json
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,6 +265,19 @@ def _same(obj, ref):
     assert obj.terms() == tuple(sorted(ref.items()))
 
 
+def _pure(op, *operands):
+    """op(*operands), checking that it left each operand's den and term map
+    as they were: a kernel that writes into an operand's map fails here."""
+    before = [(x.den, dict(x._terms)) for x in operands]
+    out = op(*operands)
+    assert [(x.den, x._terms) for x in operands] == before, op
+    return out
+
+
+def _doubled(x):
+    return _ref((key, 2 * c) for key, c in x.terms())
+
+
 PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 DENS = st.integers(1, 60)
 RESIDUES = DENS.flatmap(lambda d: st.integers(0, d - 1).map(lambda n: F(n, d)))
@@ -292,17 +306,30 @@ BISPECTRA = st.lists(st.tuples(st.tuples(RESIDUES, RESIDUES, SMALL), SMALL), max
 @PROPERTY
 @given(SPECTRA, SPECTRA)
 def test_spectrum_pair_keys_match_fractions(x, y):
-    _same(x + y, _ref((*x.terms(), *y.terms())))
-    _same(x * y, _ref_mul(x, y, lambda a, b: a + b))
+    # Then aliased operands, and x times x + y: one factor over the
+    # product's den as is, the other scaled.
+    s = _pure(add, x, y)
+    _same(s, _ref((*x.terms(), *y.terms())))
+    _same(_pure(mul, x, y), _ref_mul(x, y, add))
+    _same(_pure(add, x, x), _doubled(x))
+    _same(_pure(sub, x, x), {})
+    _same(_pure(mul, x, x), _ref_mul(x, x, add))
+    _same(_pure(mul, x, s), _ref_mul(x, s, add))
 
 
 @PROPERTY
 @given(BISPECTRA, BISPECTRA, st.integers(1, 6))
 def test_bispectrum_pair_keys_match_fractions(x, y, N):
-    _same(x + y, _ref((*x.terms(), *y.terms())))
-    _same(x * y, _ref_mul(
-        x, y, lambda k1, k2: (_add_mod1(k1[0], k2[0]), _add_mod1(k1[1], k2[1]), k1[2] + k2[2])
-    ))
+    def key_mul(k1, k2):
+        return _add_mod1(k1[0], k2[0]), _add_mod1(k1[1], k2[1]), k1[2] + k2[2]
+
+    s = _pure(add, x, y)
+    _same(s, _ref((*x.terms(), *y.terms())))
+    _same(_pure(mul, x, y), _ref_mul(x, y, key_mul))
+    _same(_pure(add, x, x), _doubled(x))
+    _same(_pure(sub, x, x), {})
+    _same(_pure(mul, x, x), _ref_mul(x, x, key_mul))
+    _same(_pure(mul, x, s), _ref_mul(x, s, key_mul))
     _same(fold_bispectrum(x, N), _ref((a + b / N + c, m) for (a, b, c), m in x.terms()))
 
 
@@ -310,11 +337,22 @@ def test_bispectrum_pair_keys_match_fractions(x, y, N):
 @given(st.integers(0, 3).flatmap(lambda k: st.tuples(_classes(k), _classes(k))))
 def test_class_ring_pair_keys_match_fractions(xy):
     x, y = xy
-    _same(x + y, _ref((*x.terms(), *y.terms())))
-    _same(x * y, _ref_mul(x, y, lambda k1, k2: (
-        tuple(map(_add_mod1, k1[0], k2[0])), k1[1] + k2[1], k1[2] + k2[2]
-    )))
-    _same(box(x, y), _ref_mul(x, y, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])))
+
+    def key_mul(k1, k2):
+        return tuple(map(_add_mod1, k1[0], k2[0])), k1[1] + k2[1], k1[2] + k2[2]
+
+    def key_box(k1, k2):
+        return k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2]
+
+    s = _pure(add, x, y)
+    _same(s, _ref((*x.terms(), *y.terms())))
+    _same(_pure(mul, x, y), _ref_mul(x, y, key_mul))
+    _same(_pure(box, x, y), _ref_mul(x, y, key_box))
+    _same(_pure(add, x, x), _doubled(x))
+    _same(_pure(sub, x, x), {})
+    _same(_pure(mul, x, x), _ref_mul(x, x, key_mul))
+    _same(_pure(box, x, x), _ref_mul(x, x, key_box))
+    _same(_pure(mul, x, s), _ref_mul(x, s, key_mul))
 
 
 @PROPERTY
