@@ -8,16 +8,7 @@ import pytest
 
 from hodgespec.monclass import MonodromicClass as MC
 from hodgespec.resolution import jet_count_zeta, zeta_series
-from hodgespec.series import (
-    INT_KEYS_FROM,
-    RationalSeries as RS,
-    TruncatedPoly as TP,
-    _expand_ints,
-    _expand_tables,
-    _over_lcm,
-    _points_bound,
-    _spreads,
-)
+from hodgespec.series import RationalSeries as RS, TruncatedPoly as TP, _over_lcm, _points_bound
 from hodgespec.workbench import fixtures, monomial_datum
 
 u0 = MC.unit(0)
@@ -149,12 +140,11 @@ def test_expand_matches_generator_products():
         e, f, j, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 6), rand_class(arity)
         return [(((e, j),), c), (((f, j),), -c * MC.lefschetz(arity, e - f))]
 
-    paths = {False: 0, True: 0}
     for k in range(400):
         arity = rng.randint(0, 2)
         # Every other series has 2 to 4 terms of one or two factors of
-        # T-weight at most 3, with n from 30 to 60, so that many reach the
-        # integer-key path of expand.
+        # T-weight at most 3, with n from 30 to 60, so that many walks run
+        # long and many running sums cancel along them.
         least, most, weight, count, low, top = (0, 3, 6, 1, 0, 40) if k % 2 else (1, 2, 3, 2, 30, 60)
         coef = orbit_difference if rng.random() < 0.5 else rand_class
         terms = [(rand_factors(least, most, weight), coef(arity)) for _ in range(rng.randint(count, count + 2))]
@@ -164,35 +154,46 @@ def test_expand_matches_generator_products():
         # Now and then below every T-weight, so that every table is empty.
         n = rng.randint(0, 5) if rng.random() < 0.1 else rng.randint(low, top)
         assert series.expand(n) == _expand_by_products(series, n), (series, n)
-        size = sum(_points_bound(f, n) * len(c._terms) for f, c in series._terms.items())
-        paths[size >= INT_KEYS_FROM and _spreads(series._terms)] += 1
-        if n:
-            # Both paths on every input, whichever expand chose.
-            coefs, den = _over_lcm(series._terms)
-            assert _expand_ints(coefs, n, den) == _expand_tables(coefs, n, den), (series, n)
-    assert min(paths.values()) >= 40, paths
 
 
-def test_expand_ints_on_three_factor_terms_with_a_constant():
-    # A constant term beside 3-factor terms; _spreads keeps expand itself on
-    # tables here, so the integer path is called directly.
+def test_expand_on_three_factor_terms_with_a_constant():
+    # A constant term beside 3-factor terms, repeated factors among them.
     u, inv = MC.unit(1), MC.lefschetz(1, -1)
     c = MC(1, [(((F(1, 3),), 0, 0), 1), (((F(1, 3),), 1, 1), -1)])
     series = RS(1, [((), u - inv), (((-1, 1), (-2, 3), (-5, 2)), c), (((-1, 1), (-1, 1), (-3, 2)), u * 2 - c)])
-    for n in (1, 2, 7, 30):
-        expected = _expand_by_products(series, n)
-        assert series.expand(n) == expected
-        coefs, den = _over_lcm(series._terms)
-        got = _expand_ints(coefs, n, den)
-        assert TP._trusted(1, {d: MC._trusted(1, *t) for d, t in got.items()}) == expected, n
+    for n in (0, 1, 2, 7, 30):
+        assert series.expand(n) == _expand_by_products(series, n), n
+
+
+def test_expand_to_degree_zero_is_the_constant_term_over_its_least_den():
+    # The series' lcm is 6, but T^0 holds only the (1/2)-class: over den 2.
+    half = MC.monomial(1, (F(1, 2),), 0, 0)
+    third = MC.monomial(1, (F(1, 3),), 1, 0)
+    series = RS(1, [((), half), (((0, 1),), third)])
+    assert _over_lcm(series._terms)[1] == 6
+    got = series.expand(0)
+    assert got.degrees() == [0] and got.coefficient(0) == half
+    assert got.coefficient(0).den == 2 and got.coefficient(0)._terms == half._terms
+    # With no constant term the expansion to degree 0 is zero.
+    assert RS(1, [(((0, 1),), third)]).expand(0) == TP.zero(1)
+    assert series.expand(1) == TP(1, {0: half, 1: third})
+
+
+def test_expand_matches_jet_counts_on_surface_and_one_slope_data():
+    # Shapes with at least 512 class terms to merge: a three-factor surface
+    # zeta function and a one-slope two-factor one.
+    for exps, n in (((1, 2, 3), 60), ((2, 2), 150)):
+        series = zeta_series(monomial_datum(exps))
+        assert sum(_points_bound(f, n) * len(c._terms) for f, c in series._terms.items()) >= 512
+        assert series.expand(n) == jet_count_zeta(exps, n), exps
 
 
 def test_expand_gives_every_degree_its_least_den():
     # c p(e, j) - (1/6) L^(e - f) p(f, j) with c = (1/6) + (1/2): at T^j the
     # (1/6) terms cancel, leaving (1/2) L^e over den 2, not the lcm 6; a
     # p(0, k) of a 1/3 residue puts degrees over den 3, and the others of
-    # the draw over 6 or 1.  Both expand paths must give every degree, after
-    # the cancellation too, over its own least denominator.
+    # the draw over 6 or 1.  expand must give every degree, after the
+    # cancellation too, over its own least denominator.
     rng = random.Random(3107)
     lowered = 0
     for _ in range(60):
@@ -211,18 +212,14 @@ def test_expand_gives_every_degree_its_least_den():
             terms.append(((), MC.unit(arity) * rng.randint(-2, 2)))
         series = RS(arity, terms)
         n = rng.randint(j, 30)
-        coefs, den = _over_lcm(series._terms)
-        assert den == 6
+        assert _over_lcm(series._terms)[1] == 6
         expected = _expand_by_products(series, n)
-        for path in (_expand_tables, _expand_ints):
-            got = path(coefs, n, den)
-            for d, (terms_d, least) in got.items():
-                nums = [x for evs, _p, _q in terms_d for x in evs]
-                assert terms_d and least > 0 and gcd(least, *nums) == 1, (series, n, d)
-                assert expected.coefficient(d) == MC._trusted(arity, terms_d, least), (series, n, d)
-            assert sorted(got) == expected.degrees(), (series, n)
-            lowered += sum(least < den for _terms, least in got.values())
-        assert series.expand(n) == expected
+        got = series.expand(n)
+        assert got == expected, (series, n)
+        for d, c in got._terms.items():
+            nums = [x for evs, _p, _q in c._terms for x in evs]
+            assert c._terms and c.den > 0 and gcd(c.den, *nums) == 1, (series, n, d)
+        lowered += sum(c.den < 6 for c in got._terms.values())
         # Below the T-degree k + k2 of the third term, degree j holds the
         # (1/2) L^e left by the cancellation (or nothing but it when e == f).
         if j < k + k2:
