@@ -140,9 +140,8 @@ def run_rings():
     ok = True
     L1 = MonodromicClass.lefschetz(1)
     for _ in range(60):
-        x, y, z = (_rand_class(rng, rng.choice((1, 2))) for _ in range(3))
-        y = _rand_class(rng, x.arity)
-        z = _rand_class(rng, x.arity)
+        x = _rand_class(rng, rng.choice((1, 2)))
+        y, z = _rand_class(rng, x.arity), _rand_class(rng, x.arity)
         unit = MonodromicClass.unit(x.arity)
         L = MonodromicClass.lefschetz(x.arity)
         ok &= x * y == y * x and (x * y) * z == x * (y * z)

@@ -10,8 +10,9 @@ stand for; ``terms()`` returns them as Fractions.  ``MonodromicClass`` has
 the one base ``spectra._ArityMap`` and supplies the core's key hooks and
 its product kernel, which builds a key with no per-pair tuple
 comprehension at den 1 (arity 0 among these: every residue is 0) and at
-arity 1; its trusted constructor ``_trusted(arity, terms, den)``, sums and
-products are the core's.  ``box`` scales each factor's eigenvalue tuples
+arity 1, and its ``_key_view`` (the Fractions of ``terms()``); its trusted
+constructor ``_trusted(arity, terms, den)``, sums, products and term list
+are the core's.  ``box`` scales each factor's eigenvalue tuples
 to the lcm of the two dens once, inside its own loops.  Every printed
 class goes through ``_render_classes``, which takes all the classes of one
 printed output (a truncated polynomial's degrees, say), formats each
@@ -176,14 +177,9 @@ class MonodromicClass(_ArityMap):
 
     _nums = partial(map, itemgetter(0))
 
-    def terms(self):
-        """``_SparseMap.terms``, converting each distinct eigenvalue tuple once."""
-        den, views, out = self.den, {}, []
-        for (evs, p, q), coef in self._sorted():
-            if (view := views.get(evs)) is None:
-                view = views[evs] = tuple([Fraction(e, den) for e in evs])
-            out.append(((view, p, q), coef))
-        return tuple(out)
+    def _key_view(self, key):
+        evs, p, q = key
+        return tuple([Fraction(e, self.den) for e in evs]), p, q
 
     @classmethod
     def unit(cls, arity: int) -> "MonodromicClass":
@@ -204,9 +200,12 @@ class MonodromicClass(_ArityMap):
 
     def __pow__(self, n: int) -> "MonodromicClass":
         n = _strict_int(n, "exponent", 0)
-        out = MonodromicClass.unit(self.arity)
-        for _ in range(n):
-            out = out * self
+        out, base = MonodromicClass.unit(self.arity), self
+        while n:  # square and multiply: at most 2 log2(n) + 1 products
+            if n & 1:
+                out = out * base
+            if n := n >> 1:
+                base = base * base
         return out
 
     def render(self) -> str:

@@ -5,7 +5,8 @@ with coefficients in a monodromic class ring of fixed arity.  The empty
 product is the constant term.  Both series rings, ``RationalSeries`` and
 ``TruncatedPoly``, are ``_SeriesMap``s: the ring core of
 ``hodgespec.spectra`` with class coefficients, whose sums and products are
-written here once.  Two operations matter downstream:
+the core's; only their product kernel is written here.  Two operations
+matter downstream:
 
 * ``expand(n)`` -- the exact truncated power-series expansion, using the
   geometric expansion of each generator (sum over m >= 1 of L^(e m) T^(j m)).
@@ -199,8 +200,8 @@ def _expand(terms: dict, n: int, den: int, arity: int) -> dict:
 class _SeriesMap(_ArityMap):
     """The part of the ring core only the series rings use: coefficients
     are classes of the ring's arity, and keys hold no rational, so ``_key``
-    returns (key, 1), every den is 1 and sums and products merge class
-    coefficients with ``_merge``; ``_key_mul`` is the product of two keys."""
+    returns (key, 1) and every den is 1.  Sums and products are the core's,
+    the product kernel forming each key by ``_key_mul``."""
 
     __slots__ = ()
 
@@ -211,27 +212,16 @@ class _SeriesMap(_ArityMap):
             raise ValueError("coefficient arity mismatch")
         return c
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for key, coef in other._terms.items():
-            _merge(out, key, coef)
-        return self._like(out)
-
-    def __mul__(self, other):
-        if isinstance(other, self._scalars):
-            return self.scale(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
+    def _mul_terms(self, xs, _sx, ys, _sy, _den):
         key_mul = self._key_mul
         out: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                _merge(out, key_mul(k1, k2), c1 * c2)
-        return self._like(out)
+        get = out.get
+        xs = xs.items()
+        for k2, c2 in ys.items():
+            for k1, c1 in xs:
+                k = key_mul(k1, k2)
+                out[k] = get(k, 0) + c1 * c2
+        return out
 
 
 class TruncatedPoly(_SeriesMap):
@@ -303,10 +293,7 @@ class RationalSeries(_SeriesMap):
 
     def limit(self) -> MonodromicClass:
         """Value at T -> infinity: each generator factor contributes -1."""
-        total = MonodromicClass.zero(self.arity)
-        for factors, coef in self._terms.items():
-            total = total + coef * ((-1) ** len(factors))
-        return total
+        return sum((c * (-1) ** len(f) for f, c in self._terms.items()), MonodromicClass.zero(self.arity))
 
     def expand(self, n: int) -> TruncatedPoly:
         """Exact power-series expansion through degree n in T.

@@ -3,12 +3,12 @@
 Every ring in the package -- spectra, bispectra, monodromic classes and the
 two series types -- is a finitely supported map from a canonical key (a
 monomial of its grading) to a nonzero coefficient.  ``_SparseMap`` holds that
-map and implements the ring once: sums and products of integer
-coefficients (through the subclass's product kernel), negation, scaling,
-equality, hashing and the sorted term list.  ``_ArityMap`` adds a fixed
-arity that operands must share, and ``series._SeriesMap`` the sums and
-products of class coefficients; every ring sits on this one line of single
-bases.
+map and implements the ring once: sums and products (through the
+subclass's product kernel) of int and class coefficients alike, a zero of
+either kind being false and dropped; negation, scaling, equality, hashing
+and the sorted term list.  ``_ArityMap`` adds a fixed arity that operands
+must share, and ``series._SeriesMap`` class coefficients and keys that hold
+no rational; every ring sits on this one line of single bases.
 
 One key format.  Every exponent of a spectrum and every eigenvalue of
 commuting finite-order monodromies lies in (1/n)Z for one n, so every ring
@@ -181,7 +181,7 @@ class _SparseMap:
 
     __slots__ = ("_terms", "den")
     _scalars: tuple = (int,)
-    _one = None  # the key of the one, for a ring equal to n at n times it
+    _one = None  # the key of the one, for a ring equal to n (and hashing as n) at n times it
 
     def __init__(self, terms: Mapping | Iterable = ()):
         # Keys merge among those of their own least denominator; the lcm of
@@ -239,11 +239,13 @@ class _SparseMap:
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
             return self.den == other.den and self._terms == other._terms
-        if isinstance(other, int) and self._one is not None:
+        if type(other) is int and self._one is not None:
             return self.den == 1 and self._terms == ({self._one: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
+        if self._one is not None and self._terms.keys() <= {self._one}:
+            return hash(self._terms.get(self._one, 0))
         return hash((self.den, frozenset(self._terms.items())))
 
     @classmethod
@@ -288,9 +290,12 @@ class _SparseMap:
                 out[k] = get(k, 0) + c
         else:
             self._add_scaled(out, other._terms, den // other.den)
-        if 0 in out.values():
+        if not all(out.values()):
             return self._like(*self._lowest({k: c for k, c in out.items() if c}, den))
         return self._like(out, den)
+
+    def __radd__(self, other):  # 0 + x is x, so sums may start from 0
+        return self if type(other) is int and other == 0 else NotImplemented
 
     def __sub__(self, other):
         return self + -other
@@ -316,7 +321,7 @@ class _SparseMap:
             self, other = other, self
         den = lcm(self.den, other.den)
         out = self._mul_terms(self._terms, den // self.den, other._terms, den // other.den, den)
-        if 0 in out.values():
+        if not all(out.values()):
             out = {k: c for k, c in out.items() if c}
         if 1 in (self.den, other.den):
             return self._like(out, den)

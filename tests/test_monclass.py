@@ -47,6 +47,17 @@ def test_lefschetz_minus_one_square():
     assert (L - u) ** 2 == MC.lefschetz(1, 2) - 2 * L + u
 
 
+def test_powers_square_and_multiply():
+    start = time.perf_counter()
+    assert MC.lefschetz(1) ** 10**9 == MC.lefschetz(1, 10**9)
+    assert time.perf_counter() - start < 1.0
+    x = mono(1, (F(1, 3),), 1, 0) - 2 * MC.lefschetz(1)
+    power = MC.unit(1)
+    for n in range(10):
+        assert x ** n == power, n
+        power = power * x
+
+
 def test_arity_mismatch():
     with pytest.raises(ValueError):
         MC.unit(1) * MC.unit(2)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 from math import gcd
 from itertools import product
-from operator import itemgetter
+from operator import add, itemgetter
 
 import pytest
 
@@ -25,6 +25,66 @@ def test_product_unions_factors():
     one = RS.constant(u0)
     x = RS.generator(-2, 3) + RS.constant(L(0, 5))
     assert x * one == x
+
+
+def _merged(into, key, coef):
+    cur = into.get(key)
+    new = coef if cur is None else cur + coef
+    if new:
+        into[key] = new
+    else:
+        into.pop(key, None)
+
+
+def _sum_by_merging(x, y):
+    out = dict(x._terms)
+    for key, coef in y._terms.items():
+        _merged(out, key, coef)
+    return out
+
+
+def _product_by_merging(x, y, key_mul):
+    out = {}
+    for k1, c1 in x._terms.items():
+        for k2, c2 in y._terms.items():
+            _merged(out, key_mul(k1, k2), c1 * c2)
+    return out
+
+
+@pytest.mark.parametrize("arity", [0, 1])
+def test_series_sums_and_products_match_merging_loops(arity):
+    # Few keys and two coefficient classes, one drawn more often, of
+    # multiplicity +-1, so like terms meet and often cancel to zero.
+    rng = random.Random(38 + arity)
+    pool = [MC.monomial(arity, (F(k, 3),) * arity, k, 0) for k in (1, 1, 1, 2)]
+    gens = [(), ((0, 1),), ((0, 1), (0, 1)), ((-1, 2),)]
+
+    def coef():
+        return rng.choice((-1, 1)) * rng.choice(pool)
+
+    def series():
+        return RS(arity, [(rng.choice(gens), coef()) for _ in range(rng.randint(0, 5))])
+
+    def poly():
+        return TP(arity, [(rng.randint(0, 3), coef()) for _ in range(rng.randint(0, 5))])
+
+    cancelled = [0, 0]
+    for make, key_mul in ((series, lambda a, b: tuple(sorted(a + b))), (poly, add)):
+        for _ in range(300):
+            x, y = make(), make()
+            met = [x._terms.keys() | y._terms, {key_mul(k1, k2) for k1 in x._terms for k2 in y._terms}]
+            got = [x + y, x * y]
+            assert [z._terms for z in got] == [_sum_by_merging(x, y), _product_by_merging(x, y, key_mul)]
+            for i, z in enumerate(got):
+                assert z.den == 1 and z.arity == arity and all(z._terms.values()), (x, y)
+                cancelled[i] += bool(met[i] - z._terms.keys())
+            for k in (-2, 0, 3):
+                assert (x * k)._terms == (k * x)._terms == {key: c * k for key, c in x._terms.items() if k}
+    # A series also takes a class of its arity as a scalar.
+    c = coef() + MC.lefschetz(arity)
+    for x in (series(), series() * series()):
+        assert (x * c)._terms == (c * x)._terms == {key: v for key, d in x._terms.items() if (v := d * c)}
+    assert min(cancelled) >= 10, cancelled
 
 
 def test_limit_examples():

@@ -167,6 +167,31 @@ def test_product_with_scalars_and_other_types():
         s * BiSpectrum.one()
 
 
+def test_spectrum_equals_ints_but_not_bools_and_hashes_as_them():
+    for n in (-2, 0, 1, 5):
+        x = Spectrum.monomial(0, n)
+        assert x == n and hash(x) == hash(n) and n in {x} and x in {n}
+    assert Spectrum.one() != True and Spectrum.zero() != False  # noqa: E712
+    assert True not in {Spectrum.one()} and {Spectrum.one(): 0}.get(1) == 0
+    # Neither does a non-constant spectrum equal an int.
+    assert t(1) != 1 and t(F(1, 2)) != 0 and 2 * t(0) + t(1) != 2
+
+
+def test_zero_plus_any_ring_element_is_that_element():
+    rings = [
+        3 * t(F(1, 2)) - t(-1),
+        b(F(1, 3), F(1, 2), 2) - BiSpectrum.one(),
+        MonodromicClass.monomial(1, (F(1, 4),), 1, 0, -2),
+        TruncatedPoly(1, {0: MonodromicClass.unit(1), 3: MonodromicClass.lefschetz(1)}),
+        RationalSeries.generator(-1, 2, 1) + RationalSeries.constant(MonodromicClass.unit(1)),
+    ]
+    for x in rings:
+        assert 0 + x is x and sum([x, x]) == x + x, x
+        for other in (1, True, 0.0):
+            with pytest.raises(TypeError):
+                other + x
+
+
 def test_render_format():
     assert (t(F(5, 6)) + t(F(7, 6))).render() == "t^(5/6) + t^(7/6)"
     assert Spectrum.zero().render() == "0"
@@ -395,6 +420,9 @@ def test_every_ring_sits_on_one_inheritance_line():
         # The trusted constructor and its wrap are written on the core alone.
         for name in ("_trusted", "_like"):
             assert name not in vars(cls) or cls in core[:2], (cls, name)
+        # Sums, products and the term list are written on the first alone.
+        for name in ("__add__", "__mul__", "terms"):
+            assert name not in vars(cls) or cls is core[0], (cls, name)
     for cls in leaves:
         assert cls.__slots__ == (), cls
     # bench/workloads/identities.py::_witness tells a class from a spectrum
