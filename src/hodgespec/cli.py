@@ -148,7 +148,9 @@ def _cmd_check(args):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    ``main`` call in the process (parsing does not change it)."""
+    ``main`` call in the process (parsing does not change it).  Its
+    ``commands`` maps each subcommand to its own parser, the ``choices`` of
+    the subparsers action, for ``main``'s one parse."""
     parser = argparse.ArgumentParser(
         prog="hodgespec",
         description="Exact Hodge spectra of hypersurface singularities from resolution data.",
@@ -194,12 +196,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.set_defaults(func=_cmd_check)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when argv is None).  An argv
+    that opens with a subcommand is parsed once, by that subcommand's
+    parser alone; arguments it leaves over are refused by the top-level
+    parser in the words ``parse_args`` uses.  Any other argv (help, no
+    subcommand, an unknown one) goes to ``parse_args``."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except ValueError as exc:

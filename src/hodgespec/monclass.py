@@ -10,10 +10,11 @@ stand for; ``terms()`` returns them as Fractions.  ``MonodromicClass`` has
 the one base ``spectra._ArityMap`` and supplies the core's key hooks and
 its product kernel, which builds a key with no per-pair tuple
 comprehension at den 1 (arity 0 among these: every residue is 0) and at
-arity 1, and its ``_key_view`` (the Fractions of ``terms()``); its trusted
-constructor ``_trusted(arity, terms, den)``, sums, products and term list
-are the core's.  ``box`` scales each factor's eigenvalue tuples
-to the lcm of the two dens once, inside its own loops.  Every printed
+arity 1, and its ``_viewer`` (the Fractions of ``terms()``, one tuple per
+distinct eigenvalue tuple of a call); its trusted constructor
+``_trusted(arity, terms, den)``, sums, products and term list are the
+core's.  ``box`` scales each factor's eigenvalue tuples to the lcm of the
+two dens once, inside its own loops.  Every printed
 class goes through ``_render_classes``, which takes all the classes of one
 printed output (a truncated polynomial's degrees, say), formats each
 distinct eigenvalue tuple among them once, and sorts each class's terms on
@@ -177,9 +178,17 @@ class MonodromicClass(_ArityMap):
 
     _nums = partial(map, itemgetter(0))
 
-    def _key_view(self, key):
-        evs, p, q = key
-        return tuple([Fraction(e, self.den) for e in evs]), p, q
+    def _viewer(self):
+        # One Fraction tuple per distinct eigenvalue tuple: bidegrees repeat them.
+        den, views = self.den, {}
+
+        def view(key):
+            evs, p, q = key
+            if (e := views.get(evs)) is None:
+                e = views[evs] = tuple([Fraction(n, den) for n in evs])
+            return e, p, q
+
+        return view
 
     @classmethod
     def unit(cls, arity: int) -> "MonodromicClass":

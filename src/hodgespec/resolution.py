@@ -98,9 +98,6 @@ class Stratum:
     base: Optional[MonodromicClass] = None      # arity 0, split covers
     explicit: Optional[MonodromicClass] = None  # full cover class, given arity
 
-    def key(self):
-        return frozenset(self.components)
-
 
 def _members(value, path: str, kind) -> tuple:
     """value as a tuple of kind instances; a SchemaError names path when it
@@ -126,8 +123,59 @@ def _check_class(value, path: str, arity: int) -> None:
         raise SchemaError(path, f"must have arity {arity}")
 
 
+def _checked_component(comp: Component, path: str, index: dict) -> Component:
+    """comp with every field checked under the integer rule, its integral
+    Fractions made ints, or a SchemaError naming the field under path."""
+    if not isinstance(comp.id, str):
+        raise SchemaError(path + ".id", f"expected str, got {type(comp.id).__name__}")
+    if comp.id in index:
+        raise SchemaError(path + ".id", f"duplicate id {comp.id!r}")
+    comp = Component(
+        comp.id,
+        _strict_int(comp.nf, path + ".Nf", 0),
+        _strict_int(comp.ng, path + ".Ng", 0),
+        _strict_int(comp.nu, path + ".nu", 1),
+    )
+    if comp.nf == 0 and comp.ng == 0:
+        raise SchemaError(path, "component carries no multiplicity at all")
+    return comp
+
+
+def _checked_stratum(st: Stratum, path: str, index: dict, seen: set, arity: int) -> tuple:
+    """(st, its component set) with every field checked, its ids stored as
+    a tuple, or a SchemaError naming the field under path."""
+    components = _members(st.components, f"{path}.components", str)
+    if components is not st.components:  # not a tuple: store the tuple
+        st = Stratum(components, st.base, st.explicit)
+    if not components:
+        raise SchemaError(path + ".components", "must be nonempty")
+    if len(set(components)) != len(components):
+        raise SchemaError(path + ".components", "duplicate component id")
+    for cid in components:
+        if cid not in index:
+            raise SchemaError(path + ".components", f"unknown id {cid!r}")
+    key = frozenset(components)
+    if key in seen:
+        raise SchemaError(path, "duplicate stratum")
+    if (st.base is None) == (st.explicit is None):
+        raise SchemaError(path, "exactly one of base_class / explicit cover")
+    if st.base is not None:
+        _check_class(st.base, path + ".base_class", 0)
+    if st.explicit is not None:
+        _check_class(st.explicit, path + ".cover", arity)
+    return st, key
+
+
 @dataclass(frozen=True)
 class ResolutionDatum:
+    """A datum; the constructor checks every value (module docstring).  A
+    component with a new str id and in-range int Nf, Ng and nu, not both
+    multiplicities 0, and a stratum whose ids are a tuple of distinct known
+    strs naming a new set, with one class of the right arity, pass a fast
+    test and are stored as they are; any other runs the named checks
+    (``_checked_component``, ``_checked_stratum``), which build the paths
+    their errors name and make an integral Fraction its int."""
+
     dimension: int
     local: bool
     functions: tuple
@@ -150,21 +198,15 @@ class ResolutionDatum:
         if functions not in (("g",), ("f", "g")):
             raise SchemaError("functions", 'must be ["g"] or ["f","g"]')
         object.__setattr__(self, "functions", functions)
+        arity = len(functions)
         index = {}
         for i, comp in enumerate(_members(self.components, "components", Component)):
-            path = f"components[{i}]"
-            if not isinstance(comp.id, str):
-                raise SchemaError(path + ".id", f"expected str, got {type(comp.id).__name__}")
-            if comp.id in index:
-                raise SchemaError(path + ".id", f"duplicate id {comp.id!r}")
-            comp = Component(
-                comp.id,
-                _strict_int(comp.nf, path + ".Nf", 0),
-                _strict_int(comp.ng, path + ".Ng", 0),
-                _strict_int(comp.nu, path + ".nu", 1),
-            )
-            if comp.nf == 0 and comp.ng == 0:
-                raise SchemaError(path, "component carries no multiplicity at all")
+            if not (
+                type(comp.id) is str and comp.id not in index
+                and type(comp.nf) is type(comp.ng) is type(comp.nu) is int
+                and comp.nf >= 0 and comp.ng >= 0 and comp.nu >= 1 and (comp.nf or comp.ng)
+            ):
+                comp = _checked_component(comp, f"components[{i}]", index)
             index[comp.id] = comp
         object.__setattr__(self, "components", tuple(index.values()))
         if not index:
@@ -172,30 +214,19 @@ class ResolutionDatum:
         strata = []
         seen = set()
         for i, st in enumerate(_members(self.strata, "strata", Stratum)):
-            path = f"strata[{i}]"
-            components = _members(st.components, f"{path}.components", str)
-            if components is not st.components:  # not a tuple: store the tuple
-                st = Stratum(components, st.base, st.explicit)
-            if not components:
-                raise SchemaError(path + ".components", "must be nonempty")
-            if len(set(components)) != len(components):
-                raise SchemaError(path + ".components", "duplicate component id")
-            for cid in components:
-                if cid not in index:
-                    raise SchemaError(path + ".components", f"unknown id {cid!r}")
-            if st.key() in seen:
-                raise SchemaError(path, "duplicate stratum")
-            seen.add(st.key())
-            if (st.base is None) == (st.explicit is None):
-                raise SchemaError(path, "exactly one of base_class / explicit cover")
-            if st.base is not None:
-                _check_class(st.base, path + ".base_class", 0)
-            if st.explicit is not None:
-                _check_class(st.explicit, path + ".cover", self.arity)
+            ids, base, explicit = st.components, st.base, st.explicit
+            cls, want = (base, 0) if explicit is None else (explicit, arity)
+            if not (
+                type(ids) is tuple and ids and all([type(cid) is str and cid in index for cid in ids])
+                and len(key := frozenset(ids)) == len(ids) and key not in seen
+                and (base is None or explicit is None) and type(cls) is MonodromicClass and cls.arity == want
+            ):
+                st, key = _checked_stratum(st, f"strata[{i}]", index, seen, arity)
+            seen.add(key)
             strata.append(st)
         object.__setattr__(self, "strata", tuple(strata))
         if self.zero_locus_nearby is not None:
-            if self.arity != 2:
+            if arity != 2:
                 raise SchemaError("zero_locus_nearby", "only meaningful on joint data")
             _check_class(self.zero_locus_nearby, "zero_locus_nearby", 1)
         object.__setattr__(self, "_index", index)
@@ -386,7 +417,17 @@ def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
     goes over the lcm L of all the class's dens as the residue
     n * (L // d) mod L, like keys merge, and one ``_lowest`` makes L least:
     the canonical keys the constructor would build, with no ``_key`` call
-    per term."""
+    per term.  At arity 0 every key is ((), p, q) over den 1, merged as it
+    is read: no lcm and no ``_lowest``."""
+    terms: dict = {}
+    if not arity:
+        for i, entry in enumerate(_json_list(entries, path)):
+            if not (type(entry) is list and len(entry) == 3
+                    and type(entry[0]) is type(entry[1]) is type(entry[2]) is int):
+                entry = _checked_entry(entry, 0, f"{path}[{i}]")
+            p, q, mult = entry
+            _merge(terms, ((), p, q), mult)
+        return MonodromicClass._trusted(0, terms, 1)
     rows = []
     for i, entry in enumerate(_json_list(entries, path)):
         if not (
@@ -398,7 +439,6 @@ def _class_from_json(entries, arity: int, path: str) -> MonodromicClass:
             entry = _checked_entry(entry, arity, f"{path}[{i}]")
         rows.append(entry)
     den = lcm(*[d for entry in rows for _n, d in entry[:arity]])
-    terms: dict = {}
     for entry in rows:
         p, q, mult = entry[arity:]
         _merge(terms, (tuple([n * (den // d) % den for n, d in entry[:arity]]), p, q), mult)
@@ -426,8 +466,35 @@ def _require_fields(obj: dict, keys, prefix: str):
             raise SchemaError(prefix + key, "missing required field")
 
 
+def _stratum_from_json(raw, arity: int) -> Stratum:
+    """A stratum from its JSON object, read for shape alone; a SchemaError
+    names its field relative to the stratum (``.cover``, or "" for the
+    object itself), which the caller puts under ``strata[i]``."""
+    if not isinstance(raw, dict):
+        raise SchemaError("", "expected object")
+    if not isinstance(raw.get("components"), list):
+        raise SchemaError(".components", "expected list of component ids")
+    ids = tuple(raw["components"])
+    cover = raw.get("cover", "split")
+    if cover == "split":
+        if "base_class" not in raw:
+            raise SchemaError(".base_class", "required for split covers")
+        return Stratum(ids, base=_class_from_json(raw["base_class"], 0, ".base_class"))
+    if isinstance(cover, dict) and set(cover) == {"explicit"}:
+        if "base_class" in raw:
+            raise SchemaError(
+                ".base_class", "explicit covers carry the total class; base_class must be omitted"
+            )
+        return Stratum(ids, explicit=_class_from_json(cover["explicit"], arity, ".cover.explicit"))
+    raise SchemaError(".cover", 'expected "split" or {"explicit": [...]}')
+
+
 def datum_from_dict(data: dict) -> ResolutionDatum:
-    """A datum from its JSON object; only the JSON shape is read here."""
+    """A datum from its JSON object; only the JSON shape is read here (the
+    constructor checks the values).  A component object holding ``id``,
+    ``Ng`` and ``nu`` is taken at once, and a stratum's errors get their
+    ``strata[i]`` prefix as they pass, so no field path is built unless a
+    check fails."""
     if not isinstance(data, dict):
         raise SchemaError("$", "datum must be a JSON object")
     _require_fields(data, ("dimension", "local", "functions", "components", "strata"), "")
@@ -436,34 +503,17 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     functions = tuple(data["functions"])
     comps = []
     for i, raw in enumerate(data["components"]):
-        path = f"components[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(path, "expected object")
-        _require_fields(raw, ("id", "Ng", "nu"), path + ".")
+        if not (type(raw) is dict and "id" in raw and "Ng" in raw and "nu" in raw):
+            if not isinstance(raw, dict):
+                raise SchemaError(f"components[{i}]", "expected object")
+            _require_fields(raw, ("id", "Ng", "nu"), f"components[{i}].")
         comps.append(Component(raw["id"], raw.get("Nf", 0), raw["Ng"], raw["nu"]))
     strata = []
     for i, raw in enumerate(data["strata"]):
-        path = f"strata[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(path, "expected object")
-        if not isinstance(raw.get("components"), list):
-            raise SchemaError(path + ".components", "expected list of component ids")
-        cover = raw.get("cover", "split")
-        base = explicit = None
-        if cover == "split":
-            if "base_class" not in raw:
-                raise SchemaError(path + ".base_class", "required for split covers")
-            base = _class_from_json(raw["base_class"], 0, path + ".base_class")
-        elif isinstance(cover, dict) and set(cover) == {"explicit"}:
-            if "base_class" in raw:
-                raise SchemaError(
-                    path + ".base_class",
-                    "explicit covers carry the total class; base_class must be omitted",
-                )
-            explicit = _class_from_json(cover["explicit"], len(functions), path + ".cover.explicit")
-        else:
-            raise SchemaError(path + ".cover", 'expected "split" or {"explicit": [...]}')
-        strata.append(Stratum(tuple(raw["components"]), base=base, explicit=explicit))
+        try:
+            strata.append(_stratum_from_json(raw, len(functions)))
+        except SchemaError as exc:
+            raise SchemaError(f"strata[{i}]{exc.path}", exc.message) from None
     zl = None
     if "zero_locus_nearby" in data:
         zl = _class_from_json(data["zero_locus_nearby"], 1, "zero_locus_nearby")

@@ -171,12 +171,13 @@ class _SparseMap:
     ``_rekeyed`` (a term map with every numerator n sent to f(n)) and
     ``_nums`` (a C callable from a term map to the tuple of numerators of
     each key), which a ring whose keys hold no rational never calls,
-    ``_key_view`` (a stored key in its public form, for ``terms()``) and
-    ``render``.  ``_scalars`` lists the types ``*`` treats as coefficient
-    scalars, the only ones ``scale`` accepts.  The lcm, the scale factors,
-    the zero drop and the den-1 rule are written once, here: a product with
-    a factor of den 1 keeps the other factor's den without ``_lowest``, as
-    the den-1 factor lies in a domain (see the module docstring).
+    ``_key_view`` (a stored key in its public form, for ``terms()``, or a
+    ``_viewer`` giving one such view per ``terms()`` call) and ``render``.
+    ``_scalars`` lists the types ``*`` treats as coefficient scalars, the
+    only ones ``scale`` accepts.  The lcm, the scale factors, the zero drop
+    and the den-1 rule are written once, here: a product with a factor of
+    den 1 keeps the other factor's den without ``_lowest``, as the den-1
+    factor lies in a domain (see the module docstring).
     """
 
     __slots__ = ("_terms", "den")
@@ -228,10 +229,15 @@ class _SparseMap:
         """Stored (key, coef) items in ascending key order."""
         return sorted(self._terms.items(), key=itemgetter(0))
 
+    def _viewer(self):
+        """The key view of one ``terms()`` call: ``_key_view``, unless a
+        ring whose keys share parts converts each shared part once a call."""
+        return self._key_view
+
     def terms(self):
         """Term list with keys in their public form, sorted by ascending key."""
-        view = self._key_view
-        return tuple((view(key), coef) for key, coef in self._sorted())
+        view = self._viewer()
+        return tuple([(view(key), coef) for key, coef in self._sorted()])
 
     def __bool__(self) -> bool:
         return bool(self._terms)

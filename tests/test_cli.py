@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -36,6 +38,97 @@ def test_cached_parser_survives_a_parse_error(capsys):
     assert build_parser() is build_parser()
     assert [run(capsys, *argv) for argv in argvs] == fresh
 
+
+# The usage level as argparse prints it on an 80-column terminal: exit code,
+# stdout and stderr of each argv that help, an unknown subcommand or a parse
+# error stops before any command runs.
+_TOP_USAGE = (
+    "usage: hodgespec [-h]\n"
+    "                 {spectrum,zeta,iterated,ts,convolve,steenbrink,fixtures,check}\n"
+    "                 ...\n"
+)
+_TOP_HELP = _TOP_USAGE + (
+    "\nExact Hodge spectra of hypersurface singularities from resolution data.\n"
+    "\npositional arguments:\n"
+    "  {spectrum,zeta,iterated,ts,convolve,steenbrink,fixtures,check}\n"
+    "    spectrum            spectrum of a datum's nearby or vanishing class\n"
+    "    zeta                motivic zeta function of a datum\n"
+    "    iterated            iterated two-monodromy class of a joint datum\n"
+    "    ts                  spectrum of x1^a1 + ... + xd^ad\n"
+    "    convolve            convolution of two arity-1 class files\n"
+    "    steenbrink          verify the power-perturbation spectrum identity\n"
+    "    fixtures            list shipped fixtures and their provenance\n"
+    "    check               run a property suite\n"
+    "\noptions:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+_CHOICES = "'spectrum', 'zeta', 'iterated', 'ts', 'convolve', 'steenbrink', 'fixtures', 'check'"
+_SPECTRUM_USAGE = "usage: hodgespec spectrum [-h] --datum DATUM [--phi]\n"
+_USAGE = [
+    ((), 2, "", _TOP_USAGE + "hodgespec: error: the following arguments are required: command\n"),
+    (("-h",), 0, _TOP_HELP, ""),
+    (("--help",), 0, _TOP_HELP, ""),
+    (("bogus",), 2, "",
+     _TOP_USAGE + f"hodgespec: error: argument command: invalid choice: 'bogus' (choose from {_CHOICES})\n"),
+    (("spectrum",), 2, "",
+     _SPECTRUM_USAGE + "hodgespec spectrum: error: the following arguments are required: --datum\n"),
+    (("spectrum", "-h"), 0,
+     _SPECTRUM_USAGE + "\noptions:\n  -h, --help     show this help message and exit\n"
+     "  --datum DATUM\n  --phi          use the vanishing-cycle class\n", ""),
+    (("spectrum", "--datum"), 2, "",
+     _SPECTRUM_USAGE + "hodgespec spectrum: error: argument --datum: expected one argument\n"),
+    (("spectrum", "--datum", "X", "extra"), 2, "",
+     _TOP_USAGE + "hodgespec: error: unrecognized arguments: extra\n"),
+    (("spectrum", "--datum", "X", "--bogus"), 2, "",
+     _TOP_USAGE + "hodgespec: error: unrecognized arguments: --bogus\n"),
+    (("--dat", "X"), 2, "",
+     _TOP_USAGE + f"hodgespec: error: argument command: invalid choice: 'X' (choose from {_CHOICES})\n"),
+    (("--datum=X",), 2, "", _TOP_USAGE + "hodgespec: error: the following arguments are required: command\n"),
+    (("spectrum", "--", "--datum", "X"), 2, "",
+     _SPECTRUM_USAGE + "hodgespec spectrum: error: the following arguments are required: --datum\n"),
+    (("zeta", "--datum", "X", "--truncate", "x"), 2, "",
+     "usage: hodgespec zeta [-h] --datum DATUM [--truncate N]\n"
+     "hodgespec zeta: error: argument --truncate: invalid int value: 'x'\n"),
+    (("ts",), 2, "",
+     "usage: hodgespec ts [-h] --exponents a1,a2,...\n"
+     "hodgespec ts: error: the following arguments are required: --exponents\n"),
+    (("check", "--suite", "nope"), 2, "",
+     "usage: hodgespec check [-h] --suite {rings,cones,psi,steenbrink,all}\n"
+     "hodgespec check: error: argument --suite: invalid choice: 'nope' "
+     "(choose from 'rings', 'cones', 'psi', 'steenbrink', 'all')\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _USAGE, ids=[" ".join(argv) or "none" for argv, *_ in _USAGE])
+def test_usage_level_output(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+    # argv=None reads sys.argv past the program name.
+    monkeypatch.setattr(sys, "argv", ["hodgespec", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_a_subcommand_call_runs_one_parse(capsys, monkeypatch):
+    # The subcommand's own parser reads its arguments; the top-level parser
+    # parses only an argv that opens with no subcommand.
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "ts", "--exponents", "2,3")[:2] == (0, "t^(5/6) + t^(7/6)\n")
+    assert calls == ["hodgespec ts"]
+    calls.clear()
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert calls == ["hodgespec"]
 
 def test_spectrum_phi(capsys):
     code, out, _ = run(capsys, "spectrum", "--datum", str(FIXTURES / "cusp.json"), "--phi")

@@ -401,3 +401,23 @@ def test_oracle_runs_one_smith_normal_form(monkeypatch):
     with pytest.raises(ValueError, match="rank deficient"):
         torus_fiber_bruteforce([[1, 2], [2, 4]])
     assert len(calls) == 1
+
+
+def test_terms_converts_each_eigenvalue_tuple_once_a_call():
+    # Bidegrees repeat each eigenvalue tuple: one terms() call builds one
+    # Fraction tuple per distinct tuple, and its values are the per-term
+    # conversion numerator / den.
+    rng = random.Random(12)
+    for arity, den in ((1, 6), (2, 12), (0, 1)):
+        evs = [tuple(rng.randrange(den) for _ in range(arity)) for _ in range(5)]
+        x = MC(arity, [((tuple(F(n, den) for n in e), p, q), rng.choice((-2, 1, 3)))
+                       for e in evs for p in range(4) for q in range(3)])
+        terms = x.terms()
+        assert len(terms) == len(x._terms) > len(set(evs))
+        shared = {}
+        for (e, p, q), mult in terms:
+            assert shared.setdefault(e, e) is e, e
+        assert terms == tuple(
+            ((tuple(F(n, x.den) for n in e), p, q), mult) for (e, p, q), mult in sorted(x._terms.items())
+        )
+        assert x.terms() == terms

@@ -281,3 +281,95 @@ def test_undecodable_json_exits_2_naming_the_file(capsys, tmp_path, case, argv):
     assert main([*argv, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed JSON: ") and err.count("\n") == 1, err
+
+
+_DELETE = object()
+# One mutation of a shipped datum per checked field: (fixture, key path, new
+# value or _DELETE, the SchemaError text).
+_FIELD_REFUSALS = [
+    ("cusp", ("dimension",), True, "dimension: True is not an integer"),
+    ("cusp", ("components", 0, "Ng"), True, "components[0].Ng: True is not an integer"),
+    ("x2y_y_joint", ("components", 0, "Nf"), True, "components[0].Nf: True is not an integer"),
+    ("cusp", ("components", 0, "nu"), True, "components[0].nu: True is not an integer"),
+    ("cusp", ("components", 1, "Ng"), -1, "components[1].Ng: -1 is less than 0"),
+    ("cusp", ("components", 1, "nu"), 0, "components[1].nu: 0 is less than 1"),
+    ("cusp", ("components", 0, "id"), 5, "components[0].id: expected str, got int"),
+    ("cusp", ("components", 0, "Ng"), _DELETE, "components[0].Ng: missing required field"),
+    ("cusp", ("components", 0), 5, "components[0]: expected object"),
+    ("x2y_y_joint", ("components", 0, "Nf"), 0, "components[0]: component carries no multiplicity at all"),
+    ("cusp", ("components", 1, "id"), "e1", "components[1].id: duplicate id 'e1'"),
+    ("cusp", ("strata", 0, "components"), ["e9"], "strata[0].components: unknown id 'e9'"),
+    ("cusp", ("strata", 0, "components"), [], "strata[0].components: must be nonempty"),
+    ("cusp", ("strata", 0, "components"), [5], "strata[0].components[0]: expected str, got int"),
+    ("cusp", ("strata", 0, "components"), "e1", "strata[0].components: expected list of component ids"),
+    ("cusp", ("strata", 3, "components"), ["e1", "e1"], "strata[3].components: duplicate component id"),
+    ("cusp", ("strata", 1, "components"), ["e1"], "strata[1]: duplicate stratum"),
+    # strata[3] is ["e1", "e3"]: the order of the ids does not tell strata apart.
+    ("cusp", ("strata", 4, "components"), ["e3", "e1"], "strata[4]: duplicate stratum"),
+    ("cusp", ("strata", 0), 5, "strata[0]: expected object"),
+    ("cusp", ("strata", 2, "base_class"), [[0, 0, 1]],
+     "strata[2].base_class: explicit covers carry the total class; base_class must be omitted"),
+    ("cusp", ("strata", 0, "base_class"), _DELETE, "strata[0].base_class: required for split covers"),
+    ("cusp", ("strata", 0, "cover"), "other", 'strata[0].cover: expected "split" or {"explicit": [...]}'),
+    ("cusp", ("strata", 2, "cover", "explicit", 2, 0, 1), 0, "strata[2].cover.explicit[2][0][1]: 0 is less than 1"),
+    ("cusp", ("strata", 0, "base_class", 0, 2), True, "strata[0].base_class[0][2]: True is not an integer"),
+    ("x2y_y_joint", ("zero_locus_nearby", 0, 0, 1), 0, "zero_locus_nearby[0][0][1]: 0 is less than 1"),
+]
+
+
+def _mutated(name, path, value):
+    data = json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message", _FIELD_REFUSALS,
+    ids=[f"{n}-{'.'.join(map(str, p))}-{'del' if v is _DELETE else v!r}" for n, p, v, _m in _FIELD_REFUSALS],
+)
+def test_each_checked_datum_field_refuses_with_its_pinned_text(capsys, tmp_path, name, path, value, message):
+    data = _mutated(name, path, value)
+    with pytest.raises(SchemaError) as info:
+        datum_from_dict(data)
+    assert str(info.value) == message
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["spectrum", "--datum", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
+
+def test_values_that_load_after_the_named_checks(capsys, tmp_path):
+    # Arity-0 entries that cancel leave an empty base class (its stratum
+    # then adds nothing); cancelling explicit entries drop out the same way.
+    for path, value, spectrum in (
+        (("strata", 0, "base_class"), [[1, 1, 1], [1, 1, -1]], "t^(0) - t^(5/6) - t^(1) - t^(7/6) - t^(3/2)\n"),
+        (("strata", 2, "cover", "explicit"), [[[1, 6], 1, 0, -1], [[2, 12], 1, 0, 1]],
+         "3*t^(0) + t^(1/3) + t^(1/2) + t^(2/3) - t^(1)\n"),
+    ):
+        data = _mutated("cusp", path, value)
+        stratum = datum_from_dict(data).strata[path[1]]
+        cls = stratum.base if stratum.explicit is None else stratum.explicit
+        assert cls == MC.zero(cls.arity) and (cls._terms, cls.den) == ({}, 1)
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["spectrum", "--datum", str(ok)]) == 0
+        assert capsys.readouterr() == (spectrum, "")
+    # In data built in Python an integral Fraction becomes its int, in a
+    # component, in the dimension and in a class entry; another is refused.
+    data = _mutated("cusp", ("components", 0, "Ng"), F(2))
+    data["dimension"] = F(2)
+    data["strata"][0]["base_class"] = [[F(1), 1, 1]]
+    datum = datum_from_dict(data)
+    assert datum == fixture_datum("cusp")
+    assert type(datum.dimension) is type(datum.components[0].ng) is int
+    assert datum.strata[0].base.terms() == ((((), 1, 1), 1),)
+    data["components"][0]["Ng"] = F(3, 2)
+    with pytest.raises(SchemaError) as info:
+        datum_from_dict(data)
+    assert str(info.value) == "components[0].Ng: Fraction(3, 2) is not an integer"
